@@ -22,7 +22,7 @@ from repro.common.errors import (
     OutOfMemoryError,
     UnsupportedFeatureError,
 )
-from repro.common.records import EvaluationResult
+from repro.common.records import EvaluationResult, rows_to_set
 from repro.datalog.analyzer import AnalyzedProgram, Stratum
 from repro.engine import kernels
 from repro.engine.metrics import DEFAULT_MEMORY_BUDGET, DEFAULT_TIME_BUDGET, MetricsRecorder
@@ -122,7 +122,7 @@ class BaselineEngine:
             result.iterations = iterations
             for name in sorted(analyzed.idb):
                 rows = relations[name]
-                result.tuples[name] = {tuple(int(v) for v in row) for row in rows}
+                result.tuples[name] = rows_to_set(rows)
         except UnsupportedFeatureError as error:
             result.status = "unsupported"
             result.unsupported_reason = str(error)

@@ -21,7 +21,7 @@ from repro.common.errors import (
     OutOfMemoryError,
     UnsupportedFeatureError,
 )
-from repro.common.records import EvaluationResult
+from repro.common.records import EvaluationResult, rows_to_set
 from repro.datalog import ast as dast
 from repro.datalog.analyzer import AnalyzedProgram, Stratum
 from repro.engine.metrics import DEFAULT_MEMORY_BUDGET, DEFAULT_TIME_BUDGET, MetricsRecorder
@@ -103,7 +103,7 @@ class BddbddbLike:
             for name in sorted(analyzed.idb):
                 arity = analyzed.arities[name]
                 rows = space.decode(relations[name], list(range(arity)))
-                result.tuples[name] = {tuple(int(v) for v in row) for row in rows}
+                result.tuples[name] = rows_to_set(rows)
         except UnsupportedFeatureError as error:
             result.status = "unsupported"
             result.unsupported_reason = str(error)

@@ -4,6 +4,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Rows converted per step of :func:`rows_to_set`: bounds the boxed-int
+#: lists alive at once, so reading out a large fixpoint does not lift the
+#: process's peak RSS.
+_READOUT_CHUNK_ROWS = 1 << 16
+
+
+def rows_to_set(rows) -> set[tuple[int, ...]]:
+    """A 2-D integer array as a set of tuples of plain ``int``.
+
+    Column-wise ``tolist()`` + ``zip`` — about half the time of a
+    per-element ``int()`` — over bounded row chunks.
+    """
+    count, width = rows.shape
+    if width == 0:
+        return {()} if count else set()
+    result: set[tuple[int, ...]] = set()
+    for start in range(0, count, _READOUT_CHUNK_ROWS):
+        chunk = rows[start : start + _READOUT_CHUNK_ROWS]
+        result.update(zip(*(chunk[:, column].tolist() for column in range(width))))
+    return result
+
 
 @dataclass(frozen=True)
 class TraceSample:

@@ -32,7 +32,7 @@ from repro.common.errors import (
     OutOfMemoryError,
     SpillError,
 )
-from repro.common.records import EvaluationResult
+from repro.common.records import EvaluationResult, rows_to_set
 from repro.core.config import RecStepConfig
 from repro.core.interpreter import SemiNaiveInterpreter
 from repro.datalog import ast as dast
@@ -201,10 +201,7 @@ class RecStep:
                 # under budget *because* it spilled must not OOM while
                 # being read out.
                 fixpoint = {
-                    name: {
-                        tuple(int(value) for value in row)
-                        for row in database.table_snapshot(name)
-                    }
+                    name: rows_to_set(database.table_snapshot(name))
                     for name in sorted(analyzed.idb)
                 }
         except OutOfMemoryError as error:
@@ -509,10 +506,7 @@ class MaterializedFixpoint:
     def fixpoint(self) -> dict[str, set[tuple[int, ...]]]:
         """The current maintained fixpoint as sets of tuples."""
         return {
-            name: {
-                tuple(int(value) for value in row)
-                for row in self.database.table_snapshot(name)
-            }
+            name: rows_to_set(self.database.table_snapshot(name))
             for name in sorted(self.analyzed.idb)
         }
 

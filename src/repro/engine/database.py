@@ -19,7 +19,7 @@ from repro.engine.dedup import (
     DedupOutcome,
     deduplicate,
     planned_transient_bytes,
-    rows_packable,
+    row_codec,
 )
 from repro.engine.executor import QUERY_DISPATCH_OVERHEAD, ParallelCostModel
 from repro.engine.joincache import COUNTER_EVICT, INDEX_ROW_BYTES, JoinStateCache
@@ -590,6 +590,10 @@ class Database:
             self._touch(name)
             table = self.catalog.get_table(name)
             estimated_rows = self.catalog.get_stats(name).num_rows
+            # Kernels are pure, so the live view suffices; its one domain
+            # scan serves the pre-flight, the plan and the kernel.
+            rows = table.data()
+            codec = row_codec(rows)
             degradation = self.resilience.degradation
             lean = False
             if degradation.enabled:
@@ -602,7 +606,7 @@ class Database:
                     table.arity,
                     self.fast_dedup,
                     estimated_rows,
-                    packable=rows_packable(table.data()),
+                    packable=codec.packable,
                 )
                 lean = degradation.lean_dedup(planned)
                 if lean:
@@ -610,15 +614,16 @@ class Database:
             outcome = self.resilience.run(
                 "dedup",
                 lambda: deduplicate(
-                    table.to_array(),
+                    rows,
                     self._context(),
                     fast=self.fast_dedup,
                     estimated_rows=estimated_rows,
                     lean=lean,
                     partitions=self.partitions if self.partitioned_exec else 0,
+                    codec=codec,
                 ),
             )
-            table.replace_contents(outcome.rows)
+            table.replace_contents(outcome.rows, distinct=True)
             self._note_table_rewrite(name)
             self._after_mutation(table, 0)
             span.set(
@@ -647,7 +652,10 @@ class Database:
         """
         from repro.engine.operators import HASH_ENTRY_OVERHEAD
 
-        new_rows = self.catalog.get_table(new_table).data()
+        new = self.catalog.get_table(new_table)
+        new_rows = new.data()
+        # A generation dedup_table wrote and nothing has touched since.
+        distinct = new.distinct
         self._touch(new_table)
         base = self.catalog.get_table(base_table)
         ctx = self._context()
@@ -689,6 +697,7 @@ class Database:
                             ctx,
                             cache_entry=cache_entry,
                             build_rows=base.num_rows,
+                            new_distinct=distinct,
                         ),
                     )
                 else:
@@ -696,7 +705,11 @@ class Database:
                     outcome = self.resilience.run(
                         "set_difference",
                         lambda: one_phase_set_difference(
-                            new_rows, base_rows, ctx, cache_entry=cache_entry
+                            new_rows,
+                            base_rows,
+                            ctx,
+                            cache_entry=cache_entry,
+                            new_distinct=distinct,
                         ),
                     )
             elif base.spilled_rows and self.spill is not None:
@@ -704,14 +717,14 @@ class Database:
                 outcome = self.resilience.run(
                     "set_difference",
                     lambda: streaming_two_phase_set_difference(
-                        new_rows, self._spilled_base_chunks(base), ctx
+                        new_rows, self._spilled_base_chunks(base), ctx, distinct
                     ),
                 )
             else:
                 base_rows = base.data()
                 outcome = self.resilience.run(
                     "set_difference",
-                    lambda: two_phase_set_difference(new_rows, base_rows, ctx),
+                    lambda: two_phase_set_difference(new_rows, base_rows, ctx, distinct),
                 )
             span.set(rows_in=int(new_rows.shape[0]), rows_out=int(outcome.delta.shape[0]))
             if forced:

@@ -82,12 +82,13 @@ def plan_transient(
     return base
 
 
-def rows_packable(rows: np.ndarray) -> bool:
-    """Whether the CCK fast path applies (cheap min/max scan, no key)."""
-    if rows.shape[0] == 0 or rows.shape[1] <= 1:
-        return True
-    columns = [rows[:, i] for i in range(rows.shape[1])]
-    return kernels.pack_width_bits(columns) <= kernels.MAX_PACK_BITS
+def row_codec(rows: np.ndarray) -> kernels.KeyCodec:
+    """The CCK codec for ``rows`` — the one domain scan a dedup pays.
+
+    ``codec.packable`` says whether the fast path applies; the pre-flight,
+    the plan and the kernel all share this one codec.
+    """
+    return kernels.KeyCodec.observed([rows[:, i] for i in range(rows.shape[1])])
 
 
 def planned_transient_bytes(
@@ -113,6 +114,7 @@ def deduplicate(
     estimated_rows: int | None = None,
     lean: bool = False,
     partitions: int = 0,
+    codec: kernels.KeyCodec | None = None,
 ) -> DedupOutcome:
     """Deduplicate ``rows`` charging the configured strategy's costs.
 
@@ -131,17 +133,23 @@ def deduplicate(
     for an in-place sort + adjacent-unique sweep: the slowest per tuple,
     but its only transient is the sort's index array (``n * 8`` bytes).
 
-    ``partitions > 0`` enables radix-partitioned execution: a scatter
-    pass buckets rows by key hash, then each bucket dedups into a private
-    table — no shared GSCHT, so almost none of its contention penalty.
-    The call itself decides shared-vs-partitioned from the modeled
-    makespans (``optimizer.partitioned_dedup_decision``), so tiny inputs
-    and low thread counts stay shared. Only the compact-key path
-    partitions (the radix hash needs the packed int64 key); output is
-    byte-identical to the shared path.
+    ``partitions > 0`` enables radix-partitioned execution on the sim
+    clock: a scatter pass buckets rows by key hash, then each bucket
+    dedups into a private table — no shared GSCHT, so almost none of its
+    contention penalty. The call itself decides shared-vs-partitioned
+    from the modeled makespans (``optimizer.partitioned_dedup_decision``),
+    so tiny inputs and low thread counts stay shared. Only the
+    compact-key path partitions (the radix hash needs the packed key).
+
+    Every strategy is a *modeled* cost; the host always runs the same
+    kernel — pack with ``codec`` (observed from ``rows`` when not given),
+    sort the key, drop adjacent duplicates, decode.
     """
     n = rows.shape[0]
-    packable = rows_packable(rows)
+    columns = [rows[:, i] for i in range(rows.shape[1])]
+    if codec is None:
+        codec = kernels.KeyCodec.observed(columns)
+    packable = codec.packable
     use_compact = fast and packable and not lean
     use_partitioned = partitions > 0 and use_compact and n > 0
 
@@ -166,18 +174,8 @@ def deduplicate(
         )
         use_partitioned = choice.partitioned and ctx.partition_scratch_ok(planned)
 
-    # The scatter needs the packed key as its hash input; a tuple that
-    # unexpectedly fails to pack falls back to the shared path.
-    key = layout = None
-    if use_partitioned:
-        if rows.shape[1] == 1:
-            key = rows[:, 0]
-        else:
-            key = kernels.pack_columns([rows[:, i] for i in range(rows.shape[1])])
-        if key is None:
-            use_partitioned = False
-        else:
-            layout = kernels.radix_partition(key, partitions)
+    key = codec.encode(columns) if packable and n else None
+    counts = kernels.radix_partition(key, partitions) if use_partitioned else None
 
     # Sizing comes from the shared rule so the degradation pre-flight and
     # the ledger always agree byte-for-byte.
@@ -194,22 +192,18 @@ def deduplicate(
 
     ctx.metrics.allocate_transient(transient)
     if use_partitioned:
-        order, offsets = layout
         ctx.charge_parallel(PARTITION_PHASE, n * COST_PARTITION, n)
-        counts = kernels.partition_counts(offsets)
         # Same per-tuple work as the shared table (each bucket builds its
         # private GSCHT), scheduled as one straggler-bound task per bucket.
         ctx.charge_partitioned_tasks(
             PARTITIONED_DEDUP_PHASE, counts * (COST_DEDUP_FAST * chain_factor)
         )
-        keep = kernels.partitioned_unique_indices(key, order, offsets)
-        if rows.shape[1] == 1:
-            # The shared single-column path returns sorted values.
-            unique = np.sort(rows[keep, 0]).reshape(-1, 1)
-        else:
-            unique = rows[keep]
     else:
         ctx.charge_parallel(DEDUP_PHASE, cost, n)
+    if key is not None:
+        unique = codec.decode(kernels.sorted_distinct(key))
+    else:
+        # Empty, or too wide for a compact key (rescans domains; rare).
         unique = kernels.unique_rows(rows)
     ctx.metrics.release_transient(transient)
     counters = ctx.profiler.counters

@@ -74,20 +74,6 @@ def _check_comparable(left_keys: np.ndarray, right_keys: np.ndarray) -> None:
         )
 
 
-def pack_width_bits(columns: list[np.ndarray]) -> int:
-    """Total CCK bits these columns need (cheap min/max scan, no key built).
-
-    The pre-flight counterpart of :func:`pack_columns`: callers compare
-    the result against :data:`MAX_PACK_BITS` to predict whether the
-    compact-key path applies, without paying for the packed column.
-    """
-    if not columns:
-        raise ValueError("pack_width_bits requires at least one column")
-    if len(columns) == 1:
-        return 1
-    return sum(observed_domain(column).bits for column in columns)
-
-
 def pack_columns(
     columns: list[np.ndarray], domains: list[ColumnDomain] | None = None
 ) -> np.ndarray | None:
@@ -110,24 +96,12 @@ def pack_columns(
         raise ValueError("pack_columns got mismatched domain count")
     if len(columns) == 1:
         return columns[0]
-    if domains is not None:
-        codec = KeyCodec(domains)
-        if not codec.packable:
-            return None
-        return codec.pack(columns)
-    bits_needed: list[int] = []
-    offsets: list[int] = []
-    for column in columns:
-        domain = observed_domain(column)
-        offsets.append(domain.low)
-        bits_needed.append(domain.bits)
-    if sum(bits_needed) > MAX_PACK_BITS:
+    codec = KeyCodec(domains) if domains is not None else KeyCodec.observed(columns)
+    if not codec.packable:
         return None
-    key = np.zeros(columns[0].shape[0], dtype=np.int64)
-    for column, bits, offset in zip(columns, bits_needed, offsets):
-        key <<= np.int64(bits)
-        key |= column - np.int64(offset)
-    return _tag_local(key)
+    if domains is not None:
+        return codec.pack(columns)
+    return _tag_local(codec.encode(columns))
 
 
 class KeyCodec:
@@ -159,6 +133,21 @@ class KeyCodec:
                 return False
         return True
 
+    @classmethod
+    def observed(cls, *column_sets: list[np.ndarray]) -> "KeyCodec":
+        """Codec over the tightest domains covering every given column set.
+
+        One min/max scan per column; ``column_sets`` of equal width share
+        one coordinate system (both sides of a join). Columns it was
+        built from fit by construction, so they go through :meth:`encode`.
+        """
+        domains = [observed_domain(column) for column in column_sets[0]]
+        for columns in column_sets[1:]:
+            for position, column in enumerate(columns):
+                other = observed_domain(column)
+                domains[position] = domains[position].widened(other.low, other.high)
+        return cls(domains)
+
     def pack(self, columns: list[np.ndarray]) -> np.ndarray:
         """Encode columns to stable codes; out-of-domain values raise."""
         if len(columns) == 1:
@@ -171,11 +160,30 @@ class KeyCodec:
             raise KeyPackingError(
                 "value outside the codec's declared column domains",
             )
+        return self.encode(columns)
+
+    def encode(self, columns: list[np.ndarray]) -> np.ndarray:
+        """:meth:`pack` without the domain check, for columns known to fit."""
+        if len(columns) == 1:
+            return columns[0]
         key = np.zeros(columns[0].shape[0], dtype=np.int64)
         for column, bits, domain in zip(columns, self._bits, self.domains):
             key <<= np.int64(bits)
             key |= column - np.int64(domain.low)
         return key
+
+    def decode(self, key: np.ndarray) -> np.ndarray:
+        """Rows back out of their codes by shift/mask: the CCK is also the value."""
+        if len(self.domains) == 1:
+            return key.reshape(-1, 1)
+        rows = np.empty((key.shape[0], len(self.domains)), dtype=np.int64)
+        shift = self.total_bits
+        for position, (bits, domain) in enumerate(zip(self._bits, self.domains)):
+            shift -= bits
+            rows[:, position] = ((key >> np.int64(shift)) & np.int64((1 << bits) - 1)) + np.int64(
+                domain.low
+            )
+        return rows
 
     def pack_probe(self, columns: list[np.ndarray]) -> np.ndarray:
         """Encode probe-side columns, mapping out-of-domain rows to -1.
@@ -290,29 +298,22 @@ def factorize_rows(
 def make_join_keys(
     left_columns: list[np.ndarray], right_columns: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Produce comparable int64 key columns for both sides of an equi-join."""
+    """Produce comparable int64 key columns for both sides of an equi-join.
+
+    One domain scan and one pack per side: both sides are encoded in the
+    per-position union of their observed domains.
+    """
     if len(left_columns) != len(right_columns):
         raise ValueError("join key column counts differ")
-    packed_left = pack_columns(left_columns) if left_columns else None
-    packed_right = pack_columns(right_columns) if right_columns else None
-    if packed_left is not None and packed_right is not None:
-        # Packing uses per-side offsets; they must agree for comparability.
-        # Recompute with the shared domain per key position.
-        domains = [
-            observed_domain(l).widened(*_domain_bounds(r))
-            for l, r in zip(left_columns, right_columns)
-        ]
-        if sum(domain.bits for domain in domains) <= MAX_PACK_BITS:
-            codec = KeyCodec(domains)
-            return codec.pack(left_columns), codec.pack(right_columns)
+    if len(left_columns) == 1:
+        return left_columns[0], right_columns[0]
+    if left_columns:
+        codec = KeyCodec.observed(left_columns, right_columns)
+        if codec.packable:
+            return codec.encode(left_columns), codec.encode(right_columns)
     left_matrix = np.column_stack(left_columns) if left_columns else np.empty((0, 0), np.int64)
     right_matrix = np.column_stack(right_columns) if right_columns else np.empty((0, 0), np.int64)
     return factorize_rows(left_matrix, right_matrix)
-
-
-def _domain_bounds(values: np.ndarray) -> tuple[int, int]:
-    domain = observed_domain(values)
-    return domain.low, domain.high
 
 
 # --------------------------------------------------------------------------
@@ -321,19 +322,23 @@ def _domain_bounds(values: np.ndarray) -> tuple[int, int]:
 
 
 def equi_join_count(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Exact output cardinality of the equi-join, without materializing it.
-
-    Costs one sort + two binary searches; operators call this before
-    ``equi_join_indices`` so the memory model can reject oversized
-    intermediates *before* they exist.
-    """
+    """Exact output cardinality of the equi-join, without materializing it."""
     _check_comparable(left_keys, right_keys)
     if left_keys.size == 0 or right_keys.size == 0:
         return 0
-    sorted_right = np.sort(right_keys)
-    starts = np.searchsorted(sorted_right, left_keys, side="left")
-    ends = np.searchsorted(sorted_right, left_keys, side="right")
+    starts, ends = sorted_probe_range(left_keys, np.sort(right_keys))
     return int((ends - starts).sum())
+
+
+def sort_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted_keys, sorted_positions)`` of a build side, by one stable argsort.
+
+    The pair is what :func:`sorted_probe_range` and
+    :func:`sorted_join_indices` consume, so a caller that needs the match
+    count before the matches (the operators' OOM guard) sorts once.
+    """
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
 
 
 def equi_join_indices(
@@ -345,17 +350,9 @@ def equi_join_indices(
     the cost model, not this kernel, decides which side is "built".
     """
     _check_comparable(left_keys, right_keys)
-    if left_keys.size == 0 or right_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    starts = np.searchsorted(sorted_right, left_keys, side="left")
-    ends = np.searchsorted(sorted_right, left_keys, side="right")
-    left_index, right_sorted_positions = _expand_match_runs(starts, ends)
-    if left_index.size == 0:
-        return left_index, right_sorted_positions
-    return left_index, order[right_sorted_positions]
+    sorted_right, order = sort_index(right_keys)
+    starts, ends = sorted_probe_range(left_keys, sorted_right)
+    return sorted_join_indices(starts, ends, order)
 
 
 def _expand_match_runs(
@@ -452,130 +449,29 @@ def radix_partition_ids(keys: np.ndarray, num_partitions: int) -> np.ndarray:
     """Bucket id per key, from the top bits of a multiplicative hash.
 
     ``num_partitions`` must be a positive power of two. Equal keys always
-    land in the same bucket — the property every partitioned kernel
-    relies on to stay byte-identical with its shared counterpart.
+    land in the same bucket, so per-bucket private tables are exact.
     """
     if num_partitions < 1 or num_partitions & (num_partitions - 1):
         raise ValueError("num_partitions must be a positive power of two")
     if num_partitions == 1:
         return np.zeros(keys.shape[0], dtype=np.int64)
-    scrambled = np.asarray(keys).astype(np.uint64) * _RADIX_MULTIPLIER
-    bits = num_partitions.bit_length() - 1
-    return (scrambled >> np.uint64(64 - bits)).astype(np.int64)
+    # Reinterpret, don't convert: int64 -> uint64 wraps to the same bits.
+    scrambled = np.ascontiguousarray(keys, dtype=np.int64).view(np.uint64) * _RADIX_MULTIPLIER
+    scrambled >>= np.uint64(65 - num_partitions.bit_length())
+    return scrambled.view(np.int64)
 
 
-def radix_partition(
-    keys: np.ndarray, num_partitions: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter ``keys`` into radix buckets.
+def radix_partition(keys: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Per-bucket row counts of scattering ``keys`` into radix buckets.
 
-    Returns ``(order, offsets)``: ``order`` is the stable permutation
-    grouping row indices by bucket, and bucket ``p`` owns
-    ``order[offsets[p]:offsets[p + 1]]``. Stability means each bucket
-    lists its rows in original order — this is what lets the partitioned
-    kernels reproduce the shared kernels' output exactly.
+    The scatter itself is *modeled*, not executed: the counts feed the
+    sim clock's one-task-per-bucket phases (a skewed scatter still shows
+    its straggler), while the host runs the one shared kernel — on a
+    single thread a per-bucket loop only added an argsort.
     """
-    ids = radix_partition_ids(keys, num_partitions)
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=num_partitions)
-    offsets = np.zeros(num_partitions + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return order, offsets
-
-
-def partition_counts(offsets: np.ndarray) -> np.ndarray:
-    """Per-bucket row counts from a ``radix_partition`` offsets array."""
-    return np.diff(offsets)
-
-
-def partitioned_unique_indices(
-    key: np.ndarray, order: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Global first-occurrence indices of distinct keys, per-bucket.
-
-    Every duplicate of a key shares its bucket, and buckets list rows in
-    ascending original order, so the per-bucket ``np.unique`` first
-    occurrence *is* the global one. The sorted concatenation equals what
-    ``np.unique(key, return_index=True)`` finds over the whole array.
-    """
-    plain = np.asarray(key)
-    keep: list[np.ndarray] = []
-    for p in range(offsets.shape[0] - 1):
-        bucket = order[offsets[p]:offsets[p + 1]]
-        if bucket.size == 0:
-            continue
-        _, first = np.unique(plain[bucket], return_index=True)
-        keep.append(bucket[first])
-    if not keep:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(keep))
-
-
-def partitioned_semi_join_mask(
-    left_keys: np.ndarray,
-    right_keys: np.ndarray,
-    left_layout: tuple[np.ndarray, np.ndarray],
-    right_layout: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Per-bucket :func:`semi_join_mask`, scattered back to a global mask.
-
-    Identical to the shared mask: membership is per-row, and matching
-    keys share a bucket by construction.
-    """
-    _check_comparable(left_keys, right_keys)
-    left_order, left_offsets = left_layout
-    right_order, right_offsets = right_layout
-    left_plain = np.asarray(left_keys)
-    right_plain = np.asarray(right_keys)
-    mask = np.zeros(left_plain.shape[0], dtype=bool)
-    for p in range(left_offsets.shape[0] - 1):
-        bucket = left_order[left_offsets[p]:left_offsets[p + 1]]
-        if bucket.size == 0:
-            continue
-        other = right_order[right_offsets[p]:right_offsets[p + 1]]
-        if other.size == 0:
-            continue
-        mask[bucket] = np.isin(left_plain[bucket], right_plain[other])
-    return mask
-
-
-def partitioned_equi_join_indices(
-    left_keys: np.ndarray,
-    right_keys: np.ndarray,
-    left_layout: tuple[np.ndarray, np.ndarray],
-    right_layout: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bucket :func:`equi_join_indices`, restored to the shared order.
-
-    The shared kernel emits pairs sorted by ``(left_index, right_index)``
-    (the stable right-side argsort keeps equal-key right rows in index
-    order), so a final lexsort over the concatenated per-bucket pairs
-    reproduces its output exactly.
-    """
-    _check_comparable(left_keys, right_keys)
-    left_order, left_offsets = left_layout
-    right_order, right_offsets = right_layout
-    pairs_left: list[np.ndarray] = []
-    pairs_right: list[np.ndarray] = []
-    for p in range(left_offsets.shape[0] - 1):
-        bucket = left_order[left_offsets[p]:left_offsets[p + 1]]
-        other = right_order[right_offsets[p]:right_offsets[p + 1]]
-        if bucket.size == 0 or other.size == 0:
-            continue
-        local_left, local_right = equi_join_indices(
-            left_keys[bucket], right_keys[other]
-        )
-        if local_left.size == 0:
-            continue
-        pairs_left.append(bucket[local_left])
-        pairs_right.append(other[local_right])
-    if not pairs_left:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_index = np.concatenate(pairs_left)
-    right_index = np.concatenate(pairs_right)
-    final = np.lexsort((right_index, left_index))
-    return left_index[final], right_index[final]
+    return np.bincount(
+        radix_partition_ids(keys, num_partitions), minlength=num_partitions
+    )
 
 
 # --------------------------------------------------------------------------
@@ -604,16 +500,27 @@ def anti_join_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-level dedup preserving no particular order (set semantics)."""
+    """Row-level dedup preserving no particular order (set semantics).
+
+    Packable rows never leave the compact key: one domain scan, one
+    pack, sort, drop adjacent duplicates, decode. Never aliases ``rows``.
+    """
     if rows.shape[0] == 0:
         return rows.copy()
-    if rows.shape[1] == 1:
-        return np.unique(rows[:, 0]).reshape(-1, 1)
-    key = pack_columns([rows[:, i] for i in range(rows.shape[1])])
-    if key is not None:
-        _, first_index = np.unique(key, return_index=True)
-        return rows[np.sort(first_index)]
-    return np.unique(rows, axis=0)
+    columns = [rows[:, i] for i in range(rows.shape[1])]
+    codec = KeyCodec.observed(columns)
+    if not codec.packable:
+        return np.unique(rows, axis=0)
+    return codec.decode(sorted_distinct(codec.encode(columns)))
+
+
+def sorted_distinct(key: np.ndarray) -> np.ndarray:
+    """Distinct values of a non-empty key column, ascending."""
+    key = np.sort(key)
+    keep = np.empty(key.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return key[keep]
 
 
 def rows_difference(new_rows: np.ndarray, existing_rows: np.ndarray) -> np.ndarray:

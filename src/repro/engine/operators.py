@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import PlanError
+from repro.common.errors import OutOfMemoryError, PlanError
 from repro.engine import kernels
 from repro.engine.executor import (
     AGGREGATE_PHASE,
@@ -346,21 +346,19 @@ def _join_frame_with_alias_inner(
     hash_bytes = build_rows * (8 + HASH_ENTRY_OVERHEAD)
     scatter_rows = true_left + true_right
     scratch_bytes = scatter_rows * PARTITION_SCRATCH_BYTES
-    layouts = None
+    partitioned = False
     if ctx.partitions and left_key.size and right_key.size:
         partition_choice = partitioned_join_decision(
             ctx.cost_model, ctx.partitions, build_rows, probe_rows
         )
-        if partition_choice.partitioned and ctx.partition_scratch_ok(
+        partitioned = partition_choice.partitioned and ctx.partition_scratch_ok(
             hash_bytes + scratch_bytes
-        ):
-            layouts = (
-                kernels.radix_partition(left_key, ctx.partitions),
-                kernels.radix_partition(right_key, ctx.partitions),
-            )
-    if layouts is not None:
-        left_counts = kernels.partition_counts(layouts[0][1])
-        right_counts = kernels.partition_counts(layouts[1][1])
+        )
+    if partitioned:
+        # The scatter is modeled: its per-bucket counts size the private
+        # build/probe tasks; the host runs the shared kernel below.
+        left_counts = kernels.radix_partition(left_key, ctx.partitions)
+        right_counts = kernels.radix_partition(right_key, ctx.partitions)
         if decision.build_left:
             build_counts, probe_counts = left_counts, right_counts
         else:
@@ -386,40 +384,15 @@ def _join_frame_with_alias_inner(
         probe_rows=probe_rows,
         build_side="left(frame)" if decision.build_left else f"right({alias})",
         transient_bytes=hash_bytes + scratch_bytes,
-        partitioned=layouts is not None,
+        partitioned=partitioned,
     )
 
-    # Reserve the join output before it exists: an intermediate too big
-    # for the modeled budget must OOM here, not in the host allocator.
-    out_rows = kernels.equi_join_count(left_key, right_key)
-    ctx.profiler.counters.inc("join_output_rows", out_rows)
-    if out_rows > HARD_JOIN_ROWS:
-        from repro.common.errors import OutOfMemoryError
-
-        raise OutOfMemoryError(
-            f"join intermediate of {out_rows} rows exceeds the spill limit",
-            rows=out_rows,
-            limit_rows=HARD_JOIN_ROWS,
-            modeled_bytes=out_rows * 8 * (len(frame.indices) + 1),
-        )
-    out_width = len(frame.indices) + 1
-    out_bytes = out_rows * 8 * out_width
-    ctx.metrics.allocate_transient(out_bytes)
-    if layouts is not None:
-        left_positions, right_positions = kernels.partitioned_equi_join_indices(
-            left_key, right_key, layouts[0], layouts[1]
-        )
-    else:
-        left_positions, right_positions = kernels.equi_join_indices(left_key, right_key)
-    result = frame.joined_with(
-        alias,
-        new_frame.bases[alias],
-        new_frame.schemas[alias],
-        left_positions,
-        new_frame.indices[alias][right_positions],
+    # One sort of the table side serves both the guard's count and the
+    # expansion.
+    sorted_right, right_order = kernels.sort_index(right_key)
+    result = _probe_sorted_index(
+        frame, alias, new_frame, left_key, sorted_right, right_order, ctx
     )
-    ctx.metrics.release_transient(out_bytes)
-    _charge_frame_materialization(result, ctx)
     ctx.metrics.release_transient(hash_bytes + scratch_bytes)
     return result
 
@@ -479,24 +452,41 @@ def _cached_index_join(
         cached_rows=entry.rows_indexed,
     )
 
-    # Same pre-materialization OOM guard as the classic path.
-    starts, ends = kernels.sorted_probe_range(probe_codes, entry.sorted_codes)
+    return _probe_sorted_index(
+        frame, alias, new_frame, probe_codes, entry.sorted_codes, entry.sorted_positions, ctx
+    )
+
+
+def _probe_sorted_index(
+    frame: Frame,
+    alias: str,
+    new_frame: Frame,
+    probe_keys: np.ndarray,
+    sorted_keys: np.ndarray,
+    sorted_positions: np.ndarray,
+    ctx: ExecutionContext,
+) -> Frame:
+    """Probe a sorted (keys, table positions) index and join the matches.
+
+    The one physical join both the classic and the cached path end in.
+    The output is counted and reserved *before* it exists: an
+    intermediate too big for the modeled budget must OOM here, not in
+    the host allocator.
+    """
+    starts, ends = kernels.sorted_probe_range(probe_keys, sorted_keys)
     out_rows = int((ends - starts).sum())
     ctx.profiler.counters.inc("join_output_rows", out_rows)
+    out_bytes = out_rows * 8 * (len(frame.indices) + 1)
     if out_rows > HARD_JOIN_ROWS:
-        from repro.common.errors import OutOfMemoryError
-
         raise OutOfMemoryError(
             f"join intermediate of {out_rows} rows exceeds the spill limit",
             rows=out_rows,
             limit_rows=HARD_JOIN_ROWS,
-            modeled_bytes=out_rows * 8 * (len(frame.indices) + 1),
+            modeled_bytes=out_bytes,
         )
-    out_width = len(frame.indices) + 1
-    out_bytes = out_rows * 8 * out_width
     ctx.metrics.allocate_transient(out_bytes)
     left_positions, table_positions = kernels.sorted_join_indices(
-        starts, ends, entry.sorted_positions
+        starts, ends, sorted_positions
     )
     result = frame.joined_with(
         alias,

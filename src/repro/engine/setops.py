@@ -13,13 +13,15 @@ of every IDB. The two SQL translations differ in what gets hashed:
 Both return exactly ``set(R_delta) - set(R)``; the DSD policy in
 ``repro.core.setdiff_policy`` picks between them per iteration.
 
-Cost accounting is *honest*: every phase charges for the rows it actually
-touches. Both strategies sort-unique ``R_delta`` up front (charged as a
-lean dedup), and every probe phase is charged on the deduplicated row
-count it really probes — the DSD policy and the appendix benchmark
-consume these numbers. When the execution context enables radix
-partitioning, the hash-heavy phases may run scatter + per-bucket instead
-of against one shared table (same output, bit for bit).
+Cost accounting is *honest* about the standalone operator the clock
+models: every phase charges for the rows it would touch. Both strategies
+sort-unique ``R_delta`` up front (charged as a lean dedup even when the
+host skips it because ``dedup_table`` just marked the input distinct),
+and every probe phase is charged on the deduplicated row count it really
+probes — the DSD policy and the appendix benchmark consume these
+numbers. When the execution context enables radix partitioning, the
+hash-heavy phases may be *charged* as scatter + per-bucket private
+tables; the host runs the one shared kernel either way.
 """
 
 from __future__ import annotations
@@ -62,20 +64,22 @@ def _keys_for(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return kernels.make_join_keys(left_cols, right_cols)
 
 
-def _charge_unique_sort(ctx: ExecutionContext, n_rows: int) -> None:
-    """Charge the sort-unique over ``R_delta`` both strategies perform.
+def _unique_delta(new_rows: np.ndarray, ctx: ExecutionContext, distinct: bool) -> np.ndarray:
+    """Distinct ``R_delta`` as a fresh array, charged as a sort-unique.
 
-    ``unique_rows`` is a sort + adjacent-unique sweep — the same work the
-    lean dedup path models, so it is charged at that rate with the sort's
-    index array as its transient. Previously this work went entirely
-    uncharged, flattering both strategies equally.
+    The charge is the lean dedup's (a sort + adjacent-unique sweep with
+    the sort's index array as its transient) and is paid regardless of
+    ``distinct``: the clock models the standalone operator. The host
+    skips the sort when the table generation is already distinct, but
+    still copies — the delta outlives ``new_rows``' table buffer.
     """
-    if n_rows == 0:
-        return
-    sort_bytes = n_rows * LEAN_INDEX_BYTES
-    ctx.metrics.allocate_transient(sort_bytes)
-    ctx.charge_parallel(DEDUP_PHASE, n_rows * COST_DEDUP_LEAN, n_rows)
-    ctx.metrics.release_transient(sort_bytes)
+    n_rows = new_rows.shape[0]
+    if n_rows:
+        sort_bytes = n_rows * LEAN_INDEX_BYTES
+        ctx.metrics.allocate_transient(sort_bytes)
+        ctx.charge_parallel(DEDUP_PHASE, n_rows * COST_DEDUP_LEAN, n_rows)
+        ctx.metrics.release_transient(sort_bytes)
+    return new_rows.copy() if distinct else kernels.unique_rows(new_rows)
 
 
 def _semi_mask(
@@ -92,49 +96,44 @@ def _semi_mask(
     ``probe_rows`` say which side the strategy hashes (OPSD builds on
     ``right`` = R; TPSD phase 1 builds on the smaller side) — the kernel
     work is symmetric, only the charge differs. With partitioning
-    enabled and worth it, both sides are radix-scattered and each bucket
-    builds/probes a private table.
+    enabled and worth it, the charge is a radix scatter of both sides
+    plus one private build/probe task per bucket.
     """
-    hash_bytes = build_rows * (8 + HASH_ENTRY_OVERHEAD)
+    transient = build_rows * (8 + HASH_ENTRY_OVERHEAD)
     left_keys, right_keys = _keys_for(left, right)
-    layouts = None
     scatter_rows = left.shape[0] + right.shape[0]
     scratch_bytes = scatter_rows * PARTITION_SCRATCH_BYTES
+    partitioned = False
     if ctx.partitions and left_keys.size and right_keys.size:
         choice = partitioned_join_decision(
             ctx.cost_model, ctx.partitions, build_rows, probe_rows
         )
-        if choice.partitioned and ctx.partition_scratch_ok(hash_bytes + scratch_bytes):
-            layouts = (
-                kernels.radix_partition(left_keys, ctx.partitions),
-                kernels.radix_partition(right_keys, ctx.partitions),
-            )
-    if layouts is not None:
-        left_counts = kernels.partition_counts(layouts[0][1])
-        right_counts = kernels.partition_counts(layouts[1][1])
+        partitioned = choice.partitioned and ctx.partition_scratch_ok(
+            transient + scratch_bytes
+        )
+    if partitioned:
+        left_counts = kernels.radix_partition(left_keys, ctx.partitions)
+        right_counts = kernels.radix_partition(right_keys, ctx.partitions)
         # The build side's per-bucket counts scale the build tasks; the
         # probe side's scale the probes (mirrors the shared charges).
         if build_rows == left.shape[0]:
             build_counts, probe_counts = left_counts, right_counts
         else:
             build_counts, probe_counts = right_counts, left_counts
-        ctx.metrics.allocate_transient(hash_bytes + scratch_bytes)
+        transient += scratch_bytes
+        ctx.metrics.allocate_transient(transient)
         ctx.charge_parallel(PARTITION_PHASE, scatter_rows * COST_PARTITION, scatter_rows)
         ctx.charge_partitioned_tasks(PARTITIONED_BUILD_PHASE, build_counts * COST_BUILD)
         ctx.charge_partitioned_tasks(PARTITIONED_PROBE_PHASE, probe_counts * COST_PROBE)
         ctx.profiler.counters.inc("partition.setdiff_runs")
         ctx.profiler.counters.inc("partition.scatter_rows", scatter_rows)
         ctx.profiler.counters.inc(f"partition.setdiff_{phase_label}")
-        mask = kernels.partitioned_semi_join_mask(
-            left_keys, right_keys, layouts[0], layouts[1]
-        )
-        ctx.metrics.release_transient(hash_bytes + scratch_bytes)
-        return mask
-    ctx.metrics.allocate_transient(hash_bytes)
-    ctx.charge_parallel(BUILD_PHASE, build_rows * COST_BUILD, build_rows)
-    ctx.charge_parallel(PROBE_PHASE, probe_rows * COST_PROBE, probe_rows)
+    else:
+        ctx.metrics.allocate_transient(transient)
+        ctx.charge_parallel(BUILD_PHASE, build_rows * COST_BUILD, build_rows)
+        ctx.charge_parallel(PROBE_PHASE, probe_rows * COST_PROBE, probe_rows)
     mask = kernels.semi_join_mask(left_keys, right_keys)
-    ctx.metrics.release_transient(hash_bytes)
+    ctx.metrics.release_transient(transient)
     return mask
 
 
@@ -144,6 +143,7 @@ def one_phase_set_difference(
     ctx: ExecutionContext,
     cache_entry=None,
     build_rows: int | None = None,
+    new_distinct: bool = False,
 ) -> SetDifferenceOutcome:
     """OPSD: hash ``existing_rows`` (R), anti-probe with ``new_rows``.
 
@@ -161,8 +161,7 @@ def one_phase_set_difference(
     """
     if build_rows is None:
         build_rows = existing_rows.shape[0]
-    _charge_unique_sort(ctx, new_rows.shape[0])
-    new_unique = kernels.unique_rows(new_rows)
+    new_unique = _unique_delta(new_rows, ctx, new_distinct)
     probe_rows = new_unique.shape[0]
     if cache_entry is not None:
         probe_bytes = probe_rows * 8
@@ -196,6 +195,7 @@ def streaming_two_phase_set_difference(
     new_rows: np.ndarray,
     base_chunks,
     ctx: ExecutionContext,
+    new_distinct: bool = False,
 ) -> SetDifferenceOutcome:
     """TPSD over a base relation streamed in chunks (spilled tables).
 
@@ -208,8 +208,7 @@ def streaming_two_phase_set_difference(
     delta — is bit-identical to the non-streamed TPSD. R itself is never
     materialized in memory at once.
     """
-    _charge_unique_sort(ctx, new_rows.shape[0])
-    new_unique = kernels.unique_rows(new_rows)
+    new_unique = _unique_delta(new_rows, ctx, new_distinct)
     n_unique = new_unique.shape[0]
 
     if n_unique == 0:
@@ -246,12 +245,14 @@ def streaming_two_phase_set_difference(
 
 
 def two_phase_set_difference(
-    new_rows: np.ndarray, existing_rows: np.ndarray, ctx: ExecutionContext
+    new_rows: np.ndarray,
+    existing_rows: np.ndarray,
+    ctx: ExecutionContext,
+    new_distinct: bool = False,
 ) -> SetDifferenceOutcome:
     """TPSD: intersect hashing the smaller side, then subtract the intersection."""
     n_old = existing_rows.shape[0]
-    _charge_unique_sort(ctx, new_rows.shape[0])
-    new_unique = kernels.unique_rows(new_rows)
+    new_unique = _unique_delta(new_rows, ctx, new_distinct)
     n_unique = new_unique.shape[0]
 
     # Phase 1: r = R_delta ∩ R, building on the smaller input.

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.common.errors import CatalogError
+from repro.common.records import rows_to_set
 from repro.storage.block import BLOCK_ROWS, block_count, iter_blocks
 from repro.storage.column import ColumnSchema, ColumnType
 
@@ -48,6 +49,10 @@ class Table:
         #: epoch, which is what makes append-only incremental indexing and
         #: the optimizer's rewrite-staleness guard possible.
         self.epoch = 0
+        #: True while the live rows are exactly what ``dedup`` wrote: set
+        #: by ``replace_contents(..., distinct=True)``, cleared by every
+        #: other mutation. Lets set-difference skip its own sort-unique.
+        self.distinct = False
 
     # -- schema ------------------------------------------------------------
 
@@ -125,7 +130,7 @@ class Table:
 
     def to_set(self) -> set[tuple[int, ...]]:
         """Rows as a Python set of tuples (tests and small results only)."""
-        return {tuple(int(value) for value in row) for row in self.data()}
+        return rows_to_set(self.data())
 
     def blocks(self, block_rows: int = BLOCK_ROWS):
         return iter_blocks(self.data(), block_rows)
@@ -168,6 +173,7 @@ class Table:
         self._rows[resident : resident + rows.shape[0]] = rows
         self._count += rows.shape[0]
         self.version += 1
+        self.distinct = False
 
     def append_tuples(self, tuples: Iterable[Sequence[int]]) -> None:
         materialized = list(tuples)
@@ -175,8 +181,12 @@ class Table:
             return
         self.append_array(np.asarray(materialized, dtype=np.int64).reshape(len(materialized), self.arity))
 
-    def replace_contents(self, rows: np.ndarray) -> None:
-        """Overwrite the table's rows (used by dedup and delta swaps)."""
+    def replace_contents(self, rows: np.ndarray, distinct: bool = False) -> None:
+        """Overwrite the table's rows (used by dedup and delta swaps).
+
+        ``distinct`` is the caller's promise that ``rows`` holds no
+        duplicate tuple (only dedup makes it).
+        """
         if rows.ndim != 2 or rows.shape[1] != self.arity:
             raise CatalogError(
                 f"cannot load shape {rows.shape} into table {self.name!r} "
@@ -187,12 +197,14 @@ class Table:
         self._count = rows.shape[0]
         self.version += 1
         self.epoch += 1
+        self.distinct = distinct
 
     def truncate(self) -> None:
         self._discard_spill()
         self._count = 0
         self.version += 1
         self.epoch += 1
+        self.distinct = False
 
     # -- residency (driven by the SpillManager) ----------------------------
 

@@ -1,8 +1,10 @@
 """Tests for the common infrastructure: clocks, traces, records, RNG."""
 
+import numpy as np
 import pytest
 
-from repro.common.records import EvaluationResult, Trace, TraceSample
+from repro.common import records
+from repro.common.records import EvaluationResult, Trace, TraceSample, rows_to_set
 from repro.common.rng import derive_seed, make_rng
 from repro.common.timing import SimClock, Stopwatch
 
@@ -76,6 +78,22 @@ class TestEvaluationResult:
     def test_sizes(self):
         result = EvaluationResult("E", "P", "D", tuples={"r": {(1,), (2,)}})
         assert result.sizes() == {"r": 2}
+
+
+class TestRowsToSet:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_matches_per_element_conversion(self, width, monkeypatch):
+        # A small chunk so the loop runs several times with a ragged tail.
+        monkeypatch.setattr(records, "_READOUT_CHUNK_ROWS", 7)
+        rows = np.random.default_rng(width).integers(-5, 5, size=(50, width))
+        got = rows_to_set(rows)
+        assert got == {tuple(int(value) for value in row) for row in rows}
+        assert all(type(value) is int for row in got for value in row)
+
+    def test_empty_and_nullary(self):
+        assert rows_to_set(np.empty((0, 2), dtype=np.int64)) == set()
+        assert rows_to_set(np.empty((0, 0), dtype=np.int64)) == set()
+        assert rows_to_set(np.empty((3, 0), dtype=np.int64)) == {()}
 
 
 class TestRng:

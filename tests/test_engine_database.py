@@ -130,6 +130,52 @@ class TestSpecializedOps:
         assert {tuple(r) for r in tpsd.delta.tolist()} == expected
         assert tpsd.intersection_size == 1
 
+    def test_dedup_marks_the_generation_distinct_until_any_mutation(self, db):
+        arc = db.catalog.get_table("arc")
+        duplicate = np.array([[1, 2]], dtype=np.int64)
+        mutations = {
+            "append": lambda: db.append_rows("arc", duplicate),
+            "insert": lambda: db.execute("INSERT INTO arc VALUES (1,2)"),
+            "replace": lambda: db.replace_rows("arc", np.vstack([duplicate, duplicate])),
+            "restore": lambda: db.restore_rows("arc", np.vstack([duplicate, duplicate])),
+            "delete": lambda: db.delete_rows("arc", duplicate),
+            "truncate": lambda: db.execute("DELETE FROM arc"),
+        }
+        assert not arc.distinct
+        for name, mutate in mutations.items():
+            db.dedup_table("arc")
+            assert arc.distinct, name
+            mutate()
+            assert not arc.distinct, name
+
+    @pytest.mark.parametrize("strategy", ["OPSD", "TPSD"])
+    @pytest.mark.parametrize("join_cache", [True, False])
+    def test_set_difference_dedups_unless_marked_distinct(self, strategy, join_cache):
+        db = Database(enforce_budgets=False, join_cache=join_cache)
+        db.load_table("base", ["x", "y"], np.array([[1, 2]], dtype=np.int64))
+        new = np.array([[7, 7], [1, 2], [7, 7], [8, 8]], dtype=np.int64)
+        db.load_table("new", ["x", "y"], new)
+        # Not distinct: the operator's own sort-unique removes the (7, 7) pair.
+        outcome = db.set_difference("new", "base", strategy)
+        assert sorted(map(tuple, outcome.delta.tolist())) == [(7, 7), (8, 8)]
+
+        # Same duplicate-free rows, unmarked and then marked by dedup_table:
+        # same answer and same modeled seconds (the sort-unique charge
+        # stays), and the delta is never a view of the table's buffer.
+        table = db.catalog.get_table("new")
+        costs = []
+        for marked in (False, True):
+            db.replace_rows("new", np.array([[7, 7], [1, 2], [8, 8]], dtype=np.int64))
+            if marked:
+                db.dedup_table("new")
+            assert table.distinct == marked
+            before = db.sim_seconds
+            outcome = db.set_difference("new", "base", strategy)
+            costs.append(db.sim_seconds - before)
+            assert sorted(map(tuple, outcome.delta.tolist())) == [(7, 7), (8, 8)]
+            assert not np.shares_memory(outcome.delta, table.data())
+        assert costs[0] == pytest.approx(costs[1], rel=1e-12)
+
     def test_unknown_strategy_rejected(self, db):
         db.execute("CREATE TABLE new (x INT, y INT)")
         with pytest.raises(PlanError):

@@ -344,6 +344,50 @@ class TestUniqueRows:
         unique = kernels.unique_rows(rows)
         assert unique.shape[0] == 2
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(
+                st.tuples(
+                    *[
+                        st.one_of(
+                            st.integers(-40, 40),
+                            # near ±2^62: the packed key no longer fits
+                            # 63 bits, forcing the unpackable fallback
+                            st.integers(-(2**62), -(2**62) + 3),
+                            st.integers(2**62 - 3, 2**62),
+                        )
+                    ]
+                    * width
+                ),
+                max_size=40,
+            ).map(lambda rows: (width, rows))
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_numpy_unique_as_a_set(self, case):
+        width, tuples = case
+        rows = np.asarray(tuples, dtype=np.int64).reshape(-1, width)
+        unique = kernels.unique_rows(rows)
+        assert unique.dtype == np.int64 and unique.shape[1] == width
+        expected = np.unique(rows, axis=0)
+        assert unique.shape == expected.shape  # no duplicate survives
+        assert {tuple(r) for r in unique.tolist()} == {tuple(r) for r in expected.tolist()}
+        # The result never aliases its input (callers store it in tables).
+        assert not np.shares_memory(unique, rows)
+
+    def test_codec_decode_inverts_encode(self):
+        rng = np.random.default_rng(3)
+        columns = [
+            rng.integers(-1000, 1000, 500),
+            rng.integers(5, 9, 500),
+            rng.integers(-(2**30), 2**30, 500),
+        ]
+        codec = kernels.KeyCodec.observed(columns)
+        assert codec.packable
+        assert np.array_equal(
+            codec.decode(codec.encode(columns)), np.column_stack(columns)
+        )
+
 
 class TestSetOperations:
     @given(rows_strategy, rows_strategy)

@@ -4,8 +4,9 @@ Acceptance criteria covered here:
 
 * partition on/off × cache on/off reach byte-identical fixpoints on
   TC, SG, and Andersen, including a checkpoint-resume run;
-* the kernels are exact: per-bucket dedup/join/semi-join reproduce the
-  shared kernels' output bit for bit (ordering included);
+* the scatter is count-only (the host runs one shared kernel), and the
+  sim clock it feeds is pinned to the values recorded before the
+  per-bucket kernels were removed;
 * partitioned dedup beats the shared GSCHT at high thread counts on a
   large delta, and is never chosen at one thread or on tiny inputs;
 * partition scratch is charged to the transient ledger and released
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import PbmeMode, RecStep, RecStepConfig
+from repro.datasets import load_dataset
 from repro.engine import kernels
 from repro.engine.database import Database
 from repro.engine.executor import COST_DEDUP_FAST, ParallelCostModel
@@ -78,51 +80,90 @@ class TestRadixKernels:
         assert ids.min() >= 0 and ids.max() < 64
         assert np.array_equal(ids, kernels.radix_partition_ids(keys, 64))
 
-    def test_single_partition_is_identity(self):
-        keys = np.arange(7, dtype=np.int64)
-        order, offsets = kernels.radix_partition(keys, 1)
-        assert np.array_equal(order, np.arange(7))
-        assert offsets.tolist() == [0, 7]
-
-    def test_partitioned_unique_matches_shared(self):
-        rng = np.random.default_rng(1)
-        key = rng.integers(0, 500, 20_000).astype(np.int64)
-        order, offsets = kernels.radix_partition(key, 64)
-        keep = kernels.partitioned_unique_indices(key, order, offsets)
-        _, first = np.unique(key, return_index=True)
-        assert np.array_equal(keep, np.sort(first))
-
-    def test_partitioned_join_matches_shared(self):
-        rng = np.random.default_rng(2)
-        left = rng.integers(0, 300, 4000).astype(np.int64)
-        right = rng.integers(0, 300, 5000).astype(np.int64)
-        shared = kernels.equi_join_indices(left, right)
-        layouts = (
-            kernels.radix_partition(left, 32),
-            kernels.radix_partition(right, 32),
-        )
-        part = kernels.partitioned_equi_join_indices(left, right, *layouts)
-        assert np.array_equal(part[0], shared[0])
-        assert np.array_equal(part[1], shared[1])
-
-    def test_partitioned_semi_mask_matches_shared(self):
-        rng = np.random.default_rng(4)
-        left = rng.integers(0, 400, 6000).astype(np.int64)
-        right = rng.integers(0, 400, 2000).astype(np.int64)
-        layouts = (
-            kernels.radix_partition(left, 16),
-            kernels.radix_partition(right, 16),
-        )
-        part = kernels.partitioned_semi_join_mask(left, right, *layouts)
-        assert np.array_equal(part, kernels.semi_join_mask(left, right))
+    def test_counts_are_bincount_of_ids(self):
+        keys = np.random.default_rng(1).integers(0, 500, 20_000).astype(np.int64)
+        for partitions in (1, 16, 64):
+            counts = kernels.radix_partition(keys, partitions)
+            ids = kernels.radix_partition_ids(keys, partitions)
+            assert np.array_equal(counts, np.bincount(ids, minlength=partitions))
+            assert counts.shape == (partitions,)
+            assert counts.sum() == keys.size
+            assert np.array_equal(counts, kernels.radix_partition(keys, partitions))
 
     def test_negative_keys_partition_safely(self):
         keys = np.array([-5, -1, 0, 1, 5, -5], dtype=np.int64)
         ids = kernels.radix_partition_ids(keys, 8)
         assert ids[0] == ids[5]  # equal keys land in the same bucket
-        order, offsets = kernels.radix_partition(keys, 8)
-        keep = kernels.partitioned_unique_indices(keys, order, offsets)
-        assert np.array_equal(np.sort(keys[keep]), np.unique(keys))
+        counts = kernels.radix_partition(keys, 8)
+        assert counts.sum() == keys.size and counts.min() >= 0
+
+
+# --------------------------------------------------------------------------
+# Sim-clock pin: the model did not move when the per-bucket kernels went
+# --------------------------------------------------------------------------
+
+#: (program, dataset, config) -> {partitioned_exec: (sim_seconds,
+#: peak_memory_bytes, iterations, partition.* counters)}, recorded at the
+#: last commit that *executed* the scatter (3f70073).
+_CSPA_PARTITION_COUNTERS = {
+    "partition.dedup_runs": 28,
+    "partition.join_runs": 57,
+    "partition.scatter_rows": 17868134,
+}
+_AA_PARTITION_COUNTERS = {
+    "partition.dedup_runs": 3,
+    "partition.join_runs": 105,
+    "partition.scatter_rows": 163842,
+}
+SIM_CLOCK_PINS = [
+    ("CSPA", "cspa-httpd", dict(threads=20), {
+        True: (3.1871112504028303, 196863720, 14, _CSPA_PARTITION_COUNTERS),
+        False: (3.4988781193716054, 119509448, 14, {}),
+    }),
+    ("CSPA", "cspa-httpd", dict(threads=32), {
+        True: (3.0587742486976803, 196863720, 14, _CSPA_PARTITION_COUNTERS),
+        False: (3.36489903971895, 119509448, 14, {}),
+    }),
+    ("AA", "andersen-3", dict(threads=20), {
+        True: (1.278895082881159, 143440, 28, _AA_PARTITION_COUNTERS),
+        False: (1.3119375499999855, 102464, 28, {}),
+    }),
+    ("AA", "andersen-3", dict(threads=32), {
+        True: (1.278486971630093, 143440, 28, _AA_PARTITION_COUNTERS),
+        False: (1.3119375499999855, 102464, 28, {}),
+    }),
+    ("TC", "cycle-300", dict(pbme=PbmeMode.OFF), {
+        True: (11.506485237113354, 2174400, 301, {}),
+        False: (11.643403999999862, 2174400, 301, {}),
+    }),
+]
+
+
+class TestSimClockPin:
+    @pytest.mark.parametrize(
+        "program,dataset,config,expected",
+        SIM_CLOCK_PINS,
+        ids=[f"{p}-{d}-{'-'.join(map(str, c.values()))}" for p, d, c, _ in SIM_CLOCK_PINS],
+    )
+    def test_modeled_numbers_match_recorded(self, program, dataset, config, expected):
+        edb = load_dataset(dataset)
+        for partitioned, (sim, peak, iterations, counters) in expected.items():
+            # fault_seed=None: a chaos run (REPRO_CHAOS_SEED) pays retries
+            # on the sim clock; the pin is of the undisturbed model.
+            result = RecStep(
+                RecStepConfig(
+                    partitioned_exec=partitioned, profile=True, fault_seed=None, **config
+                )
+            ).evaluate(get_program(program), edb, dataset=dataset)
+            assert result.status == "ok"
+            assert result.sim_seconds == sim
+            assert result.peak_memory_bytes == peak
+            assert result.iterations == iterations
+            assert {
+                name: value
+                for name, value in result.profile.counters.items()
+                if name.startswith("partition.")
+            } == counters
 
 
 # --------------------------------------------------------------------------
