@@ -33,6 +33,10 @@ COST_PER_BIT_VISIT = 2.5e-8
 COORD_ORDER_OVERHEAD = 2.0e-4
 #: Work-order size threshold for the COORD variant (pairs per order).
 COORD_THRESHOLD = 4096
+#: Rows a delta batch of SG may expand to. Batch boundaries fix the order
+#: of the next delta, and with it which producer owns a pair — changing
+#: this value moves the simulated clock.
+_CHUNK_OUTPUT_ROWS = 4_000_000
 
 
 # --------------------------------------------------------------------------
@@ -76,7 +80,7 @@ class PackedBitMatrix:
         unpacked = np.unpackbits(self.bits.view(np.uint8), bitorder="little")
         unpacked = unpacked.reshape(self.n, self.words * 64)[:, : self.n]
         rows, cols = np.nonzero(unpacked)
-        return np.column_stack([rows, cols]).astype(np.int64)
+        return np.column_stack((rows, cols)).astype(np.int64, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +319,9 @@ def run_pbme_stratum(
         domain_size=n,
     ) as span:
         edge_rows = database.table_array(decision.edge_relation)
-        base_rows = database.table_array(decision.base_relation)
 
         if decision.shape == "TC":
+            base_rows = database.table_array(decision.base_relation)
             matrix, per_thread_cost, depth = _run_tc(
                 base_rows, edge_rows, n, config.threads, database
             )
@@ -422,6 +426,43 @@ def _run_tc(
     return result, per_thread_cost, max_depth
 
 
+def _chunk_boundaries(weights: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Greedy split of a delta so each batch expands to about ``limit`` rows.
+
+    ``weights[i]`` is the number of rows delta row ``i`` expands to. A
+    batch closes before the first row that takes it over ``limit``; a
+    single row heavier than the limit still gets a batch of its own.
+    """
+    cumulative = np.cumsum(weights)
+    boundaries = []
+    start = 0
+    base = 0
+    while start < weights.size:
+        over = int(np.searchsorted(cumulative, base + limit, side="right"))
+        stop = min(max(over, start + 1), weights.size)
+        boundaries.append((start, stop))
+        start = stop
+        base = cumulative[stop - 1]
+    return boundaries
+
+
+class _FirstProducerTable:
+    """Reusable n*n scratch: the lowest producer position seen per pair key."""
+
+    _EMPTY = np.iinfo(np.int64).max
+
+    def __init__(self, n: int) -> None:
+        self._slots = np.full(n * n, self._EMPTY, dtype=np.int64)
+
+    def reduce(self, key: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct keys, ascending, each with the minimum of its positions."""
+        np.minimum.at(self._slots, key, position)
+        keys = np.flatnonzero(self._slots != self._EMPTY)
+        first = self._slots[keys]
+        self._slots[keys] = self._EMPTY
+        return keys, first
+
+
 def _run_sg(
     arc_rows: np.ndarray,
     n: int,
@@ -433,7 +474,9 @@ def _run_sg(
 
     Work is attributed to the thread owning the originating matrix row;
     generated pairs inherit their producer's thread (the thread-local
-    delta of Algorithm 3), which is what makes skew possible.
+    delta of Algorithm 3), which is what makes skew possible. A pair
+    reached by several delta rows of one batch belongs to the producer
+    at the lowest delta position.
     """
     k = max(1, threads)
     matrix = PackedBitMatrix(n)
@@ -444,95 +487,72 @@ def _run_sg(
     parents = arc_rows[:, 0] if arc_rows.shape[0] else np.empty(0, np.int64)
     children = arc_rows[:, 1] if arc_rows.shape[0] else np.empty(0, np.int64)
 
-    # Seeds: sg(x, y) for siblings x != y (join arc with itself on parent).
-    li, ri = kernels.equi_join_indices(parents, parents)
-    seed_x = children[li]
-    seed_y = children[ri]
-    keep = seed_x != seed_y
-    seed_x, seed_y = seed_x[keep], seed_y[keep]
+    # Varc index: children grouped by parent, CSR offsets from the degrees.
+    out_degree = np.bincount(parents, minlength=n)
+    offsets = np.concatenate(([0], np.cumsum(out_degree)))
+    grouped_children = children[np.argsort(parents, kind="stable")]
+    producers = _FirstProducerTable(n)
+
+    def expand(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, child) for every child of ``vertices[row]``, rows ascending."""
+        return kernels.sorted_join_indices(
+            offsets[vertices], offsets[vertices + 1], grouped_children
+        )
+
+    def admit(
+        key: np.ndarray, position: np.ndarray, owner_at: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Set the pairs not yet in the matrix; return them in key order,
+        each owned by its lowest-position producer."""
+        keys, first = producers.reduce(key, position)
+        xs, ys = np.divmod(keys, n)
+        fresh = ~matrix.test_pairs(xs, ys)
+        xs, ys = xs[fresh], ys[fresh]
+        matrix.set_pairs(xs, ys)
+        return xs, ys, owner_at[first[fresh]]
 
     per_thread_cost = np.zeros(k, dtype=np.float64)
     rebalances = 0
 
-    def dedup_against_matrix(
-        xs: np.ndarray, ys: np.ndarray, owners: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if xs.size == 0:
-            return xs, ys, owners
-        key = xs * np.int64(n) + ys
-        _, first = np.unique(key, return_index=True)
-        xs, ys, owners = xs[first], ys[first], owners[first]
-        fresh = ~matrix.test_pairs(xs, ys)
-        xs, ys, owners = xs[fresh], ys[fresh], owners[fresh]
-        if xs.size:
-            matrix.set_pairs(xs, ys)
-        return xs, ys, owners
-
-    seed_owner = (seed_x % k).astype(np.int64)
-    delta_x, delta_y, delta_owner = dedup_against_matrix(seed_x, seed_y, seed_owner)
-    seed_cost = np.bincount(seed_owner % k, minlength=k) * COST_PER_BIT_VISIT
-    per_thread_cost += seed_cost
-
-    #: Expanded (q, p) rows per batch: bounds the host-side size of the
-    #: degree-squared product while leaving modeled costs untouched.
-    chunk_output_rows = 4_000_000
-    out_degree = np.bincount(parents, minlength=n).astype(np.int64) if parents.size else np.zeros(n, np.int64)
-
-    def chunk_boundaries(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
-        """Split the delta so each batch expands to ~chunk_output_rows."""
-        if xs.size == 0:
-            return []
-        weights = out_degree[xs] * out_degree[ys]
-        cumulative = np.cumsum(weights)
-        boundaries = []
-        start = 0
-        base = 0
-        for index in range(xs.size):
-            if cumulative[index] - base > chunk_output_rows and index > start:
-                boundaries.append((start, index))
-                start = index
-                base = cumulative[index - 1]
-        boundaries.append((start, xs.size))
-        return boundaries
+    # Seeds: sg(x, y) for siblings x != y (join arc with itself on parent).
+    row, seed_y = expand(parents)
+    seed_x = children[row]
+    keep = seed_x != seed_y
+    seed_x, seed_y = seed_x[keep], seed_y[keep]
+    seed_owner = seed_x % k
+    per_thread_cost += np.bincount(seed_owner, minlength=k) * COST_PER_BIT_VISIT
+    delta_x, delta_y, delta_owner = admit(
+        seed_x * n + seed_y, np.arange(seed_x.size), seed_owner
+    )
 
     iterations = 0
     while delta_x.size:
         iterations += 1
-        next_x: list[np.ndarray] = []
-        next_y: list[np.ndarray] = []
-        next_owner: list[np.ndarray] = []
-        for start, stop in chunk_boundaries(delta_x, delta_y):
-            chunk_x = delta_x[start:stop]
+        # Bit pairs each delta row visits. The visits are charged from
+        # this product; the (a, b) -> (q, p) rows are never all built.
+        weights = out_degree[delta_x] * out_degree[delta_y]
+        fresh = []
+        for start, stop in _chunk_boundaries(weights, _CHUNK_OUTPUT_ROWS):
             chunk_y = delta_y[start:stop]
             chunk_owner = delta_owner[start:stop]
-            # Expand: (a, b) -> (q, p) for q in children(a), p in children(b).
-            li, ri = kernels.equi_join_indices(chunk_x, parents)
-            mid_q = children[ri]
-            mid_b = chunk_y[li]
-            mid_owner = chunk_owner[li]
-            li2, ri2 = kernels.equi_join_indices(mid_b, parents)
-            out_q = mid_q[li2]
-            out_p = children[ri2]
-            out_owner = mid_owner[li2]
-
-            visit_counts = np.bincount(out_owner, minlength=k)
+            visit_counts = np.bincount(
+                chunk_owner, weights=weights[start:stop], minlength=k
+            )
             per_thread_cost += visit_counts * COST_PER_BIT_VISIT
             if coordination:
                 rebalances += int(np.sum(visit_counts > COORD_THRESHOLD))
 
-            fresh_x, fresh_y, fresh_owner = dedup_against_matrix(out_q, out_p, out_owner)
-            if fresh_x.size:
-                next_x.append(fresh_x)
-                next_y.append(fresh_y)
-                next_owner.append(fresh_owner)
-        if next_x:
-            delta_x = np.concatenate(next_x)
-            delta_y = np.concatenate(next_y)
-            delta_owner = np.concatenate(next_owner)
-        else:
-            delta_x = delta_x[:0]
-            delta_y = delta_y[:0]
-            delta_owner = delta_owner[:0]
+            # (a, b) -> (q, b) for q in children(a), then only the distinct
+            # (q, b) -> (q, p) for p in children(b); each stage keeps the
+            # lowest delta position per pair, so the minimum carries through.
+            row, q = expand(delta_x[start:stop])
+            mid_key, mid_first = producers.reduce(q * n + chunk_y[row], row)
+            mid_b = mid_key % n
+            row, p = expand(mid_b)
+            fresh.append(admit((mid_key - mid_b)[row] + p, mid_first[row], chunk_owner))
+        delta_x, delta_y, delta_owner = (
+            np.concatenate(columns) for columns in zip(*fresh)
+        )
 
     database.metrics.release_transient(transient)
     return matrix, per_thread_cost, iterations, rebalances

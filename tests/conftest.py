@@ -36,3 +36,23 @@ def reference_closure(edges) -> set[tuple[int, int]]:
         if not new:
             return facts
         facts |= new
+
+
+def reference_same_generation(edges) -> set[tuple[int, int]]:
+    """Brute-force same-generation fixpoint over ``arc(parent, child)``."""
+    children: dict[int, set[int]] = {}
+    for parent, child in edges:
+        children.setdefault(int(parent), set()).add(int(child))
+    facts = {
+        (x, y) for siblings in children.values() for x in siblings for y in siblings if x != y
+    }
+    while True:
+        new = {
+            (x, y)
+            for (a, b) in facts
+            for x in children.get(a, ())
+            for y in children.get(b, ())
+        } - facts
+        if not new:
+            return facts
+        facts |= new

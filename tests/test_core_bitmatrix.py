@@ -1,5 +1,7 @@
 """Tests for PBME: the packed bit matrix and TC/SG evaluation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,41 @@ from hypothesis import strategies as st
 
 from repro import PbmeMode, RecStep, RecStepConfig
 from repro.common.errors import DatalogError
+from repro.core import bitmatrix
 from repro.core.bitmatrix import PackedBitMatrix, pbme_applicability
 from repro.core.config import RecStepConfig as Config
 from repro.datalog.parser import parse_program
 from repro.datalog.analyzer import analyze_program
 from repro.engine.database import Database
 from repro.programs import get_program
+from tests.conftest import reference_same_generation
 
 pairs_strategy = st.lists(
     st.tuples(st.integers(0, 70), st.integers(0, 70)), min_size=0, max_size=120
 )
+
+#: Vertex ids with gaps, so the matrix domain holds isolated vertices.
+sg_vertex = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 21, 34, 40])
+#: Arc rows (duplicates and self-loops allowed) plus the width of a hub.
+sg_graph_strategy = st.tuples(
+    st.lists(st.tuples(sg_vertex, sg_vertex), min_size=1, max_size=40),
+    st.integers(0, 10),
+)
+
+
+def _sg_arcs(pairs, hub_width: int) -> np.ndarray:
+    """The drawn rows plus hub 50 -> 51.., every hub child a parent of 0 and 1."""
+    hub_children = range(51, 51 + hub_width)
+    hub = [(50, c) for c in hub_children] + [
+        (c, grandchild) for c in hub_children for grandchild in (0, 1)
+    ]
+    return np.asarray(list(pairs) + hub, dtype=np.int64)
+
+
+def _evaluate_sg(arcs: np.ndarray, **config):
+    return RecStep(RecStepConfig(enforce_budgets=False, **config)).evaluate(
+        get_program("SG"), {"arc": arcs}, "t"
+    )
 
 
 class TestPackedBitMatrix:
@@ -167,6 +194,25 @@ class TestPbmeEvaluation:
             program, {"arc": edges}, "t"
         )
         assert on.tuples["tc"] == off.tuples["tc"]
+
+    @given(sg_graph_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_sg_pbme_matches_relational_and_closure(self, graph):
+        arcs = _sg_arcs(*graph)
+        expected = reference_same_generation(arcs)
+        assert _evaluate_sg(arcs, pbme=PbmeMode.OFF).tuples["sg"] == expected
+        on = _evaluate_sg(arcs, pbme=PbmeMode.ON)
+        assert on.detail["pbme_strata"] == 1.0
+        assert on.tuples["sg"] == expected
+        coord = _evaluate_sg(arcs, pbme=PbmeMode.ON, sg_coordination=True)
+        assert coord.tuples["sg"] == expected
+        # Batches a few rows wide: the hub's sibling pairs alone overflow
+        # one, so pairs are reached from several batches and iterations.
+        with mock.patch.object(bitmatrix, "_CHUNK_OUTPUT_ROWS", 16):
+            split = _evaluate_sg(arcs, pbme=PbmeMode.ON)
+            split_coord = _evaluate_sg(arcs, pbme=PbmeMode.ON, sg_coordination=True)
+        assert split.tuples["sg"] == expected
+        assert split_coord.tuples["sg"] == expected
 
     def test_coordination_reports_shorter_makespan_under_skew(self):
         # A skewed star graph: one hub generates almost all SG work.

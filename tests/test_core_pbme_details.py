@@ -1,18 +1,25 @@
 """Deeper PBME tests: cost attribution, chunking, and shape matching."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import PbmeMode, RecStep, RecStepConfig
+from repro.core import bitmatrix
 from repro.core.bitmatrix import (
     PackedBitMatrix,
+    _chunk_boundaries,
+    _FirstProducerTable,
     _match_sg_shape,
     _match_tc_shape,
     _zero_coordination_schedule,
 )
 from repro.datalog.analyzer import analyze_program
 from repro.datalog.parser import parse_program
+from repro.datasets import load_dataset
 from repro.programs import get_program
+from tests.conftest import reference_same_generation
 
 
 def analyzed_stratum(source: str):
@@ -84,6 +91,68 @@ class TestZeroCoordinationSchedule:
         assert makespan == 0.0 and utilization == 1.0
 
 
+def _reference_chunk_boundaries(weights, limit):
+    """The row-at-a-time greedy walk ``_chunk_boundaries`` replaced."""
+    if weights.size == 0:
+        return []
+    cumulative = np.cumsum(weights)
+    boundaries = []
+    start = 0
+    base = 0
+    for index in range(weights.size):
+        if cumulative[index] - base > limit and index > start:
+            boundaries.append((start, index))
+            start = index
+            base = cumulative[index - 1]
+    boundaries.append((start, weights.size))
+    return boundaries
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_walk_on_random_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 400))
+        weights = rng.integers(0, 60, size).astype(np.int64)
+        weights[rng.random(size) < 0.2] = 0  # childless endpoints
+        weights[rng.random(size) < 0.05] = 500  # rows heavier than a batch
+        for limit in (1, 7, 100, 499, 500, 10**9):
+            assert _chunk_boundaries(weights, limit) == _reference_chunk_boundaries(
+                weights, limit
+            )
+
+    def test_overweight_row_gets_its_own_batch(self):
+        weights = np.array([3, 50, 50, 2, 2], dtype=np.int64)
+        assert _chunk_boundaries(weights, 10) == [(0, 1), (1, 2), (2, 3), (3, 5)]
+
+    def test_empty_delta_has_no_batches(self):
+        assert _chunk_boundaries(np.empty(0, dtype=np.int64), 10) == []
+
+
+class TestFirstProducerTable:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_np_unique_first_index(self, seed):
+        """Lowest position per key == ``np.unique``'s first index once the
+        rows are put in position order, whatever order they arrive in."""
+        rng = np.random.default_rng(seed)
+        n = 23
+        table = _FirstProducerTable(n)
+        for size in (1, 50, 4000):  # the table is reused between calls
+            key = rng.integers(0, n * n, size).astype(np.int64)
+            position = rng.permutation(size).astype(np.int64) // 3  # ties, non-monotone
+            by_position = np.argsort(position, kind="stable")
+            expected_keys, first = np.unique(key[by_position], return_index=True)
+            keys, lowest = table.reduce(key, position)
+            assert np.array_equal(keys, expected_keys)
+            assert np.array_equal(lowest, position[by_position][first])
+
+    def test_empty_input(self):
+        keys, lowest = _FirstProducerTable(4).reduce(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        )
+        assert keys.size == 0 and lowest.size == 0
+
+
 class TestSgChunking:
     def test_high_degree_graph_correct_through_chunks(self):
         """A star of 400 children forces the output-bounded chunker while
@@ -95,6 +164,31 @@ class TestSgChunking:
         )
         expected = {(int(a), int(b)) for a in children for b in children if a != b}
         assert result.tuples["sg"] == expected
+
+    def test_hub_overflows_one_batch_at_the_real_limit(self):
+        """50 siblings with 45 shared children each: the sibling pairs
+        expand to 2450 * 45 * 45 > 4M rows, so the delta needs two batches."""
+        hub_children = np.arange(1, 51, dtype=np.int64)
+        pool = np.arange(51, 96, dtype=np.int64)
+        arc = np.vstack(
+            [
+                np.column_stack([np.zeros(50, dtype=np.int64), hub_children]),
+                np.column_stack([np.repeat(hub_children, 45), np.tile(pool, 50)]),
+            ]
+        )
+        batches = []
+
+        def spy(weights, limit):
+            boundaries = _chunk_boundaries(weights, limit)
+            batches.append(len(boundaries))
+            return boundaries
+
+        with mock.patch.object(bitmatrix, "_chunk_boundaries", spy):
+            result = RecStep(
+                RecStepConfig(enforce_budgets=False, pbme=PbmeMode.ON)
+            ).evaluate(get_program("SG"), {"arc": arc}, "hub")
+        assert max(batches) == 2
+        assert result.tuples["sg"] == reference_same_generation(arc)
 
     def test_two_generation_cascade(self):
         # Root -> two children -> each has two children: the grandchildren
@@ -157,3 +251,47 @@ class TestPbmeComposesWithSqlStrata:
         nodes = {int(v) for edge in dense for v in edge}
         expected = {(a, b) for a in nodes for b in nodes if (a, b) not in closure}
         assert result.tuples["ntc"] == expected
+
+
+#: (program, dataset, config) -> (sim_seconds, iterations,
+#: peak_memory_bytes, pbme_bit_ops, tuples), recorded at 37ac5a6 — the last
+#: commit whose ``_run_sg`` sorted the materialized (q, p) expansion.
+PBME_SIM_CLOCK_PINS = [
+    ("SG", "G500", dict(threads=20), (0.01966677333333333, 4, 1996528, 6474670, 247009)),
+    ("SG", "G500", dict(threads=7), (0.03481954833333333, 4, 1996528, 6474670, 247009)),
+    ("SG", "G500", dict(threads=20, sg_coordination=True), (0.030403075964912277, 4, 1996528, 6474670, 247009)),
+    ("SG", "G500", dict(threads=7, sg_coordination=True), (0.03842463799498747, 4, 1996528, 6474670, 247009)),
+    ("SG", "G700", dict(threads=20), (0.049602360000000005, 4, 3959832, 24825911, 490000)),
+    ("SG", "G700", dict(threads=7), (0.10777146000000003, 4, 3959832, 24825911, 490000)),
+    ("SG", "G700", dict(threads=20, sg_coordination=True), (0.07598553236842107, 4, 3959832, 24825911, 490000)),
+    ("SG", "G700", dict(threads=7, sg_coordination=True), (0.11585035248120301, 4, 3959832, 24825911, 490000)),
+    ("TC", "G500", dict(threads=20), (0.16873039999999992, 8, 2004480, 126977536, 248003)),
+]
+
+
+class TestPbmeSimClockPin:
+    """The owner tie-break, chunk order and per-thread cost attribution
+    all feed the sim clock; a host-side rewrite must not move any of it."""
+
+    @pytest.mark.parametrize(
+        "program,dataset,config,expected",
+        PBME_SIM_CLOCK_PINS,
+        ids=[
+            f"{p}-{d}-{'-'.join(f'{k}={v}' for k, v in c.items())}"
+            for p, d, c, _ in PBME_SIM_CLOCK_PINS
+        ],
+    )
+    def test_modeled_numbers_match_recorded(self, program, dataset, config, expected):
+        # fault_seed=None: a chaos run (REPRO_CHAOS_SEED) pays retries on
+        # the sim clock; the pin is of the undisturbed model.
+        result = RecStep(
+            RecStepConfig(pbme=PbmeMode.ON, profile=True, fault_seed=None, **config)
+        ).evaluate(get_program(program), load_dataset(dataset), dataset=dataset)
+        assert result.status == "ok"
+        assert (
+            result.sim_seconds,
+            result.iterations,
+            result.peak_memory_bytes,
+            result.profile.counters["pbme_bit_ops"],
+            len(result.tuples[program.lower()]),
+        ) == expected

@@ -13,7 +13,7 @@ import pytest
 
 from repro import PbmeMode, RecStep, RecStepConfig
 from repro.programs import get_program
-from tests.conftest import reference_closure
+from tests.conftest import reference_closure, reference_same_generation
 
 
 def run(name, data, **config_overrides):
@@ -54,31 +54,9 @@ class TestTransitiveClosure:
 
 
 class TestSameGeneration:
-    @staticmethod
-    def reference(edge_set):
-        siblings = {
-            (x, y)
-            for (p, x) in edge_set
-            for (q, y) in edge_set
-            if p == q and x != y
-        }
-        result = set(siblings)
-        while True:
-            new = {
-                (x, y)
-                for (a, b) in result
-                for (a2, x) in edge_set
-                for (b2, y) in edge_set
-                if a2 == a and b2 == b
-            } - result
-            if not new:
-                return result
-            result |= new
-
     def test_sg_matches_reference(self, edges):
-        edge_set = {tuple(map(int, e)) for e in edges}
         result = run("SG", {"arc": edges})
-        assert result.tuples["sg"] == self.reference(edge_set)
+        assert result.tuples["sg"] == reference_same_generation(edges)
 
     def test_sg_pbme_equivalence(self, edges):
         relational = run("SG", {"arc": edges})
