@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import (
-    EvaluationTimeout,
-    OutOfMemoryError,
+    CONTROL_ERRORS,
     UnsupportedFeatureError,
+    classify_failure,
 )
 from repro.common.records import EvaluationResult, rows_to_set
 from repro.datalog.analyzer import AnalyzedProgram, Stratum
@@ -71,6 +71,38 @@ class CostProfile:
         return serial / self.effective_width(num_predicates) + self.per_iteration_overhead
 
 
+def evaluate_in_envelope(
+    engine, program: ProgramSpec, edb_data, dataset: str
+) -> EvaluationResult:
+    """The envelope every baseline evaluation runs in: budgets, feature
+    check, ``engine._fixpoint(analyzed, edb_data, metrics) -> (iterations,
+    {idb: rows})``, failures as result statuses, the modeled-cost recap."""
+    analyzed = program.parse()
+    result = EvaluationResult(engine=engine.name, program=program.name, dataset=dataset)
+    metrics = MetricsRecorder(
+        memory_budget=engine.memory_budget,
+        time_budget=engine.time_budget,
+        enforce_budgets=engine.enforce_budgets,
+    )
+    wall_start = time.perf_counter()
+    try:
+        engine.check_supported(analyzed)
+        result.iterations, relations = engine._fixpoint(analyzed, edb_data, metrics)
+        for name in sorted(analyzed.idb):
+            result.tuples[name] = rows_to_set(relations[name])
+    except UnsupportedFeatureError as error:
+        result.status = "unsupported"
+        result.unsupported_reason = str(error)
+    except CONTROL_ERRORS as error:
+        result.status, result.failure, _ = classify_failure(error)
+    result.wall_seconds = time.perf_counter() - wall_start
+    result.sim_seconds = metrics.now()
+    result.peak_memory_bytes = metrics.peak_bytes
+    result.memory_trace = metrics.memory_trace
+    result.cpu_trace = metrics.cpu_trace
+    return result
+
+
 class BaselineEngine:
     """Base class: stratified semi-naive evaluation with pluggable costs."""
 
@@ -104,40 +136,20 @@ class BaselineEngine:
         edb_data: dict[str, np.ndarray],
         dataset: str = "unnamed",
     ) -> EvaluationResult:
-        analyzed = program.parse()
-        result = EvaluationResult(engine=self.name, program=program.name, dataset=dataset)
-        metrics = MetricsRecorder(
-            memory_budget=self.memory_budget,
-            time_budget=self.time_budget,
-            enforce_budgets=self.enforce_budgets,
-        )
-        wall_start = time.perf_counter()
-        try:
-            self.check_supported(analyzed)
-            relations = self._init_relations(analyzed, edb_data)
-            metrics.advance(self.profile.startup_overhead, utilization=0.05)
-            iterations = 0
-            for stratum in analyzed.strata:
-                iterations += self._run_stratum(analyzed, stratum, relations, metrics)
-            result.iterations = iterations
-            for name in sorted(analyzed.idb):
-                rows = relations[name]
-                result.tuples[name] = rows_to_set(rows)
-        except UnsupportedFeatureError as error:
-            result.status = "unsupported"
-            result.unsupported_reason = str(error)
-        except OutOfMemoryError as error:
-            result.status = "oom"
-            result.failure = error.to_dict()
-        except EvaluationTimeout as error:
-            result.status = "timeout"
-            result.failure = error.to_dict()
-        result.wall_seconds = time.perf_counter() - wall_start
-        result.sim_seconds = metrics.now()
-        result.peak_memory_bytes = metrics.peak_bytes
-        result.memory_trace = metrics.memory_trace
-        result.cpu_trace = metrics.cpu_trace
-        return result
+        return evaluate_in_envelope(self, program, edb_data, dataset)
+
+    def _fixpoint(
+        self,
+        analyzed: AnalyzedProgram,
+        edb_data: dict[str, np.ndarray],
+        metrics: MetricsRecorder,
+    ) -> tuple[int, dict[str, np.ndarray]]:
+        relations = self._init_relations(analyzed, edb_data)
+        metrics.advance(self.profile.startup_overhead, utilization=0.05)
+        iterations = 0
+        for stratum in analyzed.strata:
+            iterations += self._run_stratum(analyzed, stratum, relations, metrics)
+        return iterations, relations
 
     # -- internals ------------------------------------------------------------------
 

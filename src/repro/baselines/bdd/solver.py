@@ -16,12 +16,9 @@ import numpy as np
 
 from repro.baselines.bdd.bdd import ONE, ZERO, BddManager
 from repro.baselines.bdd.encoding import BlockSpace
-from repro.common.errors import (
-    EvaluationTimeout,
-    OutOfMemoryError,
-    UnsupportedFeatureError,
-)
-from repro.common.records import EvaluationResult, rows_to_set
+from repro.baselines.base import evaluate_in_envelope
+from repro.common.errors import UnsupportedFeatureError
+from repro.common.records import EvaluationResult
 from repro.datalog import ast as dast
 from repro.datalog.analyzer import AnalyzedProgram, Stratum
 from repro.engine.metrics import DEFAULT_MEMORY_BUDGET, DEFAULT_TIME_BUDGET, MetricsRecorder
@@ -84,40 +81,26 @@ class BddbddbLike:
         edb_data: dict[str, np.ndarray],
         dataset: str = "unnamed",
     ) -> EvaluationResult:
-        analyzed = program.parse()
-        result = EvaluationResult(engine=self.name, program=program.name, dataset=dataset)
-        metrics = MetricsRecorder(
-            memory_budget=self.memory_budget,
-            time_budget=self.time_budget,
-            enforce_budgets=self.enforce_budgets,
-        )
-        try:
-            self.check_supported(analyzed)
-            relations, space, manager = self._encode_edb(analyzed, edb_data, metrics)
-            iterations = 0
-            for stratum in analyzed.strata:
-                iterations += self._run_stratum(
-                    analyzed, stratum, relations, space, manager, metrics
-                )
-            result.iterations = iterations
-            for name in sorted(analyzed.idb):
-                arity = analyzed.arities[name]
-                rows = space.decode(relations[name], list(range(arity)))
-                result.tuples[name] = rows_to_set(rows)
-        except UnsupportedFeatureError as error:
-            result.status = "unsupported"
-            result.unsupported_reason = str(error)
-        except OutOfMemoryError as error:
-            result.status = "oom"
-            result.failure = error.to_dict()
-        except EvaluationTimeout as error:
-            result.status = "timeout"
-            result.failure = error.to_dict()
-        result.sim_seconds = metrics.now()
-        result.peak_memory_bytes = metrics.peak_bytes
-        result.memory_trace = metrics.memory_trace
-        result.cpu_trace = metrics.cpu_trace
-        return result
+        return evaluate_in_envelope(self, program, edb_data, dataset)
+
+    def _fixpoint(
+        self,
+        analyzed: AnalyzedProgram,
+        edb_data: dict[str, np.ndarray],
+        metrics: MetricsRecorder,
+    ) -> tuple[int, dict[str, np.ndarray]]:
+        relations, space, manager = self._encode_edb(analyzed, edb_data, metrics)
+        iterations = 0
+        for stratum in analyzed.strata:
+            iterations += self._run_stratum(
+                analyzed, stratum, relations, space, manager, metrics
+            )
+        return iterations, {
+            name: space.decode(
+                relations[name], list(range(analyzed.arities[name]))
+            )
+            for name in sorted(analyzed.idb)
+        }
 
     # -- internals ------------------------------------------------------------------
 

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.harness import make_engine
-from repro.common.errors import DatalogError
+from repro.common.errors import STATUS_OUTCOMES, UNKNOWN_OUTCOME, DatalogError
 from repro.datalog.analyzer import analyze_program
 from repro.datalog.parser import parse_goal, parse_program
 from repro.datasets.io import load_relation, save_relation
@@ -104,7 +104,6 @@ def run_datalog_file(
     max_total_rows: int | None = None,
     join_cache: bool = True,
     partitioned_exec: bool = True,
-    partitions: int | None = None,
     spill_dir: str | None = None,
     serve_trace: str | None = None,
     metrics_out: str | None = None,
@@ -163,10 +162,6 @@ def run_datalog_file(
                 "--no-partitioned-exec is only supported by the RecStep engine"
             )
         extra["partitioned_exec"] = False
-    if partitions is not None:
-        if engine_name != "RecStep":
-            raise DatalogError("--partitions is only supported by the RecStep engine")
-        extra["partitions"] = partitions
     resilience_options = {
         "fault_seed": fault_seed,
         "degradation": degrade or None,
@@ -615,14 +610,6 @@ def main(argv: list[str] | None = None) -> int:
         "only modeled cost and memory change",
     )
     parser.add_argument(
-        "--partitions",
-        type=int,
-        default=None,
-        metavar="P",
-        help="radix bucket count for partitioned execution (RecStep "
-        "only; rounded up to a power of two, default 256)",
-    )
-    parser.add_argument(
         "--query",
         metavar="GOAL",
         default=None,
@@ -672,7 +659,6 @@ def main(argv: list[str] | None = None) -> int:
         max_total_rows=args.max_total_rows,
         join_cache=not args.no_join_cache,
         partitioned_exec=not args.no_partitioned_exec,
-        partitions=args.partitions,
         serve_trace=args.serve_trace,
         metrics_out=args.metrics_out,
         serve_updates=args.serve_updates,
@@ -726,25 +712,10 @@ def main(argv: list[str] | None = None) -> int:
 #: Rows of a point-goal answer set printed before eliding.
 _ANSWER_PREVIEW_ROWS = 20
 
-#: The CLI exit-code contract (module docstring has the full story):
-#: 0 ok, 1 hard failure, 2 usage (argparse's own), 3 degraded-but-served.
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_DEGRADED = 3
-
-#: Statuses that stopped the run cooperatively at an iteration boundary
-#: and left a structured partial result behind.
-_DEGRADED_STATUSES = frozenset({"guard", "deadline"})
-
-
 def exit_code_for(status: str) -> int:
-    """Map a result status to the CLI exit code."""
-    if status == "ok":
-        return EXIT_OK
-    if status in _DEGRADED_STATUSES:
-        return EXIT_DEGRADED
-    return EXIT_FAILURE
+    """Map a result status to the CLI exit code (the module docstring's
+    contract, as :data:`repro.common.errors.STATUS_OUTCOMES` records it)."""
+    return STATUS_OUTCOMES.get(status, UNKNOWN_OUTCOME)[1]
 
 
 if __name__ == "__main__":

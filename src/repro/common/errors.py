@@ -163,3 +163,60 @@ class UnsupportedFeatureError(ReproError):
     BigDatalog rejects mutual recursion, Souffle rejects recursive
     aggregation); they signal that by raising this error.
     """
+
+
+# -- the failure taxonomy: what an exception means, said once ---------------------
+
+#: exception class -> (result status, poisons a live view?), first match
+#: wins. A poisoning failure struck mid-evaluation; a ``DatalogError`` is
+#: raised by validation, before anything mutates.
+_FAILURES: tuple[tuple[type[Exception], str, bool], ...] = (
+    (OutOfMemoryError, "oom", True),
+    (EvaluationTimeout, "timeout", True),
+    (EvaluationCancelled, "cancelled", True),  # "deadline" when the token says so
+    (DivergenceGuardTripped, "guard", True),
+    (FaultRetriesExhausted, "fault", True),
+    (SpillError, "storage", True),
+    (DatalogError, "fault", False),
+)
+
+#: What an evaluation reports as a result status instead of raising.
+CONTROL_ERRORS = tuple(klass for klass, _, poisons in _FAILURES if poisons)
+
+#: result status -> (terminal session state, CLI exit code: 0 ok, 1 hard
+#: failure, 3 degraded-but-served; 2 is argparse's usage error).
+STATUS_OUTCOMES: dict[str, tuple[str, int]] = {
+    "ok": ("done", 0),
+    "guard": ("failed", 3),
+    "deadline": ("cancelled", 3),
+    "cancelled": ("cancelled", 1),
+    "oom": ("failed", 1),
+    "timeout": ("failed", 1),
+    "fault": ("failed", 1),
+    "storage": ("failed", 1),
+}
+
+#: Statuses outside the table ("unsupported", anything unforeseen).
+UNKNOWN_OUTCOME = ("failed", 1)
+
+
+def classify_failure(error: Exception, **position) -> tuple[str, dict, bool]:
+    """``(status, failure document, poisons-view?)`` for any exception.
+
+    ``position`` (``stratum=``, ``iteration=``) joins the context of
+    errors that carry one. The document always has a ``kind``: one set
+    at the raise site (the guard's budget name, a token's ``reason``)
+    wins over the status; the unforeseen is a ``fault``/``internal``.
+    """
+    if isinstance(error, RecStepError):
+        doc = error.add_context(**position).to_dict()
+    else:
+        doc = {"error": type(error).__name__, "message": str(error)}
+    for klass, status, poisons in _FAILURES:
+        if isinstance(error, klass):
+            if status == "cancelled" and doc.get("reason") == "deadline":
+                status = "deadline"
+            doc.setdefault("kind", doc.get("reason", status))
+            return status, doc, poisons
+    doc.setdefault("kind", "internal")
+    return "fault", doc, False

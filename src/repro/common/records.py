@@ -116,10 +116,15 @@ class EvaluationResult:
     failure: dict | None = None
     #: Resilience recap: fault ledger, degradations, checkpoint activity.
     resilience: dict | None = None
+    #: Relation sizes of a fixpoint whose tuple sets were not read out
+    #: (a view recovered from its durable base); None: ``tuples`` has them.
+    idb_sizes: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
     def sizes(self) -> dict[str, int]:
+        if self.idb_sizes is not None:
+            return dict(self.idb_sizes)
         return {name: len(rows) for name, rows in self.tuples.items()}

@@ -62,20 +62,14 @@ class RecStepConfig:
     sg_coordination: bool = False    # Figure 7's SG-PBME-COORD variant
     join_cache: bool = True          # iteration-persistent join indexes
     partitioned_exec: bool = True    # radix-partitioned join/dedup/setops
-    # Radix bucket count (rounded up to a power of two). Many more buckets
-    # than workers keeps LPT scheduling quantization below the
-    # contention-width bound at every thread count up to 40.
-    partitions: int = 256
 
     # -- resilience (repro.resilience) ------------------------------------
     fault_seed: int | None = field(default_factory=_env_chaos_seed)
     # ^ arm deterministic fault injection (default: REPRO_CHAOS_SEED env)
     fault_rate: float = 0.02         # per-visit fault probability
     retries: int = 4                 # retry attempts per faulting operation
-    retry_backoff: float = 0.05      # base backoff (simulated seconds)
     degradation: bool = False        # memory-pressure degradation ladder
     spill_dir: str | None = None     # spill-to-disk tier (needs degradation)
-    spill_disk_budget: int | None = None  # modeled disk bytes for spilling
     checkpoint_dir: str | None = None  # write checkpoints here
     checkpoint_every: int = 1        # iteration checkpoint interval
     resume_from: str | None = None   # checkpoint file/dir to resume from

@@ -71,16 +71,24 @@ class SemiNaiveInterpreter:
         #: Where the evaluation currently is, for failure-report context.
         self.current_stratum = -1
         self.current_iteration = -1
-        #: True while a maintenance batch is running: suppresses
-        #: checkpointing (snapshots mid-maintenance would mix old and new
-        #: state) and keeps the join cache warm across stratum cleanup.
+        #: True while a ``MaintenanceRun`` is applying a batch.
         self._maintaining = False
-        #: Content fingerprint of the loaded EDB; stamped into checkpoints
-        #: so a resume can reject snapshots of a different input.
-        self.edb_fingerprint = ""
+        #: Content fingerprint of the loaded EDB, stamped into this run's
+        #: checkpoints so a resume can reject snapshots of a different
+        #: input; computed only when there is a manager to write them.
+        self._edb_fingerprint = ""
         #: Count tables (``<pred>_ivm_cnt``) built by past maintenance
         #: batches; they persist across batches.
         self._ivm_count_tables: set[str] = set()
+
+    def position(self) -> dict:
+        """The loop position, as failure-report context (None: not there yet)."""
+        return {
+            "stratum": self.current_stratum if self.current_stratum >= 0 else None,
+            "iteration": self.current_iteration
+            if self.current_iteration >= 0
+            else None,
+        }
 
     # -- setup -----------------------------------------------------------------
 
@@ -89,14 +97,13 @@ class SemiNaiveInterpreter:
         missing = self._analyzed.edb - set(edb_data)
         if missing:
             raise DatalogError(f"missing EDB relations: {sorted(missing)}")
-        loaded: dict[str, np.ndarray] = {}
-        for name in sorted(self._analyzed.edb):
-            arity = self._analyzed.arities[name]
+        arities = {name: self._analyzed.arities[name] for name in self._analyzed.edb}
+        for name, arity in sorted(arities.items()):
             columns = self._edb_schemas.get(name, compiler.columns_for(arity))
             rows = np.asarray(edb_data[name], dtype=np.int64).reshape(-1, arity)
             self._db.load_table(name, columns, rows)
-            loaded[name] = rows
-        self.edb_fingerprint = edb_fingerprint(loaded)
+        if self._checkpoints is not None:
+            self._edb_fingerprint = edb_fingerprint(edb_data, arities)
 
     def create_idb_tables(self) -> None:
         for name in sorted(self._analyzed.idb):
@@ -146,34 +153,6 @@ class SemiNaiveInterpreter:
             self._maybe_checkpoint(stratum.index, -1, [])
         self._db.commit()
         return self.report
-
-    def maintain(
-        self,
-        inserts: dict[str, np.ndarray] | None = None,
-        deletes: dict[str, np.ndarray] | None = None,
-    ):
-        """Apply one EDB update batch from the warm fixpoint.
-
-        ``run()`` must have completed on this interpreter; the full IDB
-        tables then hold the fixpoint and this re-establishes it under
-        the batch — bit-identical to a recompute from the mutated EDB —
-        via counting/DRed/per-stratum recompute (see ``core.ivm``).
-        Returns the :class:`~repro.core.ivm.MaintenanceReport`.
-        """
-        from repro.core.ivm import MaintenanceRun
-
-        self._maintaining = True
-        try:
-            report = MaintenanceRun(self, inserts or {}, deletes or {}).run()
-        finally:
-            self._maintaining = False
-        self.edb_fingerprint = edb_fingerprint(
-            {
-                name: self._db.table_array(name)
-                for name in sorted(self._analyzed.edb)
-            }
-        )
-        return report
 
     def _maybe_run_pbme(self, compiled_stratum: CompiledStratum) -> bool:
         """Delegate a TC/SG-shaped stratum to the bit-matrix evaluator."""
@@ -299,15 +278,25 @@ class SemiNaiveInterpreter:
         iteration: int,
         predicates: list[CompiledPredicate],
     ) -> None:
-        """Snapshot semi-naive state at an iteration/stratum boundary.
+        """Checkpoint at an iteration/stratum boundary, if a manager is set."""
+        if self._checkpoints is not None and not self._maintaining:
+            self._checkpoints.maybe_save(
+                self.snapshot(stratum_index, iteration, predicates)
+            )
+
+    def snapshot(
+        self,
+        stratum_index: int,
+        iteration: int,
+        predicates: list[CompiledPredicate],
+    ) -> CheckpointState:
+        """Semi-naive state at an iteration/stratum boundary.
 
         Taken when m∆ tables are empty and ∆ tables hold the just-
         completed iteration's delta, so the snapshot is exactly the
         Algorithm 1 loop state. ``iteration=-1`` marks a stratum
         boundary (working tables already dropped; only fulls survive).
         """
-        if self._checkpoints is None or self._maintaining:
-            return
         # table_snapshot, not table_array: snapshotting a spilled full
         # relation streams its on-disk prefix instead of faulting it back
         # in — checkpointing must relieve memory pressure, not recreate it.
@@ -323,18 +312,16 @@ class SemiNaiveInterpreter:
                     compiler.delta_table(name)
                 )
                 dsd_mu[name] = self._policies[name].prev_mu
-        self._checkpoints.maybe_save(
-            CheckpointState(
-                program=self._analyzed.program.name,
-                stratum=stratum_index,
-                iteration=iteration,
-                tables=tables,
-                dsd_mu=dsd_mu,
-                iterations_total=self.report.iterations,
-                pbme_strata=list(self.report.pbme_strata),
-                sim_seconds=self._db.sim_seconds,
-                edb_fingerprint=self.edb_fingerprint,
-            )
+        return CheckpointState(
+            program=self._analyzed.program.name,
+            stratum=stratum_index,
+            iteration=iteration,
+            tables=tables,
+            dsd_mu=dsd_mu,
+            iterations_total=self.report.iterations,
+            pbme_strata=list(self.report.pbme_strata),
+            sim_seconds=self._db.sim_seconds,
+            edb_fingerprint=self._edb_fingerprint,
         )
 
     def _restore(self, state: CheckpointState) -> None:

@@ -87,6 +87,34 @@ def classify_stratum(compiled: CompiledStratum) -> str:
     return CLASS_DRED if compiled.stratum.recursive else CLASS_COUNTING
 
 
+def _as_rows(rows, arity: int) -> np.ndarray:
+    if rows is None:
+        return np.empty((0, arity), dtype=np.int64)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, arity)
+
+
+def check_batch(analyzed, inserts: dict | None, deletes: dict | None) -> None:
+    """Raise :class:`DatalogError` unless the batch can apply to ``analyzed``.
+
+    Runs before anything mutates — and, for a durable view, before
+    anything is logged: the WAL must only hold batches a replay can apply.
+    """
+    for side, batch in (("inserts", inserts), ("deletes", deletes)):
+        for name, rows in (batch or {}).items():
+            if name not in analyzed.edb:
+                raise DatalogError(
+                    f"{side} target {name!r} is not an EDB relation of "
+                    f"program {analyzed.program.name!r}"
+                )
+            try:
+                _as_rows(rows, analyzed.arities[name])
+            except (TypeError, ValueError) as error:
+                raise DatalogError(
+                    f"{side} rows for {name!r} do not fit arity "
+                    f"{analyzed.arities[name]}: {error}"
+                ) from error
+
+
 class MaintenanceRun:
     """One maintenance batch against a warm interpreter.
 
@@ -116,6 +144,15 @@ class MaintenanceRun:
     # -- top level ---------------------------------------------------------
 
     def run(self) -> MaintenanceReport:
+        """Apply the batch. Meanwhile the interpreter takes no checkpoints
+        (they would mix old and new state) and keeps its join cache warm."""
+        self._interp._maintaining = True
+        try:
+            return self._run()
+        finally:
+            self._interp._maintaining = False
+
+    def _run(self) -> MaintenanceReport:
         counters = self._db.profiler.counters
         counters.inc("ivm.maintain_runs")
         compiled = self._generator.compile()
@@ -170,13 +207,12 @@ class MaintenanceRun:
 
     def _effective_edb_batch(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Normalize the request against the current EDB contents."""
+        check_batch(self._analyzed, self._inserts, self._deletes)
         effective: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in sorted(set(self._inserts) | set(self._deletes)):
-            if name not in self._analyzed.edb:
-                raise DatalogError(f"unknown EDB relation {name!r} in update batch")
             arity = self._analyzed.arities[name]
-            ins = self._as_rows(self._inserts.get(name), arity)
-            dels = self._as_rows(self._deletes.get(name), arity)
+            ins = _as_rows(self._inserts.get(name), arity)
+            dels = _as_rows(self._deletes.get(name), arity)
             existing = self._db.table_array(name)
             if dels.shape[0]:
                 if ins.shape[0]:
@@ -188,12 +224,6 @@ class MaintenanceRun:
             if ins.shape[0] or dels.shape[0]:
                 effective[name] = (ins, dels)
         return effective
-
-    @staticmethod
-    def _as_rows(rows, arity: int) -> np.ndarray:
-        if rows is None:
-            return np.empty((0, arity), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64).reshape(-1, arity)
 
     def _apply_edb_batch(
         self,

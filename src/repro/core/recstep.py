@@ -23,18 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import (
-    DatalogError,
-    DivergenceGuardTripped,
-    EvaluationCancelled,
-    EvaluationTimeout,
-    FaultRetriesExhausted,
-    OutOfMemoryError,
-    SpillError,
-)
+from repro.common.errors import CONTROL_ERRORS, DatalogError, classify_failure
 from repro.common.records import EvaluationResult, rows_to_set
 from repro.core.config import RecStepConfig
 from repro.core.interpreter import SemiNaiveInterpreter
+from repro.core.ivm import MaintenanceRun
 from repro.datalog import ast as dast
 from repro.datalog.analyzer import AnalyzedProgram, analyze_program
 from repro.datalog.magic import MagicRewrite, filter_answers, magic_rewrite
@@ -79,11 +72,7 @@ class RecStep:
         self.config = config or RecStepConfig()
         self.token_factory = token_factory
         self.last_database: Database | None = None
-        self.last_interpreter: SemiNaiveInterpreter | None = None
         self.last_report = None
-        #: Set by :meth:`materialize` around its inner evaluate so the
-        #: database (including spill segments) outlives the call.
-        self._keep_alive = False
 
     def evaluate(
         self,
@@ -100,15 +89,59 @@ class RecStep:
 
         Returns:
             EvaluationResult with status "ok", "oom", "timeout",
-            "deadline"/"cancelled", "guard", or "fault" — the paper's
-            outcome classes plus the resilience layer's (a failed run
-            reports its partial simulated time, peak memory, and
-            structured ``failure`` context with a ``kind``
+            "deadline"/"cancelled", "guard", "fault" or "storage" — the
+            paper's outcome classes plus the resilience layer's, as
+            :func:`repro.common.errors.classify_failure` maps them (a
+            failed run reports its partial simulated time, peak memory,
+            and structured ``failure`` context with a ``kind``
             discriminator).
+        """
+        view = self._open(program, edb_data, dataset)
+        view.release()
+        return view.result
+
+    def materialize(
+        self,
+        program: ProgramSpec | AnalyzedProgram | str,
+        edb_data: dict[str, np.ndarray],
+        dataset: str = "unnamed",
+        resume_state: CheckpointState | None = None,
+    ) -> "MaterializedFixpoint":
+        """Evaluate to fixpoint and keep it live for incremental updates.
+
+        Unlike :meth:`evaluate`, the backing database (tables, join
+        cache, spill segments) survives the call; the returned
+        :class:`MaterializedFixpoint` serves ``maintain()`` batches from
+        the warm state until ``release()``. A failed evaluation still
+        returns a view — poisoned, so batch submissions fail fast — with
+        the failure recorded in ``view.result``.
+
+        ``resume_state`` opens the view from an already-loaded checkpoint
+        (crash recovery's base). Log replay is about to move that
+        fixpoint, so its tuple sets are not read out: ``view.result``
+        carries ``idb_sizes`` instead of ``tuples``.
+        """
+        return self._open(
+            program, edb_data, dataset, resume_state, readout=resume_state is None
+        )
+
+    def _open(
+        self,
+        program: ProgramSpec | AnalyzedProgram | str,
+        edb_data: dict[str, np.ndarray],
+        dataset: str,
+        resume_state: CheckpointState | None = None,
+        readout: bool = True,
+    ) -> "MaterializedFixpoint":
+        """Run ``program`` to fixpoint; return the live view over it.
+
+        The one place an evaluation is assembled, run under the program
+        span, guarded, classified, and summarized into ``view.result``;
+        ``evaluate`` releases the view, ``materialize`` keeps it.
         """
         analyzed, program_name, edb_schemas = _resolve_program(program)
         resilience = self._build_resilience()
-        database = Database(
+        database = self.last_database = Database(
             threads=self.config.threads,
             memory_budget=self.config.memory_budget,
             time_budget=self.config.time_budget,
@@ -119,9 +152,7 @@ class RecStep:
             resilience=resilience,
             join_cache=self.config.join_cache,
             partitioned_exec=self.config.partitioned_exec,
-            partitions=self.config.partitions,
             spill_dir=self.config.spill_dir,
-            spill_disk_budget=self.config.spill_disk_budget,
         )
         tokens = []
         if self.config.deadline is not None:
@@ -142,36 +173,27 @@ class RecStep:
                 metrics=database.metrics,
                 profiler=database.profiler,
             )
-        resume_state = None
         resume_skips = CounterRegistry()
-        if self.config.resume_from is not None:
+        if resume_state is None and self.config.resume_from is not None:
             # A snapshot only resumes the run that is actually being
             # re-evaluated: checkpoints stamped with a different EDB
             # fingerprint (the inputs were mutated since) are skipped
             # exactly like torn files.
-            expected_edb = edb_fingerprint(
-                {
-                    name: np.asarray(edb_data[name], dtype=np.int64).reshape(
-                        -1, analyzed.arities[name]
-                    )
-                    for name in sorted(analyzed.edb)
-                    if name in edb_data
-                }
-            )
             resume_state = CheckpointManager.load(
                 self.config.resume_from,
                 counters=resume_skips,
-                expected_edb=expected_edb,
+                expected_edb=edb_fingerprint(
+                    edb_data, {name: analyzed.arities[name] for name in analyzed.edb}
+                ),
             )
-            if resume_state.program != program_name:
-                raise CheckpointError(
-                    f"checkpoint is for program {resume_state.program!r}, "
-                    f"not {program_name!r}",
-                    checkpoint_program=resume_state.program,
-                    program=program_name,
-                )
-        self.last_database = database
-        interpreter = self.last_interpreter = SemiNaiveInterpreter(
+        if resume_state is not None and resume_state.program != program_name:
+            raise CheckpointError(
+                f"checkpoint is for program {resume_state.program!r}, "
+                f"not {program_name!r}",
+                checkpoint_program=resume_state.program,
+                program=program_name,
+            )
+        interpreter = SemiNaiveInterpreter(
             database,
             analyzed,
             self.config,
@@ -181,6 +203,15 @@ class RecStep:
         )
         result = EvaluationResult(
             engine=self.name, program=program_name, dataset=dataset
+        )
+        view = MaterializedFixpoint(
+            engine_name=self.name,
+            analyzed=analyzed,
+            program=program_name,
+            dataset=dataset,
+            database=database,
+            interpreter=interpreter,
+            result=result,
         )
         wall_start = time.perf_counter()
         try:
@@ -200,44 +231,23 @@ class RecStep:
                 # instead of faulting them in: a fixpoint that only fits
                 # under budget *because* it spilled must not OOM while
                 # being read out.
-                fixpoint = {
-                    name: rows_to_set(database.table_snapshot(name))
-                    for name in sorted(analyzed.idb)
-                }
-        except OutOfMemoryError as error:
-            result.status = "oom"
-            result.failure = self._failure(error, interpreter)
-        except EvaluationTimeout as error:
-            result.status = "timeout"
-            result.failure = self._failure(error, interpreter)
-        except EvaluationCancelled as error:
-            reason = error.context.get("reason", "cancelled")
-            result.status = "deadline" if reason == "deadline" else "cancelled"
-            result.failure = self._failure(error, interpreter)
-        except DivergenceGuardTripped as error:
-            result.status = "guard"
-            result.failure = self._failure(error, interpreter)
-        except FaultRetriesExhausted as error:
-            result.status = "fault"
-            result.failure = self._failure(error, interpreter)
-        except SpillError as error:
-            result.status = "storage"
-            result.failure = self._failure(error, interpreter)
+                fixpoint = view.fixpoint() if readout else None
+        except CONTROL_ERRORS as error:
+            result.status, result.failure, _ = classify_failure(
+                error, **interpreter.position()
+            )
+            view.status = "poisoned"
+        except BaseException:
+            database.release_spill()
+            raise
         else:
             result.iterations = report.iterations
             result.detail["pbme_strata"] = float(len(report.pbme_strata))
-            result.tuples.update(fixpoint)
+            if fixpoint is None:
+                result.idb_sizes = view.sizes()
+            else:
+                result.tuples.update(fixpoint)
             self.last_report = report
-        finally:
-            if not self._keep_alive:
-                database.release_spill()
-        if result.failure is not None:
-            # Every failed run carries a `kind` discriminator; errors that
-            # set one at the raise site (the divergence guard's budget
-            # name, a token's reason) win over the generic status.
-            result.failure.setdefault(
-                "kind", result.failure.get("reason", result.status)
-            )
         result.wall_seconds = time.perf_counter() - wall_start
         result.sim_seconds = database.sim_seconds
         result.peak_memory_bytes = database.peak_memory_bytes
@@ -287,7 +297,7 @@ class RecStep:
             result.profile = ProfileReport.from_profiler(
                 database.profiler, database.sim_seconds
             )
-        return result
+        return view
 
     def answer(
         self,
@@ -337,14 +347,13 @@ class RecStep:
         )
         result = self.evaluate(target, edb_data, dataset=dataset)
         result.program = program_name
-        if self.last_database is not None:
-            counters = self.last_database.profiler.counters
-            if rewrite.rewritten:
-                counters.inc("magic.rewrites")
-                if rewrite.pinned:
-                    counters.inc("magic.pinned_predicates", len(rewrite.pinned))
-            else:
-                counters.inc("magic.degenerate")
+        counters = self.last_database.profiler.counters
+        if rewrite.rewritten:
+            counters.inc("magic.rewrites")
+            if rewrite.pinned:
+                counters.inc("magic.pinned_predicates", len(rewrite.pinned))
+        else:
+            counters.inc("magic.degenerate")
         result.detail["magic_rewritten"] = 1.0 if rewrite.rewritten else 0.0
         result.detail["magic_cone_predicates"] = float(len(rewrite.cone))
         if result.status == "ok":
@@ -354,40 +363,6 @@ class RecStep:
             result.tuples = {goal_atom.predicate: answers}
             result.detail["answer_rows"] = float(len(answers))
         return result
-
-    def materialize(
-        self,
-        program: ProgramSpec | AnalyzedProgram | str,
-        edb_data: dict[str, np.ndarray],
-        dataset: str = "unnamed",
-    ) -> "MaterializedFixpoint":
-        """Evaluate to fixpoint and keep it live for incremental updates.
-
-        Unlike :meth:`evaluate`, the backing database (tables, join
-        cache, spill segments) survives the call; the returned
-        :class:`MaterializedFixpoint` serves ``maintain()`` batches from
-        the warm state until ``release()``. A failed evaluation still
-        returns a view — poisoned, so batch submissions fail fast — with
-        the failure recorded in ``view.result``.
-        """
-        analyzed, program_name, _ = _resolve_program(program)
-        self._keep_alive = True
-        try:
-            result = self.evaluate(program, edb_data, dataset)
-        finally:
-            self._keep_alive = False
-        view = MaterializedFixpoint(
-            engine_name=self.name,
-            analyzed=analyzed,
-            program=program_name,
-            dataset=dataset,
-            database=self.last_database,
-            interpreter=self.last_interpreter,
-            result=result,
-        )
-        if result.status != "ok":
-            view.status = "poisoned"
-        return view
 
     def _build_resilience(self) -> ResilienceContext:
         """Assemble the resilience context this config asks for."""
@@ -414,24 +389,11 @@ class RecStep:
         return ResilienceContext(
             injector=injector,
             retry=RetryPolicy(
-                max_attempts=self.config.retries,
-                backoff_base=self.config.retry_backoff,
-                jitter_seed=jitter_seed,
+                max_attempts=self.config.retries, jitter_seed=jitter_seed
             ),
             degradation=DegradationController(enabled=self.config.degradation),
             guard=guard,
         )
-
-    @staticmethod
-    def _failure(error, interpreter: SemiNaiveInterpreter) -> dict:
-        """Structured failure context, annotated with the loop position."""
-        error.add_context(
-            stratum=interpreter.current_stratum if interpreter.current_stratum >= 0 else None,
-            iteration=interpreter.current_iteration
-            if interpreter.current_iteration >= 0
-            else None,
-        )
-        return error.to_dict()
 
 
 @dataclass
@@ -465,6 +427,7 @@ class MaintenanceResult:
         return dict(self.idb_sizes)
 
 
+@dataclass(eq=False)
 class MaterializedFixpoint:
     """A live fixpoint: database + warm interpreter, accepting updates.
 
@@ -475,27 +438,17 @@ class MaterializedFixpoint:
     until the view is released.
     """
 
-    def __init__(
-        self,
-        engine_name: str,
-        analyzed: AnalyzedProgram,
-        program: str,
-        dataset: str,
-        database: Database,
-        interpreter: SemiNaiveInterpreter,
-        result: EvaluationResult,
-    ) -> None:
-        self.engine_name = engine_name
-        self.analyzed = analyzed
-        self.program = program
-        self.dataset = dataset
-        self.database = database
-        self.interpreter = interpreter
-        #: The materializing evaluation's result (the cold-start cost).
-        self.result = result
-        #: "ready" | "poisoned" | "released".
-        self.status = "ready"
-        self.updates_applied = 0
+    engine_name: str
+    analyzed: AnalyzedProgram
+    program: str
+    dataset: str
+    database: Database
+    interpreter: SemiNaiveInterpreter
+    #: The opening evaluation's result (the cold-start cost), filled in
+    #: by :meth:`RecStep._open`.
+    result: EvaluationResult
+    #: "ready" | "poisoned" | "released".
+    status: str = "ready"
 
     def sizes(self) -> dict[str, int]:
         return {
@@ -516,7 +469,10 @@ class MaterializedFixpoint:
         deletes: dict[str, np.ndarray] | None = None,
         token=None,
     ) -> MaintenanceResult:
-        """Apply one EDB update batch; see ``SemiNaiveInterpreter.maintain``.
+        """Apply one EDB update batch and re-establish the fixpoint.
+
+        Bit-identical to a recompute from the mutated EDB, via
+        counting/DRed/per-stratum recompute (see ``core.ivm``).
 
         ``token`` (a duck-typed cancellation token) is installed on the
         view's resilience context for the duration of the batch, so a
@@ -540,53 +496,26 @@ class MaterializedFixpoint:
         previous_token = database.resilience.token
         if token is not None:
             database.resilience.token = token
-        poison = True
+        poison = False
         try:
-            report = self.interpreter.maintain(inserts or {}, deletes or {})
-        except DatalogError as error:
-            # Batch validation fails before any mutation: the view is
-            # still exact, only this request is bad.
-            poison = False
-            result.status = "fault"
-            to_dict = getattr(error, "to_dict", None)
-            result.failure = (
-                to_dict()
-                if callable(to_dict)
-                else {"error": type(error).__name__, "message": str(error)}
+            report = MaintenanceRun(
+                self.interpreter, inserts or {}, deletes or {}
+            ).run()
+        except (DatalogError, *CONTROL_ERRORS) as error:
+            # A validation error fails before any mutation — the view is
+            # still exact, only this request is bad; anything else struck
+            # mid-batch and the tables may hold mixed state.
+            result.status, result.failure, poison = classify_failure(
+                error, **self.interpreter.position()
             )
-        except OutOfMemoryError as error:
-            result.status = "oom"
-            result.failure = RecStep._failure(error, self.interpreter)
-        except EvaluationTimeout as error:
-            result.status = "timeout"
-            result.failure = RecStep._failure(error, self.interpreter)
-        except EvaluationCancelled as error:
-            reason = error.context.get("reason", "cancelled")
-            result.status = "deadline" if reason == "deadline" else "cancelled"
-            result.failure = RecStep._failure(error, self.interpreter)
-        except DivergenceGuardTripped as error:
-            result.status = "guard"
-            result.failure = RecStep._failure(error, self.interpreter)
-        except FaultRetriesExhausted as error:
-            result.status = "fault"
-            result.failure = RecStep._failure(error, self.interpreter)
-        except SpillError as error:
-            result.status = "storage"
-            result.failure = RecStep._failure(error, self.interpreter)
         else:
-            poison = False
             result.iterations = report.iterations
             result.applied = report.applied
             result.idb_deltas = report.idb_deltas
             result.delta_rows = report.delta_rows()
-            self.updates_applied += 1
         database.resilience.token = previous_token
         if poison:
             self.status = "poisoned"
-        if result.failure is not None:
-            result.failure.setdefault(
-                "kind", result.failure.get("reason", result.status)
-            )
         result.sim_seconds = database.sim_seconds - sim_start
         result.wall_seconds = time.perf_counter() - wall_start
         result.idb_sizes = self.sizes()
@@ -602,27 +531,15 @@ class MaterializedFixpoint:
         keeps the file name constant across compactions — ``os.replace``
         is the atomic commit.
         """
-        from repro.core import compiler
-
-        database = self.database
-        tables: dict[str, np.ndarray] = {
-            f"full:{name}": database.table_snapshot(compiler.full_table(name))
-            for name in sorted(self.analyzed.idb)
+        state = self.interpreter.snapshot(len(self.analyzed.strata) - 1, -1, [])
+        edb = {
+            name: self.database.table_snapshot(name)
+            for name in sorted(self.analyzed.edb)
         }
-        for name in sorted(self.analyzed.edb):
-            tables[f"edb:{name}"] = database.table_snapshot(name)
-        report = self.interpreter.report
-        return CheckpointState(
-            program=self.program,
-            stratum=len(self.analyzed.strata) - 1,
-            iteration=-1,
-            tables=tables,
-            iterations_total=report.iterations,
-            pbme_strata=list(report.pbme_strata),
-            sim_seconds=database.sim_seconds,
-            edb_fingerprint=self.interpreter.edb_fingerprint,
-            wal_seqno=wal_seqno,
-        )
+        state.tables.update((f"edb:{name}", rows) for name, rows in edb.items())
+        state.edb_fingerprint = edb_fingerprint(edb)
+        state.wal_seqno = wal_seqno
+        return state
 
     def release(self) -> None:
         """Free the view's off-memory footprint; the view stops serving."""

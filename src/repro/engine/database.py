@@ -77,6 +77,9 @@ class Database:
             path; ``--no-partitioned-exec`` escape hatch. Results are
             byte-identical either way.
         partitions: radix bucket count (rounded up to a power of two).
+            The default's many-more-buckets-than-workers keeps LPT
+            scheduling quantization below the contention-width bound at
+            every thread count up to 40.
         profile: enable the span tracer + counter registry (repro.obs);
             off by default, at zero instrumentation cost.
         resilience: the evaluation's resilience context (fault injector,
@@ -87,9 +90,6 @@ class Database:
             degradation ladder enabled, cold full-relation prefixes are
             evicted to checksummed segment files under memory pressure
             and streamed back through the kernels.
-        spill_disk_budget: modeled disk bytes available to the spill
-            tier; ``None`` means unbounded. Exhausting it is not an
-            error — the rung simply stops and the ladder proceeds.
     """
 
     def __init__(
@@ -106,7 +106,6 @@ class Database:
         profile: bool = False,
         resilience: ResilienceContext | None = None,
         spill_dir: str | None = None,
-        spill_disk_budget: int | None = None,
     ) -> None:
         self.catalog = Catalog()
         self.storage = StorageManager(eost=eost)
@@ -130,9 +129,7 @@ class Database:
         self.cost_model.injector = self.resilience.injector
         self.resilience.bind(self.metrics, self.profiler.counters)
         self.spill: SpillManager | None = (
-            SpillManager(spill_dir, disk_budget=spill_disk_budget)
-            if spill_dir is not None
-            else None
+            SpillManager(spill_dir) if spill_dir is not None else None
         )
         #: Coldness ledger for the spill rung: dispatch sequence number
         #: and, per table, the sequence at which it was last scanned.

@@ -61,24 +61,25 @@ class StaleCheckpointError(CheckpointError):
     """A readable checkpoint whose EDB fingerprint no longer matches."""
 
 
-def edb_fingerprint(edb_data: dict[str, np.ndarray]) -> str:
+def edb_fingerprint(
+    edb_data: dict[str, np.ndarray], arities: dict[str, int] | None = None
+) -> str:
     """Content fingerprint of an EDB: order-insensitive, duplicate-sensitive.
 
     CRC32 over every relation's name, shape, and lexicographically
-    sorted rows (arrays must already be ``(rows, arity)``-shaped). Row
-    order never matters — two loads of the same dataset fingerprint
-    identically — but contents do, so any insert/delete churn changes
-    the digest.
+    sorted rows. Row order never matters — two loads of the same dataset
+    fingerprint identically — but contents do, so any insert/delete
+    churn changes the digest. Arrays must be ``(rows, arity)``-shaped,
+    or ``arities`` given: only those relations, reshaped first.
     """
-    crc = 0
-    for name in sorted(edb_data):
-        rows = np.ascontiguousarray(np.asarray(edb_data[name], dtype=np.int64))
-        if rows.shape[0] > 1:
-            rows = np.ascontiguousarray(rows[np.lexsort(rows.T[::-1])])
-        crc = zlib.crc32(name.encode("utf-8"), crc)
-        crc = zlib.crc32(repr(rows.shape).encode("ascii"), crc)
-        crc = zlib.crc32(rows.tobytes(), crc)
-    return f"{crc:08x}"
+    names = edb_data if arities is None else arities.keys() & edb_data.keys()
+    tables = {}
+    for name in names:
+        rows = np.asarray(edb_data[name], dtype=np.int64)
+        if arities is not None:
+            rows = rows.reshape(-1, arities[name])
+        tables[name] = rows[np.lexsort(rows.T[::-1])] if rows.shape[0] > 1 else rows
+    return f"{_payload_checksum(tables):08x}"
 
 
 @dataclass
@@ -261,23 +262,14 @@ class CheckpointManager:
             raise CheckpointError(
                 f"no checkpoint files in directory {path}", path=str(path)
             )
-        last_error: CheckpointError | None = None
-        for candidate in candidates:
-            try:
-                state = cls._load_file(candidate)
-                cls._check_fresh(state, expected_edb, candidate)
-                return state
-            except StaleCheckpointError as error:
-                counters.inc("checkpoint_stale_skipped")
-                last_error = error
-            except CheckpointError as error:
-                counters.inc("checkpoint_corrupt_skipped")
-                last_error = error
+        errors: list[CheckpointError] = []
+        for _, state in cls._valid(candidates, counters, expected_edb, errors):
+            return state
         raise CheckpointError(
             f"all {len(candidates)} checkpoints in {path} are corrupt or stale "
-            f"(last error: {last_error})",
+            f"(last error: {errors[-1]})",
             path=str(path),
-        ) from last_error
+        ) from errors[-1]
 
     @classmethod
     def latest(
@@ -288,24 +280,30 @@ class CheckpointManager:
     ) -> Path | None:
         """The most advanced *readable, fresh* checkpoint in ``directory``.
 
-        Torn/corrupt files are skipped (with a ``checkpoint_corrupt_
-        skipped`` bump each) rather than returned, so callers never
-        resume from a file that cannot be loaded; fingerprint mismatches
-        against ``expected_edb`` are skipped with
-        ``checkpoint_stale_skipped``, mirroring the torn-file handling.
+        Skips (and counts) torn and stale files exactly like a directory
+        :meth:`load`, so callers never resume from a file that cannot be
+        loaded.
         """
-        for candidate in cls._candidates(directory):
+        candidates = cls._candidates(directory)
+        for path, _ in cls._valid(candidates, counters, expected_edb, []):
+            return path
+        return None
+
+    @classmethod
+    def _valid(cls, candidates, counters, expected_edb, errors: list):
+        """Yield ``(path, state)`` per loadable, fresh candidate; count the rest."""
+        for candidate in candidates:
             try:
                 state = cls._load_file(candidate)
                 cls._check_fresh(state, expected_edb, candidate)
-            except StaleCheckpointError:
-                counters.inc("checkpoint_stale_skipped")
+            except CheckpointError as error:
+                stale = isinstance(error, StaleCheckpointError)
+                counters.inc(
+                    "checkpoint_stale_skipped" if stale else "checkpoint_corrupt_skipped"
+                )
+                errors.append(error)
                 continue
-            except CheckpointError:
-                counters.inc("checkpoint_corrupt_skipped")
-                continue
-            return candidate
-        return None
+            yield candidate, state
 
     @staticmethod
     def _check_fresh(

@@ -72,6 +72,10 @@ _FRAME = struct.Struct("<II")  # payload length, CRC32 over the payload
 #: make the reader attempt a multi-gigabyte allocation.
 MAX_RECORD_BYTES = 64 << 20
 
+#: Log size past which a view with applied records rolls a fresh base
+#: checkpoint, however few records the log holds.
+COMPACT_BYTES = 1 << 20
+
 #: File names inside one durable view's directory.
 MANIFEST_NAME = "view.json"
 BASE_DIR_NAME = "base"
@@ -159,14 +163,9 @@ class WriteAheadLog:
     ) -> "WriteAheadLog":
         """Atomically publish a fresh log holding only its header."""
         path = Path(path)
-        payload = cls._header_payload(program, base_seqno, applied_batch_ids or set())
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(_PROLOGUE.pack(WAL_MAGIC, WAL_VERSION))
-            handle.write(cls._frame(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        cls._publish_header(
+            path, cls._header_payload(program, base_seqno, applied_batch_ids or set())
+        )
         return cls.open(
             path, counters=counters, injector=injector, retry=retry
         )
@@ -375,13 +374,7 @@ class WriteAheadLog:
         payload = self._header_payload(
             self.program, base_seqno, applied_batch_ids
         )
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(_PROLOGUE.pack(WAL_MAGIC, WAL_VERSION))
-            handle.write(self._frame(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        self._publish_header(self.path, payload)
         self.base_seqno = base_seqno
         self.applied_batch_ids = set(applied_batch_ids)
         self.records = []
@@ -407,6 +400,17 @@ class WriteAheadLog:
         return self.next_seqno - 1
 
     # -- framing -----------------------------------------------------------------
+
+    @classmethod
+    def _publish_header(cls, path: Path, payload: bytes) -> None:
+        """Atomically replace ``path`` with a log holding only this header."""
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as handle:
+            handle.write(_PROLOGUE.pack(WAL_MAGIC, WAL_VERSION))
+            handle.write(cls._frame(payload))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
 
     @staticmethod
     def _frame(payload: bytes) -> bytes:
@@ -526,13 +530,13 @@ class ViewDurability:
         """The logged batch at ``seqno`` was applied and acknowledged."""
         self.last_applied_seqno = max(self.last_applied_seqno, seqno)
 
-    def should_compact(self, max_records: int, max_bytes: int) -> bool:
+    def should_compact(self, max_records: int) -> bool:
         applied = [
             r for r in self.wal.batches() if r.seqno <= self.last_applied_seqno
         ]
         if not applied:
             return False
-        return len(applied) >= max_records or self.wal.size_bytes >= max_bytes
+        return len(applied) >= max_records or self.wal.size_bytes >= COMPACT_BYTES
 
     def compact(self, view) -> None:
         """Roll a fresh base checkpoint, then truncate the log.

@@ -1,58 +1,25 @@
 """The concurrent query service: many Datalog programs, one stable engine.
 
-:class:`QueryService` is the multi-query front door the ROADMAP's
-"serves heavy traffic" north star asks for, built as a discrete-event
-simulation on the service's own :class:`~repro.common.timing.SimClock`
-(the same substitution the engines use for parallelism). Concurrency is
-modeled with executor slots: an admitted query occupies a slot for the
-interval ``[started_at, started_at + sim_seconds)`` of its isolated
-evaluation, queued queries wait for slot *and* memory-reservation
-availability, and the service clock advances from completion event to
-completion event.
-
-The stability disciplines, in the order a submission meets them:
-
-1. **drain gate** — a draining service admits nothing new.
-2. **admission control** — bounded queue + memory reservations against
-   the high watermark; violations get a structured
-   :class:`~repro.server.admission.Overloaded` rejection with a
-   retry-after hint instead of unbounded buffering.
-3. **circuit breaker** — a class with repeated backend failures is
-   rejected at the door until a cooldown passes and a half-open probe
-   succeeds.
-4. **isolated execution** — each query runs on its own Database with
-   its reservation as a *hard* memory budget, wrapped so any failure
-   becomes a structured document on the session, never an exception to
-   a neighbor.
-5. **watchdog** — iteration heartbeats feed a stall detector that
-   cancels stuck fixpoints cooperatively.
-6. **graceful drain** — stop admitting, finish or checkpoint in-flight
-   work, emit a machine-readable shutdown report.
+*When* a request runs — queueing, slots, reservations, breakers, the
+watchdog, drain — is the :class:`~repro.server.scheduler.Scheduler`
+that :class:`QueryService` extends. This module is *what* a request
+does: one handler per ``kind`` (``query`` opens a view, ``update``
+maintains one, ``point`` answers a goal), each returning
+``(effective_start, duration, status)``, plus crash recovery, which
+opens its views through the same handler a ``materialize`` request uses.
 """
 
 from __future__ import annotations
 
-import shutil
 import zlib
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from repro.common.errors import (
-    DatalogError,
-    DivergenceGuardTripped,
-    EvaluationCancelled,
-    EvaluationTimeout,
-    FaultRetriesExhausted,
-    OutOfMemoryError,
-    SpillError,
-)
+from repro.common.errors import DatalogError, RecStepError, classify_failure
 from repro.common.records import EvaluationResult
 from repro.common.rng import derive_seed
-from repro.common.timing import SimClock
 from repro.core.config import RecStepConfig
+from repro.core.ivm import check_batch
 from repro.core.recstep import (
     MaintenanceResult,
     MaterializedFixpoint,
@@ -62,19 +29,17 @@ from repro.core.recstep import (
 from repro.datalog import ast as dast
 from repro.datalog.magic import filter_answers, magic_rewrite
 from repro.datalog.parser import parse_goal
-from repro.engine.metrics import CRITICAL_WATERMARK, DEFAULT_MEMORY_BUDGET
-from repro.obs.counters import CounterRegistry
-from repro.obs.histogram import NULL_HISTOGRAMS, HistogramSet
-from repro.obs.timeline import NULL_TIMELINE, ResourceTimeline
 from repro.programs.library import ProgramSpec
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointManager,
+    CheckpointState,
     edb_fingerprint,
 )
 from repro.resilience.wal import (
     BASE_DIR_NAME,
+    MANIFEST_NAME,
     WAL_NAME,
     ViewDurability,
     WalError,
@@ -83,61 +48,19 @@ from repro.resilience.wal import (
 from repro.server.admission import (
     DEFAULT_RETRY_AFTER,
     MIN_SESSION_QUOTA,
-    AdmissionController,
     Overloaded,
     QueryRequest,
 )
-from repro.server.breaker import BreakerBoard
-from repro.server.session import (
-    Session,
-    SessionError,
-    SessionManager,
-    SessionState,
+from repro.server.scheduler import (
+    Scheduler,
+    ServerConfig,
+    SessionTokens,
+    terminal_state,
 )
-from repro.server.watchdog import WatchdogToken
-
-#: result.status -> terminal session state.
-_STATUS_TO_STATE = {
-    "ok": SessionState.DONE,
-    "deadline": SessionState.CANCELLED,
-    "cancelled": SessionState.CANCELLED,
-    "oom": SessionState.FAILED,
-    "timeout": SessionState.FAILED,
-    "fault": SessionState.FAILED,
-    "guard": SessionState.FAILED,
-    "storage": SessionState.FAILED,
-}
+from repro.server.session import Session, SessionState
 
 
-@dataclass(frozen=True)
-class ServerConfig:
-    """Service-level knobs (the engine's live in :class:`RecStepConfig`)."""
-
-    max_concurrent: int = 4          # executor slots
-    queue_limit: int = 8             # bounded admission queue
-    memory_budget: int = DEFAULT_MEMORY_BUDGET  # service memory (bytes)
-    high_watermark: float = CRITICAL_WATERMARK  # reservation ceiling
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_seconds: float = 60.0
-    watchdog_stall_timeout: float | None = None  # None: watchdog off
-    drain_grace_seconds: float = 5.0  # per-query budget during drain
-    telemetry: bool = True           # latency histograms + queue timeline
-    #: Root of the spill-to-disk tier; each session spills into its own
-    #: ``<spill_root>/<session-id>`` directory (None: spilling off).
-    spill_root: str | None = None
-    #: Root of the durable-view tier; each materialized view persists a
-    #: base checkpoint + write-ahead log under ``<wal_root>/<session-id>``
-    #: and :meth:`QueryService.recover` rebuilds views from it after a
-    #: crash (None: views are memory-only, the pre-durability behavior).
-    wal_root: str | None = None
-    #: Compaction bounds: once this many applied records (or this many
-    #: log bytes) accumulate, the view rolls a fresh base checkpoint and
-    #: truncates its log.
-    wal_compact_records: int = 64
-    wal_compact_bytes: int = 1 << 20
-
-
-class QueryService:
+class QueryService(Scheduler):
     """Admits, schedules, and survives many concurrent Datalog queries."""
 
     def __init__(
@@ -145,43 +68,20 @@ class QueryService:
         config: ServerConfig | None = None,
         engine_config: RecStepConfig | None = None,
     ) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig())
         self.engine_config = engine_config or RecStepConfig()
-        self.clock = SimClock()
-        self.counters = CounterRegistry()
-        self.sessions = SessionManager()
-        self.admission = AdmissionController(
-            queue_limit=self.config.queue_limit,
-            memory_budget=self.config.memory_budget,
-            max_concurrent=self.config.max_concurrent,
-            high_watermark=self.config.high_watermark,
+        self._handlers.update(
+            query=self._open_view,
+            update=self._maintain_view,
+            point=self._answer_point,
         )
-        self.breakers = BreakerBoard(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown_seconds=self.config.breaker_cooldown_seconds,
-            counters=self.counters,
-        )
-        self._queue: deque[Session] = deque()
-        #: (finish_time, session, result_status) for sessions whose
-        #: evaluation interval is still occupying a slot.
-        self._active: list[tuple[float, Session, str]] = []
-        #: session id -> live MaterializedFixpoint. A view session's
-        #: memory reservation outlives its evaluation interval: the warm
-        #: fixpoint stays resident so ``kind="update"`` requests can
-        #: maintain it instead of recomputing.
-        self._views: dict[str, MaterializedFixpoint] = {}
-        #: session id -> simulated time its view is serving until; update
-        #: requests against the same view queue head-of-line behind it.
-        self._view_busy_until: dict[str, float] = {}
-        #: session id -> ViewDurability for views persisted under
-        #: ``wal_root`` (empty when durability is off).
-        self._durability: dict[str, ViewDurability] = {}
+        self._planners["point"] = self._plan_point
         #: Demand cache for point queries: (program, EDB fingerprint,
         #: goal predicate, adornment, bound constants) -> the
         #: demand-restricted answer relation (filtered by the bound
         #: constants only). Repeated and paginated lookups with the same
         #: bindings re-filter the warm answers instead of re-running the
-        #: fixpoint.
+        #: fixpoint; any EDB churn changes the fingerprint and misses.
         self._demand_cache: dict[tuple, dict] = {}
         # WAL appends share the engine's deterministic fault discipline:
         # a chaos seed arms the wal_* sites on an independent stream.
@@ -193,126 +93,214 @@ class QueryService:
             if self.engine_config.fault_seed is not None
             else None
         )
-        self._wal_retry = RetryPolicy(
-            max_attempts=self.engine_config.retries,
-            backoff_base=self.engine_config.retry_backoff,
-        )
-        self.draining = False
-        self._drain_checkpoint_dir: str | None = None
-        # Per-query-class latency/queue-wait/rows distributions and the
-        # admission-queue timeline; null objects when telemetry is off so
-        # every observation site is one attribute test.
-        if self.config.telemetry:
-            self.histograms = HistogramSet()
-            self.queue_timeline = ResourceTimeline()
-        else:
-            self.histograms = NULL_HISTOGRAMS
-            self.queue_timeline = NULL_TIMELINE
+        self._wal_retry = RetryPolicy(max_attempts=self.engine_config.retries)
 
-    # -- submission --------------------------------------------------------------
+    # -- kind="query": open a view -----------------------------------------------
 
-    def submit(self, request: QueryRequest) -> dict:
-        """Queue one query; returns an acceptance or a structured rejection.
+    def _open_view(
+        self,
+        session: Session,
+        tokens,
+        resume_state: CheckpointState | None = None,
+    ) -> tuple[float, float, str]:
+        """Evaluate the request's program; keep the view if it asks.
 
-        Acceptance: ``{"accepted": True, "session_id": ...}``. Rejection:
-        ``{"accepted": False, "overloaded": True, "reason": ...,
-        "retry_after_seconds": ...}`` — the backpressure contract.
+        A ``materialize`` request leaves the fixpoint resident (and
+        persists it under ``wal_root``); crash recovery passes the base
+        checkpoint it loaded as ``resume_state`` to reopen one from disk.
         """
-        self.counters.inc("server.submitted")
-        now = self.clock.now()
-        if self.draining:
-            return self._reject(
-                Overloaded(
-                    reason="draining",
-                    retry_after_seconds=self._retry_hint(now),
-                )
-            )
-        if request.kind == "update":
-            if not self._update_target_valid(request):
-                return self._reject(
-                    Overloaded(
-                        reason="no-such-view",
-                        retry_after_seconds=DEFAULT_RETRY_AFTER,
-                        detail={"target_session": request.target_session},
-                    )
-                )
-            # Admission-price the delta: maintenance scratch lives inside
-            # the target view's reservation, so a batch the view's budget
-            # cannot absorb bounces with backpressure instead of queuing.
-            target = self.sessions.get(request.target_session)
-            quota = self.admission.quota_for(request)
-            if quota > target.reserved_bytes:
-                return self._reject(
-                    Overloaded(
-                        reason="memory-pressure",
-                        retry_after_seconds=self._retry_hint(now),
-                        detail={
-                            "requested_bytes": quota,
-                            "view_reserved_bytes": target.reserved_bytes,
-                            "target_session": request.target_session,
-                        },
-                    )
-                )
-        if request.kind == "point":
-            overload = self._plan_point(request)
-            if overload is not None:
-                return self._reject(overload)
-        overload = self.admission.check_submit(
-            request, queue_depth=len(self._queue), retry_hint=self._retry_hint(now)
+        request: QueryRequest = session.request
+        program, edb, dataset = request.program, request.edb_data, request.dataset
+        engine = RecStep(self._session_config(session), token_factory=tokens)
+        if not request.materialize:
+            return self._served(session, engine.evaluate(program, edb, dataset=dataset))
+        view = engine.materialize(
+            program, edb, dataset=dataset, resume_state=resume_state
         )
-        if overload is not None:
-            return self._reject(overload)
-        breaker = self.breakers.for_class(request.klass)
-        if not breaker.allow(now):
-            return self._reject(
-                Overloaded(
-                    reason="breaker-open",
-                    retry_after_seconds=max(
-                        breaker.retry_after(now), DEFAULT_RETRY_AFTER
-                    ),
-                    detail={"class": request.klass, "breaker": breaker.to_dict()},
-                )
-            )
-        session = self.sessions.create(request, now)
-        session.reserved_bytes = self.admission.quota_for(request)
-        if request.priced:
-            # Priced quotas count against the watermark from submission
-            # on, so a burst of queued sessions cannot over-commit it.
-            self.admission.note_pending(session.reserved_bytes)
-            session.pending_reservation = True
-        self._queue.append(session)
-        self._sample_queue()
-        return {"accepted": True, "session_id": session.id, "state": "queued"}
+        served = self._served(session, view.result)
+        if view.status != "ready":
+            # A poisoned view still holds a kept-alive database; free
+            # it — only healthy fixpoints stay resident.
+            view.release()
+            return served
+        self._views[session.id] = view
+        self._view_busy_until[session.id] = served[0] + served[1]
+        if resume_state is None:
+            self.counters.inc("server.views_materialized")
+            self._persist_view(session, view)
+        return served
 
-    def _update_target_valid(self, request: QueryRequest) -> bool:
-        """A live view, or a materialize session still on its way to one."""
-        target = request.target_session
-        if target is None:
-            return False
-        if target in self._views:
-            return True
-        try:
-            session = self.sessions.get(target)
-        except SessionError:
-            return False
-        return bool(
-            getattr(session.request, "materialize", False)
-            and session.state
-            in (SessionState.QUEUED, SessionState.ADMITTED, SessionState.RUNNING)
+    @staticmethod
+    def _served(
+        session: Session, result, start: float | None = None
+    ) -> tuple[float, float, str]:
+        """Record an engine result on its session; the handler's return."""
+        session.result = result
+        session.failure = result.failure
+        return (
+            session.started_at if start is None else start,
+            result.sim_seconds,
+            result.status,
         )
+
+    def _persist_view(self, session: Session, view: MaterializedFixpoint) -> None:
+        """Write a just-materialized view's durable state under wal_root.
+
+        Base checkpoint + empty log + manifest (the manifest last — its
+        presence is the commit point). Persistence failures degrade the
+        view to memory-only rather than failing the session: the query
+        result is already correct, only the crash story is weaker.
+        """
+        if self.config.wal_root is None:
+            return
+        source = getattr(session.request.program, "source", None)
+        if source is None and isinstance(session.request.program, str):
+            source = session.request.program
+        if source is None:
+            # An AnalyzedProgram carries no re-parseable source; there is
+            # nothing recovery could rebuild the view from.
+            self.counters.inc("wal.persist_failures")
+            return
+        schemas = getattr(session.request.program, "edb_schemas", {}) or {}
+        manifest = {
+            "session_id": session.id,
+            "program": view.program,
+            "source": source,
+            "edb_schemas": {name: list(cols) for name, cols in schemas.items()},
+            "dataset": view.dataset,
+            "klass": session.klass,
+            "reserved_bytes": session.reserved_bytes,
+        }
+        try:
+            self._durability[session.id] = ViewDurability.create(
+                Path(self.config.wal_root) / session.id,
+                view,
+                manifest,
+                counters=self.counters,
+                injector=self._wal_injector,
+                retry=self._wal_retry,
+            )
+        except (OSError, WalError, CheckpointError):
+            self.counters.inc("wal.persist_failures")
+
+    def _session_config(self, session: Session) -> RecStepConfig:
+        request: QueryRequest = session.request
+        overrides: dict = {"memory_budget": session.reserved_bytes}
+        for knob in ("deadline", "max_iterations", "max_total_rows"):
+            value = getattr(request, knob)
+            if value is not None:
+                overrides[knob] = value
+        if self.config.spill_root is not None:
+            # Per-session spill directory: spilled segments are part of
+            # the session's failure domain, cleaned with the session.
+            overrides["spill_dir"] = str(
+                Path(self.config.spill_root) / session.id
+            )
+            # The spill rung lives on the degradation ladder.
+            overrides["degradation"] = True
+        if self.draining and self._drain_checkpoint_dir is not None:
+            # Drain contract: bound the remaining work and leave a
+            # resumable snapshot if the bound fires first.
+            directory = str(Path(self._drain_checkpoint_dir) / session.id)
+            overrides["checkpoint_dir"] = directory
+            overrides["checkpoint_every"] = 1
+            grace = self.config.drain_grace_seconds
+            current = overrides.get("deadline")
+            overrides["deadline"] = grace if current is None else min(current, grace)
+            session.checkpoint_dir = directory
+        return replace(self.engine_config, **overrides)
+
+    # -- kind="update": maintain a view ------------------------------------------
+
+    def _maintain_view(self, session: Session, tokens) -> tuple[float, float, str]:
+        """Maintain a materialized fixpoint from one EDB delta batch.
+
+        The update serves head-of-line against its view: it cannot start
+        before the view's materialization (or the previous update against
+        it) has finished, so its effective interval is
+        ``[max(now, view_busy_until), ... + maintain's sim_seconds)``.
+
+        Against a durable view the batch is appended to the write-ahead
+        log *before* the view mutates; a batch whose ``batch_id`` was
+        already acknowledged is acked again without re-applying
+        (exactly-once for client retries).
+        """
+        request: QueryRequest = session.request
+        target = request.target_session
+        view = self._views.get(target)
+        if view is None or view.status != "ready":
+            # Validated at submit time, but the view can fail to
+            # materialize, be poisoned, or be released while the update
+            # waited in the queue.
+            session.failure = {
+                "error": "NoSuchView",
+                "message": f"no live materialized view for session {target!r}",
+                "kind": "no-such-view",
+            }
+            return session.started_at, 0.0, "fault"
+        start = max(session.started_at, self._view_busy_until[target])
+        durability = self._durability.get(target)
+        if durability is not None and durability.is_duplicate(request.batch_id):
+            # Already acknowledged under this id (live or replayed):
+            # re-ack at zero cost, mutate nothing, log nothing.
+            self.counters.inc("wal.duplicate_batches")
+            session.result = MaintenanceResult(
+                engine=view.engine_name,
+                program=view.program,
+                dataset=request.dataset,
+                idb_sizes=view.sizes(),
+            )
+            return start, 0.0, "ok"
+        try:
+            check_batch(view.analyzed, request.inserts, request.deletes)
+        except DatalogError as error:
+            session.failure = {
+                "error": "BadBatch",
+                "kind": "bad-batch",
+                "message": str(error),
+            }
+            return start, 0.0, "fault"
+        seqno = None
+        if durability is not None:
+            try:
+                seqno = session.wal_seqno = durability.log_update(
+                    request.inserts, request.deletes, request.batch_id
+                )
+            except (RecStepError, OSError) as error:
+                # Write-ahead means exactly that: if the batch cannot be
+                # made durable it must not be applied. The view itself is
+                # untouched and keeps serving.
+                _, session.failure, _ = classify_failure(error)
+                session.failure["kind"] = "wal-append"
+                return start, 0.0, "fault"
+        result = view.maintain(
+            request.inserts,
+            request.deletes,
+            token=tokens(view.database.metrics.clock),
+        )
+        self._view_busy_until[target] = start + result.sim_seconds
+        if result.status == "ok":
+            self.counters.inc("server.updates_applied")
+            if seqno is not None:
+                durability.note_applied(seqno)
+                if durability.should_compact(self.config.wal_compact_records):
+                    durability.compact(view)
+        return self._served(session, result, start)
+
+    # -- kind="point": answer a goal ---------------------------------------------
 
     def _plan_point(self, request: QueryRequest) -> Overloaded | None:
-        """Plan a point goal at submit time: parse, rewrite, price.
+        """Plan a point goal at submit time: resolve, rewrite, price.
 
         A malformed goal (parse error, unknown predicate, arity or term
         violations) is a client error, bounced as a structured
         ``bad-goal`` rejection before a session exists. A well-formed
-        goal is magic-rewritten once here; the plan (goal atom, canonical
-        constants-only goal, rewrite, demand-cache key) rides on the
-        request for :meth:`_execute_point`, and — unless the client set
-        an explicit quota — the request is priced by the rewrite's cone
-        estimate instead of a full default slot, so cheap bound lookups
-        admit under memory pressure that would bounce full evaluations.
+        goal is resolved and magic-rewritten once, here; the plan rides
+        on the request for :meth:`_answer_point`, and — unless the client
+        set an explicit quota — the request is priced by the rewrite's
+        cone estimate instead of a full default slot, so cheap bound
+        lookups admit under memory pressure that would bounce full
+        evaluations.
         """
         try:
             analyzed, program_name, _ = _resolve_program(request.program)
@@ -355,16 +343,13 @@ class QueryService:
             for term in canonical.terms
             if isinstance(term, dast.Constant)
         )
+        # The cache key is where this digest is read: requests ship their
+        # own EDB arrays, so only content can say two of them agree.
         fingerprint = edb_fingerprint(
-            {
-                name: np.asarray(
-                    request.edb_data[name], dtype=np.int64
-                ).reshape(-1, analyzed.arities[name])
-                for name in sorted(analyzed.edb)
-                if name in request.edb_data
-            }
+            request.edb_data, {name: analyzed.arities[name] for name in analyzed.edb}
         )
         request.point_plan = {
+            "analyzed": analyzed,
             "goal": goal,
             "canonical": canonical,
             "rewrite": rewrite,
@@ -381,458 +366,17 @@ class QueryService:
         }
         return None
 
-    _REJECT_COUNTERS = {
-        "queue-full": "server.rejected_queue_full",
-        "memory-pressure": "server.rejected_memory",
-        "draining": "server.rejected_draining",
-        "breaker-open": "server.rejected_breaker",
-        "no-such-view": "server.rejected_no_view",
-        "bad-goal": "server.rejected_bad_goal",
-    }
-
-    def _reject(self, overload: Overloaded) -> dict:
-        self.counters.inc("server.rejected")
-        self.counters.inc(self._REJECT_COUNTERS[overload.reason])
-        return {"accepted": False, **overload.to_dict()}
-
-    def _retry_hint(self, now: float) -> float:
-        """When capacity plausibly frees up: the earliest active finish."""
-        if self._active:
-            earliest = min(finish for finish, _, _ in self._active)
-            return max(earliest - now, DEFAULT_RETRY_AFTER / 10.0)
-        return DEFAULT_RETRY_AFTER
-
-    # -- the event loop ----------------------------------------------------------
-
-    def pump(self) -> None:
-        """Process queued work until the queue is empty.
-
-        Advances the service clock across completion events whenever the
-        queue is blocked on a slot or a memory reservation. Completed
-        sessions whose finish time is still in the future keep holding
-        their slot until the clock passes it (``drain``/``flush`` push
-        the clock to the end).
-        """
-        while True:
-            self._release_due()
-            self._admit_ready()
-            if not self._queue:
-                return
-            if not self._active:
-                # Queue blocked with nothing running: impossible to make
-                # progress by waiting (can only happen if a quota exceeds
-                # the watermark ceiling outright, which check_submit
-                # rejects) — bail rather than spin.
-                return
-            earliest = min(finish for finish, _, _ in self._active)
-            self.clock.advance(max(0.0, earliest - self.clock.now()))
-
-    def flush(self) -> None:
-        """Advance the clock past every active evaluation (idle barrier)."""
-        self.pump()
-        while self._active:
-            earliest = min(finish for finish, _, _ in self._active)
-            self.clock.advance(max(0.0, earliest - self.clock.now()))
-            self._release_due()
-            self._admit_ready()
-
-    def _admit_ready(self) -> None:
-        while self._queue and len(self._active) < self.config.max_concurrent:
-            session = self._queue[0]
-            if getattr(session.request, "kind", "query") == "update":
-                # Rides the target view's standing reservation; nothing
-                # to take from the global pool.
-                pass
-            elif not self.admission.try_reserve(
-                session.reserved_bytes, was_pending=session.pending_reservation
-            ):
-                return
-            session.pending_reservation = False
-            self._queue.popleft()
-            self.sessions.transition(session, SessionState.ADMITTED)
-            session.admitted_at = self.clock.now()
-            self.counters.inc("server.admitted")
-            self._execute(session)
-            self._sample_queue()
-
-    def _release_due(self) -> None:
-        now = self.clock.now()
-        still_active = []
-        released = False
-        for finish, session, status in self._active:
-            if finish <= now:
-                holds_no_pool_bytes = (
-                    session.id in self._views  # warm fixpoint stays resident
-                    or getattr(session.request, "kind", "query") == "update"
-                )
-                if not holds_no_pool_bytes:
-                    # The spilled slice (if any) was already released early.
-                    self.admission.release(
-                        session.reserved_bytes - session.spill_released_bytes
-                    )
-                self._finalize(session, status, finish)
-                released = True
-            else:
-                still_active.append((finish, session, status))
-        self._active = still_active
-        if released:
-            self._sample_queue()
-
-    def _finalize(self, session: Session, status: str, finish: float) -> None:
-        """Apply the terminal state and breaker observation at finish time."""
-        session.finished_at = finish
-        self.sessions.transition(session, _STATUS_TO_STATE[status])
-        self.breakers.observe(session.klass, status, finish)
-        self._observe_session(session, finish)
-        failure = session.failure or {}
-        if failure.get("kind") == "watchdog":
-            self.counters.inc("server.watchdog_cancels")
-        if (
-            session.checkpoint_dir is not None
-            and session.result is not None
-            and session.result.resilience is not None
-            and session.result.resilience.get("checkpoints_written", 0) > 0
-        ):
-            self.counters.inc("server.checkpointed_on_drain")
-        self._cleanup_spill_dir(session)
-
-    def _cleanup_spill_dir(self, session: Session) -> None:
-        """Remove a finished session's spill directory, if one remains.
-
-        The evaluation's own ``release_spill`` already deletes live
-        segments; what can survive it are quarantined torn files and the
-        directory itself — service-level state that must not outlive the
-        session.
-        """
-        if self.config.spill_root is None:
-            return
-        path = Path(self.config.spill_root) / session.id
-        if path.exists():
-            shutil.rmtree(path, ignore_errors=True)
-            self.counters.inc("server.spill_dirs_cleaned")
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def _sample_queue(self) -> None:
-        """One admission-timeline sample at the current service time.
-
-        Taken at every event that changes the admission picture (accepted
-        submit, admit, slot release), which in a discrete-event service
-        is exactly the set of instants where the series can change.
-        """
-        if not self.queue_timeline.enabled:
-            return
-        self.queue_timeline.sample(
-            self.clock.now(),
-            queue_depth=len(self._queue),
-            active=len(self._active),
-            reserved_bytes=self.admission.reserved_bytes,
-            spilled_bytes=sum(s.spilled_bytes for _, s, _ in self._active),
-        )
-
-    def _observe_session(self, session: Session, finish: float) -> None:
-        """Latency/queue-wait/rows distributions, per class and overall."""
-        if not self.histograms.enabled:
-            return
-        latency = max(0.0, finish - session.submitted_at)
-        started = session.started_at
-        queue_wait = max(0.0, started - session.submitted_at) if started is not None else 0.0
-        rows = 0
-        if session.result is not None:
-            rows = sum(session.result.sizes().values())
-        # Updates and point queries get their own latency families: their
-        # distributions (delta maintenance against a warm fixpoint; a
-        # demand-restricted cone, often a cache hit) are the headlines
-        # their benchmarks gate on, and folding either into
-        # full-evaluation latency would blur all three.
-        prefix = {
-            "update": "update.latency",
-            "point": "point.latency",
-        }.get(getattr(session.request, "kind", "query"), "latency")
-        for klass in (session.klass, "all"):
-            self.histograms.observe(f"{prefix}.{klass}", latency)
-            self.histograms.observe(f"queue_wait.{klass}", queue_wait)
-            self.histograms.observe(f"rows_served.{klass}", float(rows))
-            if session.spilled_bytes:
-                self.histograms.observe(
-                    f"spill_bytes.{klass}", float(session.spilled_bytes)
-                )
-
-    #: Version stamp of the ``metrics_snapshot`` document; the golden
-    #: schema test pins the key set, bump on any shape change. Version 4
-    #: added the ``wal`` durability section.
-    METRICS_SCHEMA_VERSION = 4
-
-    def metrics_snapshot(self) -> dict:
-        """Machine-readable telemetry export (histograms + timeline).
-
-        Deterministic on the service's simulated clock: two runs with the
-        same submission history produce byte-identical snapshots.
-        """
-        return {
-            "schema_version": self.METRICS_SCHEMA_VERSION,
-            "now": round(self.clock.now(), 6),
-            "telemetry": self.config.telemetry,
-            "histograms": self.histograms.snapshot(),
-            "queue_timeline": {
-                "samples": len(self.queue_timeline),
-                "max_queue_depth": self.queue_timeline.peak("queue_depth"),
-                "max_active": self.queue_timeline.peak("active"),
-                "max_reserved_bytes": self.queue_timeline.peak("reserved_bytes"),
-                "max_spilled_bytes": self.queue_timeline.peak("spilled_bytes"),
-                "series": self.queue_timeline.to_records(),
-            },
-            "counters": self.counters.snapshot(),
-            "session_counts": self.sessions.counts(),
-            "admission": self.admission.to_dict(),
-            "wal": {
-                "durable_views": len(self._durability),
-                "records": sum(
-                    d.wal.record_count for d in self._durability.values()
-                ),
-                "bytes": sum(
-                    d.wal.size_bytes for d in self._durability.values()
-                ),
-                "last_seqno": max(
-                    (d.wal.last_seqno for d in self._durability.values()),
-                    default=0,
-                ),
-            },
-        }
-
-    # -- isolated execution ------------------------------------------------------
-
-    def _execute(self, session: Session) -> None:
-        """Run one session's evaluation in its own failure domain."""
-        request: QueryRequest = session.request
-        session.started_at = self.clock.now()
-        self.sessions.transition(session, SessionState.RUNNING)
-        if request.kind == "update":
-            self._execute_update(session)
-            return
-        if request.kind == "point":
-            self._execute_point(session)
-            return
-        config = self._session_config(session)
-        engine = RecStep(config, token_factory=self._token_factory(session))
-        view = None
-        try:
-            if request.materialize:
-                view = engine.materialize(
-                    request.program, request.edb_data, dataset=request.dataset
-                )
-                result = view.result
-            else:
-                result = engine.evaluate(
-                    request.program, request.edb_data, dataset=request.dataset
-                )
-            status = result.status
-            session.result = result
-            session.failure = result.failure
-            duration = result.sim_seconds
-        except Exception as error:  # the isolation boundary: never propagate
-            status, session.failure = self._classify_failure(error)
-            duration = (
-                engine.last_database.sim_seconds
-                if engine.last_database is not None
-                else 0.0
-            )
-        self._note_spill(session)
-        finish = session.started_at + duration
-        if view is not None:
-            if view.status == "ready":
-                self._views[session.id] = view
-                self._view_busy_until[session.id] = finish
-                self.counters.inc("server.views_materialized")
-                self._persist_view(session, view)
-            else:
-                # A poisoned view still holds a kept-alive database;
-                # free it — only healthy fixpoints stay resident.
-                view.release()
-        self._active.append((finish, session, status))
-
-    def _persist_view(self, session: Session, view: MaterializedFixpoint) -> None:
-        """Write a just-materialized view's durable state under wal_root.
-
-        Base checkpoint + empty log + manifest (the manifest last — its
-        presence is the commit point). Persistence failures degrade the
-        view to memory-only rather than failing the session: the query
-        result is already correct, only the crash story is weaker.
-        """
-        if self.config.wal_root is None:
-            return
-        source = getattr(session.request.program, "source", None)
-        if source is None and isinstance(session.request.program, str):
-            source = session.request.program
-        if source is None:
-            # An AnalyzedProgram carries no re-parseable source; there is
-            # nothing recovery could rebuild the view from.
-            self.counters.inc("wal.persist_failures")
-            return
-        schemas = getattr(session.request.program, "edb_schemas", {}) or {}
-        manifest = {
-            "session_id": session.id,
-            "program": view.program,
-            "source": source,
-            "edb_schemas": {name: list(cols) for name, cols in schemas.items()},
-            "dataset": view.dataset,
-            "klass": session.klass,
-            "reserved_bytes": session.reserved_bytes,
-        }
-        try:
-            self._durability[session.id] = ViewDurability.create(
-                Path(self.config.wal_root) / session.id,
-                view,
-                manifest,
-                counters=self.counters,
-                injector=self._wal_injector,
-                retry=self._wal_retry,
-            )
-        except (OSError, WalError, CheckpointError):
-            self.counters.inc("wal.persist_failures")
-
-    @staticmethod
-    def _validate_update_batch(
-        view: MaterializedFixpoint, request: QueryRequest
-    ) -> dict | None:
-        """Reject malformed batches *before* anything is logged.
-
-        The WAL must only ever hold batches the view can apply: an
-        unknown relation or ragged rows would fault during replay too,
-        so they are bounced here with a structured failure and no log
-        entry.
-        """
-        for side, batch in (("inserts", request.inserts), ("deletes", request.deletes)):
-            for name, rows in (batch or {}).items():
-                if name not in view.analyzed.edb:
-                    return {
-                        "error": "BadBatch",
-                        "kind": "bad-batch",
-                        "message": f"{side} target {name!r} is not an EDB "
-                        f"relation of program {view.program!r}",
-                        "relation": name,
-                    }
-                try:
-                    np.asarray(rows, dtype=np.int64).reshape(
-                        -1, view.analyzed.arities[name]
-                    )
-                except (TypeError, ValueError) as error:
-                    return {
-                        "error": "BadBatch",
-                        "kind": "bad-batch",
-                        "message": f"{side} rows for {name!r} do not fit "
-                        f"arity {view.analyzed.arities[name]}: {error}",
-                        "relation": name,
-                    }
-        return None
-
-    def _execute_update(self, session: Session) -> None:
-        """Maintain a materialized fixpoint from one EDB delta batch.
-
-        The update serves head-of-line against its view: it cannot start
-        before the view's materialization (or the previous update against
-        it) has finished, so its effective interval is
-        ``[max(now, view_busy_until), ... + maintain's sim_seconds)``.
-
-        Against a durable view the batch is appended to the write-ahead
-        log *before* the view mutates; a batch whose ``batch_id`` was
-        already acknowledged is acked again without re-applying
-        (exactly-once for client retries).
-        """
-        request: QueryRequest = session.request
-        target = request.target_session
-        view = self._views.get(target) if target is not None else None
-        if view is None or view.status != "ready":
-            # Validated at submit time, but the view can fail to
-            # materialize, be poisoned, or be released while the update
-            # waited in the queue.
-            status = "fault"
-            session.failure = {
-                "error": "NoSuchView",
-                "message": f"no live materialized view for session {target!r}",
-                "kind": "no-such-view",
-            }
-            self._active.append((session.started_at, session, status))
-            return
-        start_effective = max(session.started_at, self._view_busy_until[target])
-        durability = self._durability.get(target)
-        batch_id = getattr(request, "batch_id", None)
-        if durability is not None and durability.is_duplicate(batch_id):
-            # Already acknowledged under this id (live or replayed):
-            # re-ack at zero cost, mutate nothing, log nothing.
-            self.counters.inc("wal.duplicate_batches")
-            result = MaintenanceResult(
-                engine=view.engine_name,
-                program=view.program,
-                dataset=request.dataset,
-                idb_sizes=view.sizes(),
-            )
-            session.result = result
-            self._active.append((start_effective, session, "ok"))
-            return
-        bad = self._validate_update_batch(view, request)
-        if bad is not None:
-            session.failure = bad
-            self._active.append((start_effective, session, "fault"))
-            return
-        seqno = None
-        if durability is not None:
-            try:
-                seqno = durability.log_update(
-                    request.inserts, request.deletes, batch_id
-                )
-                session.wal_seqno = seqno
-            except (FaultRetriesExhausted, WalError, OSError) as error:
-                # Write-ahead means exactly that: if the batch cannot be
-                # made durable it must not be applied. The view itself is
-                # untouched and keeps serving.
-                session.failure = self._wrap_failure(error)
-                session.failure["kind"] = "wal-append"
-                self._active.append((start_effective, session, "fault"))
-                return
-        token = self._token_factory(session)(view.database.metrics.clock)
-        result = view.maintain(request.inserts, request.deletes, token=token)
-        session.result = result
-        session.failure = result.failure
-        finish = start_effective + result.sim_seconds
-        self._view_busy_until[target] = finish
-        if result.status == "ok":
-            self.counters.inc("server.updates_applied")
-            if durability is not None and seqno is not None:
-                durability.note_applied(seqno)
-                if durability.should_compact(
-                    self.config.wal_compact_records,
-                    self.config.wal_compact_bytes,
-                ):
-                    durability.compact(view)
-        self._active.append((finish, session, result.status))
-
-    def _execute_point(self, session: Session) -> None:
+    def _answer_point(self, session: Session, tokens) -> tuple[float, float, str]:
         """Answer one point goal, serving repeats from the demand cache.
 
-        The cache is keyed by (program content, EDB fingerprint, goal
-        predicate, adornment, bound constants) and holds the
-        demand-restricted answer relation filtered by the bound constants
-        only, so repeated lookups with the same bindings but different
-        free-term patterns (wildcards, repeated variables) re-filter the
-        warm answers at zero evaluation cost instead of re-running the
-        fixpoint. Any EDB churn changes the fingerprint and misses.
+        The cache holds the demand-restricted answer relation filtered by
+        the bound constants only, so repeated lookups with the same
+        bindings but different free-term patterns (wildcards, repeated
+        variables) re-filter the warm answers at zero evaluation cost —
+        a hit settles at its start instant.
         """
         request: QueryRequest = session.request
-        plan = getattr(request, "point_plan", None)
-        if plan is None:
-            # Defensive: submission always plans; a request reaching here
-            # without a plan (hand-built session in tests) plans now.
-            overload = self._plan_point(request)
-            if overload is not None:
-                session.failure = {
-                    "error": "DatalogError",
-                    "kind": "bad-goal",
-                    **overload.detail,
-                }
-                self._active.append((session.started_at, session, "fault"))
-                return
-            plan = request.point_plan
+        plan = request.point_plan
         goal: dast.Atom = plan["goal"]
         self.counters.inc("server.point_queries")
         cached = self._demand_cache.get(plan["cache_key"])
@@ -843,269 +387,33 @@ class QueryService:
                 program=plan["program_name"],
                 dataset=request.dataset,
             )
-            result.tuples = {
-                goal.predicate: filter_answers(cached["answers"], goal)
-            }
-            result.detail.update(cached["detail"])
-            result.detail["answer_rows"] = float(
-                len(result.tuples[goal.predicate])
-            )
-            result.detail["point_cache_hit"] = 1.0
-            session.result = result
-            # A hit costs no evaluation: the session settles at its start
-            # instant.
-            self._active.append((session.started_at, session, "ok"))
-            return
-        self.counters.inc("server.point_cache_misses")
-        config = self._session_config(session)
-        engine = RecStep(config, token_factory=self._token_factory(session))
-        try:
+            answers = cached["answers"]
+            result.detail.update(cached["detail"], point_cache_hit=1.0)
+        else:
+            self.counters.inc("server.point_cache_misses")
+            engine = RecStep(self._session_config(session), token_factory=tokens)
             result = engine.answer(
-                request.program,
+                plan["analyzed"],
                 plan["canonical"],
                 request.edb_data,
                 dataset=request.dataset,
                 rewrite=plan["rewrite"],
             )
-            status = result.status
-            session.result = result
-            session.failure = result.failure
-            duration = result.sim_seconds
-            if status == "ok":
-                canonical_answers = result.tuples[goal.predicate]
-                self._demand_cache[plan["cache_key"]] = {
-                    "answers": canonical_answers,
-                    "detail": {
-                        key: value
-                        for key, value in result.detail.items()
-                        if key.startswith("magic_")
-                    },
-                }
-                result.tuples = {
-                    goal.predicate: filter_answers(canonical_answers, goal)
-                }
-                result.detail["answer_rows"] = float(
-                    len(result.tuples[goal.predicate])
-                )
-                result.detail["point_cache_hit"] = 0.0
-        except Exception as error:  # the isolation boundary: never propagate
-            status, session.failure = self._classify_failure(error)
-            duration = (
-                engine.last_database.sim_seconds
-                if engine.last_database is not None
-                else 0.0
-            )
-        self._note_spill(session)
-        self._active.append((session.started_at + duration, session, status))
-
-    def _note_spill(self, session: Session) -> None:
-        """Account a finished evaluation's spill tier against admission.
-
-        Bytes the evaluation degraded to disk were never resident at
-        peak: that slice of the session's reservation is returned to the
-        admission pool immediately (the slot itself stays occupied until
-        the finish time), so spilling frees headroom for queued work
-        instead of holding phantom memory.
-        """
-        result = session.result
-        recap = getattr(result, "resilience", None) or {}
-        spilled = int((recap.get("spill") or {}).get("peak_spilled_bytes", 0))
-        if spilled <= 0:
-            return
-        session.spilled_bytes = spilled
-        released = min(session.reserved_bytes, spilled)
-        if released:
-            session.spill_released_bytes = released
-            self.admission.release(released)
-            self.counters.inc("server.spill_released_bytes", released)
-
-    def _session_config(self, session: Session) -> RecStepConfig:
-        request: QueryRequest = session.request
-        overrides: dict = {"memory_budget": session.reserved_bytes}
-        for knob in ("deadline", "max_iterations", "max_total_rows"):
-            value = getattr(request, knob)
-            if value is not None:
-                overrides[knob] = value
-        if self.config.spill_root is not None:
-            # Per-session spill directory: spilled segments are part of
-            # the session's failure domain, cleaned with the session.
-            overrides["spill_dir"] = str(
-                Path(self.config.spill_root) / session.id
-            )
-            # The spill rung lives on the degradation ladder.
-            overrides["degradation"] = True
-        if self.draining and self._drain_checkpoint_dir is not None:
-            # Drain contract: bound the remaining work and leave a
-            # resumable snapshot if the bound fires first.
-            directory = str(Path(self._drain_checkpoint_dir) / session.id)
-            overrides["checkpoint_dir"] = directory
-            overrides["checkpoint_every"] = 1
-            grace = self.config.drain_grace_seconds
-            current = overrides.get("deadline")
-            overrides["deadline"] = grace if current is None else min(current, grace)
-            session.checkpoint_dir = directory
-        return replace(self.engine_config, **overrides)
-
-    def _token_factory(self, session: Session):
-        stall = self.config.watchdog_stall_timeout
-
-        def factory(clock):
-            def heartbeat(now: float, context: dict) -> None:
-                session.heartbeats += 1
-                session.last_heartbeat = now
-                session.last_position = {
-                    key: context[key]
-                    for key in ("stratum", "iteration")
-                    if key in context
-                }
-
-            if stall is None:
-                # No watchdog: still mirror progress via a passive token.
-                token = _ProgressToken(heartbeat)
-            else:
-                token = WatchdogToken(clock, stall, on_heartbeat=heartbeat)
-            return token
-
-        return factory
-
-    @staticmethod
-    def _wrap_failure(error: Exception) -> dict:
-        to_dict = getattr(error, "to_dict", None)
-        if callable(to_dict):
-            doc = to_dict()
-        else:
-            doc = {"error": type(error).__name__, "message": str(error)}
-        doc.setdefault("kind", "internal")
-        return doc
-
-    #: Evaluation-control exceptions the isolation boundaries must map to
-    #: their structured statuses instead of collapsing into generic
-    #: ``fault``/``kind="internal"`` — the same taxonomy RecStep.evaluate
-    #: applies inside the interpreter.
-    _CONTROL_STATUSES = (
-        (OutOfMemoryError, "oom"),
-        (EvaluationTimeout, "timeout"),
-        (DivergenceGuardTripped, "guard"),
-        (FaultRetriesExhausted, "fault"),
-        (SpillError, "storage"),
-    )
-
-    @classmethod
-    def _classify_failure(cls, error: Exception) -> tuple[str, dict]:
-        """Map an escaped exception to ``(status, failure_doc)``.
-
-        Cancellation (client deadline, watchdog, drain grace), divergence
-        guards, OOM, and the other evaluation-control classes normally
-        surface as result *statuses*; if one escapes the interpreter
-        (raised outside the guarded fixpoint loop) the isolation boundary
-        must still classify it — a watchdog cancel is ``CANCELLED`` with
-        ``kind="watchdog"``, a tripped guard is ``guard``, never a
-        generic ``FAILED``/``internal``.
-        """
-        if isinstance(error, EvaluationCancelled):
-            reason = error.context.get("reason", "cancelled")
-            status = "deadline" if reason == "deadline" else "cancelled"
-            doc = error.to_dict()
-            doc.setdefault("kind", reason)
-            return status, doc
-        for klass, status in cls._CONTROL_STATUSES:
-            if isinstance(error, klass):
-                doc = error.to_dict()
-                doc.setdefault("kind", doc.get("reason", status))
-                return status, doc
-        return "fault", cls._wrap_failure(error)
-
-    # -- drain and reporting -----------------------------------------------------
-
-    def drain(self, checkpoint_dir: str | None = None) -> dict:
-        """Stop admitting, settle in-flight work, return a shutdown report.
-
-        With ``checkpoint_dir``, queued sessions still run — each under
-        the drain grace deadline with per-session checkpointing into
-        ``checkpoint_dir/<session-id>`` — so long-running work leaves a
-        resumable snapshot (state CANCELLED) while short work finishes
-        (DONE). Without it, queued sessions are shed immediately;
-        running ones are always allowed to finish.
-        """
-        self.draining = True
-        self._drain_checkpoint_dir = checkpoint_dir
-        if checkpoint_dir is None:
-            while self._queue:
-                session = self._queue.popleft()
-                self._shed(session, "drain")
-        self.flush()
-        # No view survives a drain: release every warm fixpoint (and its
-        # standing memory reservation) once in-flight work has settled.
-        for session_id in list(self._views):
-            self.release_view(session_id)
-        self._sweep_spill_root()
-        report = self.report()
-        report["drained"] = True
-        report["drain_checkpoint_dir"] = checkpoint_dir
-        return report
-
-    def _sweep_spill_root(self) -> None:
-        """Drain-time backstop: no spill state survives the shutdown."""
-        root = self.config.spill_root
-        if root is None or not Path(root).exists():
-            return
-        for child in Path(root).iterdir():
-            if child.is_dir():
-                shutil.rmtree(child, ignore_errors=True)
-                self.counters.inc("server.spill_dirs_cleaned")
-
-    def _shed(self, session: Session, reason: str) -> None:
-        if session.pending_reservation:
-            # Still queued with a priced quota: give the promised bytes
-            # back immediately so they stop pricing out real work.
-            self.admission.release_pending(session.reserved_bytes)
-            session.pending_reservation = False
-        self.sessions.transition(session, SessionState.SHED)
-        session.finished_at = self.clock.now()
-        session.failure = {
-            "error": "SessionShed",
-            "message": f"session shed: {reason}",
-            "kind": "shed",
-            "reason": reason,
-        }
-        self.counters.inc("server.shed")
-        # A shed probe must give its half-open slot back.
-        self.breakers.observe(session.klass, "shed", self.clock.now())
-
-    def cancel(self, session_id: str) -> dict:
-        """Cancel a queued session (running ones settle at their boundary)."""
-        session = self.sessions.get(session_id)
-        if session.state is SessionState.QUEUED:
-            self._queue.remove(session)
-            self._shed(session, "cancelled-by-client")
-            self._sample_queue()
-        return session.to_dict()
-
-    def release_view(self, session_id: str) -> dict:
-        """Release a materialized fixpoint and its standing reservation.
-
-        The view's *disk* state (base checkpoint + log under wal_root)
-        deliberately survives: releasing frees memory, it does not forget
-        acknowledged updates — a later :meth:`recover` can still rebuild
-        the view. Only the in-memory durability handle is dropped.
-        """
-        view = self._views.pop(session_id, None)
-        if view is None:
-            raise SessionError(f"no materialized view for session {session_id!r}")
-        self._view_busy_until.pop(session_id, None)
-        self._durability.pop(session_id, None)
-        session = self.sessions.get(session_id)
-        view.release()
-        if not any(s is session for _, s, _ in self._active):
-            # Still-active view sessions keep their slot until the clock
-            # passes their finish; _release_due no longer sees the view
-            # and releases the reservation then.
-            self.admission.release(
-                session.reserved_bytes - session.spill_released_bytes
-            )
-        self.counters.inc("server.views_released")
-        self._sample_queue()
-        return session.to_dict()
+            if result.status != "ok":
+                return self._served(session, result)
+            answers = result.tuples[goal.predicate]
+            self._demand_cache[plan["cache_key"]] = {
+                "answers": answers,
+                "detail": {
+                    key: value
+                    for key, value in result.detail.items()
+                    if key.startswith("magic_")
+                },
+            }
+            result.detail["point_cache_hit"] = 0.0
+        result.tuples = {goal.predicate: filter_answers(answers, goal)}
+        result.detail["answer_rows"] = float(len(result.tuples[goal.predicate]))
+        return self._served(session, result)
 
     # -- crash recovery ----------------------------------------------------------
 
@@ -1113,7 +421,7 @@ class QueryService:
         """Rebuild durable views from ``root`` (default: the wal_root).
 
         For every committed view directory: load the latest valid base
-        checkpoint, re-materialize from it (the checkpoint carries the
+        checkpoint, open the view from it (the checkpoint carries the
         EDB, so recovery is self-contained), and replay the write-ahead
         log's unfolded tail through ``maintain()``. Views whose state is
         unrecoverable — unreadable manifest, no valid base, a log with no
@@ -1144,31 +452,26 @@ class QueryService:
 
     def _recover_view(self, directory: Path) -> dict:
         """Recover one durable view directory; never raises."""
-        from repro.resilience.wal import MANIFEST_NAME
-
         if not (directory / MANIFEST_NAME).exists():
             # Crash mid-create: the manifest is written last, so this
             # directory was never durably committed — nothing was ever
             # acknowledged from it, and there is nothing to recover.
             return {"ok": False, "kind": "incomplete-creation"}
+        base_dir = directory / BASE_DIR_NAME
+        unread = "manifest"
         try:
             manifest = ViewDurability.read_manifest(directory)
-        except WalError as error:
-            return self._quarantine_view(directory, "manifest-unreadable", error)
-        base_dir = directory / BASE_DIR_NAME
-        try:
+            unread = "base"
             state = CheckpointManager.load(base_dir, counters=self.counters)
-        except CheckpointError as error:
-            return self._quarantine_view(directory, "base-unreadable", error)
-        try:
+            unread = "wal"
             wal = WriteAheadLog.open(
                 directory / WAL_NAME,
                 counters=self.counters,
                 injector=self._wal_injector,
                 retry=self._wal_retry,
             )
-        except WalError as error:
-            return self._quarantine_view(directory, "wal-unreadable", error)
+        except (WalError, CheckpointError) as error:
+            return self._quarantine_view(directory, f"{unread}-unreadable", error)
         edb = {
             key.partition(":")[2]: rows
             for key, rows in state.tables.items()
@@ -1203,40 +506,30 @@ class QueryService:
                 "requested_bytes": quota,
                 "reserved_bytes": self.admission.reserved_bytes,
             }
+        # The request the view was materialized under; it runs now.
         now = self.clock.now()
-        request = QueryRequest(
-            program=spec,
-            edb_data=edb,
-            dataset=str(manifest.get("dataset", "recovered")),
-            klass=str(manifest.get("klass", "")) or spec.name,
-            memory_quota=quota,
-            materialize=True,
+        session = self.sessions.create(
+            QueryRequest(
+                program=spec,
+                edb_data=edb,
+                dataset=str(manifest.get("dataset", "recovered")),
+                klass=str(manifest.get("klass", "")) or spec.name,
+                memory_quota=quota,
+                materialize=True,
+            ),
+            now,
         )
-        session = self.sessions.create(request, now)
         session.reserved_bytes = quota
         session.recovered = True
-        self.sessions.transition(session, SessionState.ADMITTED)
-        session.admitted_at = now
-        self.sessions.transition(session, SessionState.RUNNING)
-        session.started_at = now
-        config = replace(self._session_config(session), resume_from=str(base_dir))
-        engine = RecStep(config, token_factory=self._token_factory(session))
-        view = None
-        rebuild_status = "fault"
-        try:
-            view = engine.materialize(spec, edb, dataset=request.dataset)
-        except Exception as error:  # isolation boundary, as in _execute
-            rebuild_status, session.failure = self._classify_failure(error)
-        if view is None or view.status != "ready":
-            if view is not None:
-                rebuild_status = view.result.status
-                session.failure = view.result.failure or session.failure
-                view.release()
+        self._begin(session)
+        _, rebuilt, status = self._isolated(
+            session, self._open_view, resume_state=state
+        )
+        view = self._views.get(session.id)
+        if view is None:
             self.admission.release(quota)
-            session.finished_at = now
-            terminal = _STATUS_TO_STATE.get(rebuild_status, SessionState.FAILED)
-            self.sessions.transition(session, terminal)
-            if terminal is SessionState.CANCELLED:
+            self._settle(session, terminal_state(status), now)
+            if session.state is SessionState.CANCELLED:
                 # A cancelled rebuild (watchdog stall, deadline) is
                 # transient, not corruption: quarantining would discard
                 # durable state a later, calmer recover() could rebuild —
@@ -1251,7 +544,7 @@ class QueryService:
                 "rebuild-failed",
                 session.failure or {"error": "RebuildFailed"},
             )
-        rebuild_sim = max(0.0, view.result.sim_seconds - state.sim_seconds)
+        tokens = SessionTokens(session, self.config.watchdog_stall_timeout)
         replayed = skipped = 0
         replay_sim = 0.0
         last_applied = state.wal_seqno
@@ -1262,34 +555,35 @@ class QueryService:
                 skipped += 1
                 self.counters.inc("recovery.batches_skipped")
                 continue
-            token = self._token_factory(session)(view.database.metrics.clock)
-            result = view.maintain(record.inserts, record.deletes, token=token)
+            result = view.maintain(
+                record.inserts,
+                record.deletes,
+                token=tokens(view.database.metrics.clock),
+            )
             if result.status == "ok":
                 replayed += 1
                 replay_sim += result.sim_seconds
                 last_applied = record.seqno
                 self.counters.inc("recovery.batches_replayed")
-            elif view.status == "ready":
-                # Validation-class failure: the view is still exact, the
-                # record simply cannot apply (it shouldn't have been
-                # logged; tolerate rather than lose the healthy view).
-                continue
-            else:
+            elif view.status != "ready":
+                del self._views[session.id], self._view_busy_until[session.id]
                 view.release()
                 self.admission.release(quota)
                 session.failure = result.failure
-                session.finished_at = now
-                self.sessions.transition(session, SessionState.FAILED)
+                self._settle(session, SessionState.FAILED, now)
                 return self._quarantine_view(
                     directory, "replay-poisoned", result.failure or {}
                 )
-        latency = rebuild_sim + replay_sim
+            # else a validation-class failure: the view is still exact,
+            # the record simply cannot apply (it shouldn't have been
+            # logged; tolerate rather than lose the healthy view).
+        # The restore fast-forwards the view's clock to the base's; only
+        # what the rebuild added on top is this recovery's latency.
+        latency = max(0.0, rebuilt - state.sim_seconds) + replay_sim
         finish = now + latency
-        session.result = view.result
+        view.result.idb_sizes = view.sizes()  # post-replay, not the base's
         session.wal_seqno = last_applied
-        session.finished_at = finish
-        self.sessions.transition(session, SessionState.DONE)
-        self._views[session.id] = view
+        self._settle(session, SessionState.DONE, finish)
         self._view_busy_until[session.id] = finish
         self._durability[session.id] = ViewDurability(
             directory,
@@ -1338,36 +632,3 @@ class QueryService:
             "quarantined_to": str(target),
             "detail": detail,
         }
-
-    def status(self, session_id: str) -> dict:
-        return self.sessions.get(session_id).to_dict()
-
-    def report(self) -> dict:
-        """Machine-readable service snapshot (also the shutdown report)."""
-        return {
-            "now": round(self.clock.now(), 6),
-            "draining": self.draining,
-            "session_counts": self.sessions.counts(),
-            "spilled_bytes_total": sum(
-                s.spilled_bytes for s in self.sessions.all()
-            ),
-            "sessions": [s.to_dict() for s in self.sessions.all()],
-            "queue_depth": len(self._queue),
-            "active": len(self._active),
-            "admission": self.admission.to_dict(),
-            "breakers": self.breakers.to_dict(),
-            "counters": self.counters.snapshot(),
-            "metrics": self.metrics_snapshot(),
-        }
-
-
-class _ProgressToken:
-    """A passive token: mirrors heartbeats, never cancels."""
-
-    cancelled = False
-
-    def __init__(self, on_heartbeat) -> None:
-        self._on_heartbeat = on_heartbeat
-
-    def check(self, **context) -> None:
-        self._on_heartbeat(None, context)

@@ -188,9 +188,6 @@ class SessionManager:
     def all(self) -> list[Session]:
         return list(self._sessions.values())
 
-    def in_state(self, *states: SessionState) -> list[Session]:
-        return [s for s in self._sessions.values() if s.state in states]
-
     def counts(self) -> dict[str, int]:
         """Sessions per state (for reports)."""
         counts: dict[str, int] = {}

@@ -1,0 +1,254 @@
+"""One way to run a program: the shared path under evaluate / answer /
+materialize / recover, its one failure taxonomy, and the module seam
+between the scheduler and the Datalog-aware handlers.
+
+* the taxonomy table is the contract: every control exception maps to
+  one (status, ``kind``, poisons?, session state, exit code), and the
+  three places an exception becomes an outcome — inside ``evaluate``,
+  inside ``maintain``, at the service's isolation boundary — agree;
+* ``repro.server.scheduler`` imports nothing from ``repro.core`` or
+  ``repro.datalog``;
+* config surfaces have a budget, so knobs cannot creep back unreviewed;
+* recovery opens its view without a tuple-set read-out and reports the
+  post-replay sizes;
+* a point request resolves its program once, and the EDB is only
+  fingerprinted where the digest is stamped.
+"""
+
+from __future__ import annotations
+
+import ast
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.cli import exit_code_for
+from repro.common import errors
+from repro.common.errors import (
+    CONTROL_ERRORS,
+    STATUS_OUTCOMES,
+    DatalogError,
+    DivergenceGuardTripped,
+    EvaluationCancelled,
+    EvaluationTimeout,
+    FaultRetriesExhausted,
+    OutOfMemoryError,
+    SpillError,
+    classify_failure,
+)
+from repro.core import PbmeMode, RecStep, RecStepConfig
+from repro.core.interpreter import SemiNaiveInterpreter
+from repro.core.ivm import MaintenanceRun
+from repro.programs import get_program
+from repro.programs.library import ProgramSpec
+from repro.server import QueryRequest, QueryService, ServerConfig, SessionState
+from repro.server.scheduler import terminal_state
+
+RELATIONAL = dict(pbme=PbmeMode.OFF)
+TC = get_program("TC")
+
+
+def path_arcs(n: int) -> np.ndarray:
+    return np.array([[i, i + 1] for i in range(n)], dtype=np.int64)
+
+
+#: (make error, status, kind, poisons a view?, session state, exit code)
+TAXONOMY = [
+    (lambda: OutOfMemoryError("m"), "oom", "oom", True, "failed", 1),
+    (lambda: EvaluationTimeout("t"), "timeout", "timeout", True, "failed", 1),
+    (
+        lambda: EvaluationCancelled("d", reason="deadline"),
+        "deadline", "deadline", True, "cancelled", 3,
+    ),
+    (
+        lambda: EvaluationCancelled("w", reason="watchdog", kind="watchdog"),
+        "cancelled", "watchdog", True, "cancelled", 1,
+    ),
+    (lambda: EvaluationCancelled("c"), "cancelled", "cancelled", True, "cancelled", 1),
+    (
+        lambda: DivergenceGuardTripped("g", kind="max_iterations"),
+        "guard", "max_iterations", True, "failed", 3,
+    ),
+    (lambda: FaultRetriesExhausted("f"), "fault", "fault", True, "failed", 1),
+    (lambda: SpillError("s"), "storage", "storage", True, "failed", 1),
+    (lambda: DatalogError("v"), "fault", "fault", False, "failed", 1),
+    (lambda: RuntimeError("?"), "fault", "internal", False, "failed", 1),
+]  # fmt: skip
+IDS = [f"{make().__class__.__name__}-{kind}" for make, _, kind, *_ in TAXONOMY]
+
+
+class TestTaxonomy:
+    @pytest.mark.parametrize("make,status,kind,poisons,state,code", TAXONOMY, ids=IDS)
+    def test_table(self, make, status, kind, poisons, state, code):
+        got_status, doc, got_poisons = classify_failure(make(), stratum=2)
+        assert (got_status, doc["kind"], got_poisons) == (status, kind, poisons)
+        assert doc["error"] == type(make()).__name__
+        assert STATUS_OUTCOMES[status] == (state, code)
+        assert terminal_state(status) is SessionState(state)
+        assert exit_code_for(status) == code
+        # Only structured errors carry the loop position.
+        assert ("stratum" in doc) == isinstance(make(), errors.RecStepError)
+
+    def test_control_errors_are_the_poisoning_classes(self):
+        poisoning = {type(make()) for make, *_, poisons, _, _ in TAXONOMY if poisons}
+        assert set(CONTROL_ERRORS) == poisoning
+
+    def test_statuses_outside_the_table_are_hard_failures(self):
+        assert terminal_state("unsupported") is SessionState.FAILED
+        assert exit_code_for("unsupported") == 1
+
+    @pytest.mark.parametrize(
+        "make,status,kind,state",
+        [(make, status, kind, state) for make, status, kind, poisons, state, _ in TAXONOMY if poisons],
+        ids=[label for label, row in zip(IDS, TAXONOMY) if row[3]],
+    )  # fmt: skip
+    def test_evaluate_maintain_and_service_agree(
+        self, monkeypatch, make, status, kind, state
+    ):
+        def explode(*args, **kwargs):
+            raise make()
+
+        edb = {"arc": path_arcs(6)}
+        engine = RecStep(RecStepConfig(**RELATIONAL))
+        view = engine.materialize(TC, edb)
+        assert view.status == "ready"
+        with monkeypatch.context() as patch:
+            patch.setattr(SemiNaiveInterpreter, "run", explode)
+            evaluated = engine.evaluate(TC, edb)
+        with monkeypatch.context() as patch:
+            patch.setattr(MaintenanceRun, "run", explode)
+            maintained = view.maintain({"arc": np.array([[9, 10]])})
+        assert view.status == "poisoned"
+        with monkeypatch.context() as patch:
+            patch.setattr(RecStep, "evaluate", explode)
+            service = QueryService(
+                ServerConfig(), engine_config=RecStepConfig(**RELATIONAL)
+            )
+            ack = service.submit(QueryRequest(program=TC, edb_data=edb))
+            service.flush()
+        session = service.sessions.get(ack["session_id"])
+        for result in (evaluated, maintained):
+            assert (result.status, result.failure["kind"]) == (status, kind)
+        assert (session.state, session.failure["kind"]) == (SessionState(state), kind)
+
+
+class TestModuleSeam:
+    def test_scheduler_imports_no_datalog(self):
+        import repro.server.scheduler as scheduler
+
+        tree = ast.parse(Path(scheduler.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        leaks = {
+            name
+            for name in imported
+            if name.startswith(("repro.core", "repro.datalog"))
+        }
+        assert not leaks, f"scheduler must not know Datalog: {sorted(leaks)}"
+
+    def test_config_surface_budget(self):
+        # Raising a bound is a reviewed decision: a new knob needs two
+        # callers that set it differently (see the knob audit in CHANGES.md).
+        assert len(fields(RecStepConfig)) <= 25
+        assert len(fields(ServerConfig)) <= 12
+
+
+class TestRecoveryOpensWithoutReadout:
+    def test_sizes_are_post_replay_and_no_tuple_sets_are_built(
+        self, tmp_path, monkeypatch
+    ):
+        def service():
+            return QueryService(
+                ServerConfig(wal_root=str(tmp_path)),
+                engine_config=RecStepConfig(**RELATIONAL),
+            )
+
+        live = service()
+        ack = live.submit(
+            QueryRequest(program=TC, edb_data={"arc": path_arcs(5)}, materialize=True)
+        )
+        live.flush()
+        base_sizes = live.sessions.get(ack["session_id"]).to_dict()["sizes"]
+        live.submit(
+            QueryRequest(
+                program=TC, edb_data={}, kind="update",
+                target_session=ack["session_id"],
+                inserts={"arc": np.array([[5, 6], [6, 7]])},
+            )
+        )  # fmt: skip
+        live.flush()
+        live.drain()
+
+        def no_readout(rows):
+            raise AssertionError("recovery read the fixpoint out as tuple sets")
+
+        recovered = service()
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.core.recstep.rows_to_set", no_readout)
+            report = recovered.recover()
+        (doc,) = report["recovered"].values()
+        assert doc["records_replayed"] == 1
+        session = recovered.sessions.get(doc["session_id"])
+        view = recovered._views[doc["session_id"]]
+        expected = RecStep(RecStepConfig(**RELATIONAL)).evaluate(
+            TC, {"arc": path_arcs(7)}
+        )
+        assert session.to_dict()["sizes"] == view.sizes() == expected.sizes()
+        assert session.to_dict()["sizes"] != base_sizes
+        assert session.result.tuples == {}
+        assert view.fixpoint() == expected.tuples
+
+
+class TestWorkDoneOnce:
+    def test_point_request_parses_its_program_once(self, monkeypatch):
+        parses = []
+        parse = ProgramSpec.parse
+        monkeypatch.setattr(
+            ProgramSpec, "parse", lambda self: parses.append(self.name) or parse(self)
+        )
+        service = QueryService(ServerConfig(), engine_config=RecStepConfig(**RELATIONAL))
+        ack = service.submit(
+            QueryRequest(
+                program=TC, edb_data={"arc": path_arcs(6)}, kind="point", goal="tc(0, x)"
+            )
+        )
+        service.flush()
+        session = service.sessions.get(ack["session_id"])
+        assert session.result.tuples["tc"] == {(0, i) for i in range(1, 7)}
+        assert parses == ["TC"]
+
+    def test_edb_is_fingerprinted_only_where_the_digest_is_stamped(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.resilience import checkpoint
+
+        calls = []
+        real = checkpoint.edb_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in ("repro.core.interpreter", "repro.core.recstep"):
+            monkeypatch.setattr(f"{module}.edb_fingerprint", counting)
+        edb = {"arc": path_arcs(6)}
+        view = RecStep(RecStepConfig(**RELATIONAL)).materialize(TC, edb)
+        assert view.maintain({"arc": np.array([[6, 7]])}).status == "ok"
+        assert calls == []  # no checkpoint, no base, no resume: no digest
+        state = view.snapshot_state()
+        assert calls == [1]
+        assert state.edb_fingerprint == real({"arc": path_arcs(7)})
+        view.release()
+        checkpointed = RecStep(
+            RecStepConfig(**RELATIONAL, checkpoint_dir=str(tmp_path))
+        ).evaluate(TC, edb)
+        assert checkpointed.status == "ok"
+        assert calls == [1, 1]  # once per run, however many checkpoints
+        loaded = checkpoint.CheckpointManager.load(tmp_path)
+        assert loaded.edb_fingerprint == real(edb)
