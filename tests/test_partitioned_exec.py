@@ -17,8 +17,10 @@ Acceptance criteria covered here:
 import numpy as np
 import pytest
 
+from repro.analysis.harness import prepare_edb
 from repro.core import PbmeMode, RecStep, RecStepConfig
-from repro.datasets import load_dataset
+from repro.core.config import OofMode
+from repro.datasets.gnp import gnp_graph
 from repro.engine import kernels
 from repro.engine.database import Database
 from repro.engine.executor import COST_DEDUP_FAST, ParallelCostModel
@@ -138,23 +140,145 @@ SIM_CLOCK_PINS = [
     }),
 ]
 
+#: Rows recorded at 64e1f91, before the cost model moved into one module:
+#: one per switch that refactor moves code for. They carry a fifth field —
+#: every ``dedup_*`` / ``dsd_*`` / ``hash_*`` / ``degradation*`` counter
+#: and, under ``"taken"``, the run's ``degradations_taken`` list.
+_AA5 = {"dedup_calls": 24, "dedup_input_rows": 817794, "dedup_output_rows": 155168}
+_AA5_HASH = {"hash_build_rows": 89092, "hash_probe_rows": 3207245, "hash_tables_built": 198}
+_AA5_NO_CACHE_HASH = {"hash_build_rows": 97404, "hash_probe_rows": 3218109, "hash_tables_built": 212}
+_AA5_TIGHT_HASH = {"hash_build_rows": 97404, "hash_probe_rows": 3218109, "hash_tables_built": 210}
+_AA5_DEFAULT = {**_AA5, **_AA5_HASH, "dedup_fast_path": 24, "dsd_opsd_choices": 24}
+_AA5_GENERIC = {**_AA5, **_AA5_HASH, "dedup_generic_path": 24, "dsd_opsd_choices": 24}
+_AA5_DSD = {**_AA5, **_AA5_NO_CACHE_HASH, "dedup_fast_path": 24, "dsd_opsd_choices": 9, "dsd_tpsd_choices": 15}
+_AA5_OPSD = {**_AA5, **_AA5_NO_CACHE_HASH, "dedup_fast_path": 24, "dsd_opsd_choices": 24}
+_AA5_STALE = {**_AA5, "dedup_fast_path": 24, "dsd_opsd_choices": 24, "hash_build_rows": 125642, "hash_probe_rows": 3223114, "hash_tables_built": 198}
+_AA5_TIGHT = {**_AA5, **_AA5_TIGHT_HASH, "dedup_fast_path": 14, "dedup_lean_path": 10, "degradation_lean_dedup": 10, "degradation_shed_join_cache": 1}
+_SPILL = {
+    "dedup_calls": 301, "dedup_fast_path": 126, "dedup_input_rows": 90300, "dedup_lean_path": 175,
+    "dedup_output_rows": 90300, "degradation_force_tpsd": 28, "degradation_lean_dedup": 175,
+    "degradation_shed_join_cache": 1, "degradation_spill_cold_tables": 2, "dsd_opsd_choices": 26,
+    "dsd_tpsd_choices": 275, "hash_build_rows": 52500, "hash_probe_rows": 90300, "hash_tables_built": 176,
+}
+_CC = {"dedup_calls": 1, "dedup_fast_path": 1, "dedup_input_rows": 500, "dedup_output_rows": 4, "dsd_opsd_choices": 1, "hash_build_rows": 2119, "hash_probe_rows": 20456, "hash_tables_built": 8}
+_SSSP = {"hash_build_rows": 1144, "hash_probe_rows": 33241, "hash_tables_built": 13}
+_NTC = {"dedup_calls": 2, "dedup_fast_path": 2, "dedup_input_rows": 7111, "dedup_output_rows": 2497, "dsd_opsd_choices": 2, "hash_build_rows": 248003, "hash_probe_rows": 250000, "hash_tables_built": 1}
+SIM_CLOCK_PINS += [
+    ("AA", "andersen-5", dict(fast_dedup=False), {
+        True: (1.5750424938961753, 10450848, 24, {"partition.join_runs": 160, "partition.scatter_rows": 1296988}, _AA5_GENERIC),
+        False: (1.7467841119171605, 10450848, 24, {}, _AA5_GENERIC),
+    }),
+    ("AA", "andersen-5", dict(eost=False), {
+        True: (1.5625415217074239, 7773712, 24, {"partition.dedup_runs": 24, "partition.join_runs": 160, "partition.scatter_rows": 2114782}, _AA5_DEFAULT),
+        False: (1.7439378653200335, 5096576, 24, {}, _AA5_DEFAULT),
+    }),
+    # DSD picks TPSD 15 times here; with the cache on it never does.
+    ("AA", "andersen-5", dict(join_cache=False), {
+        True: (1.5445487789918273, 7184512, 24, {
+            "partition.dedup_runs": 24, "partition.join_runs": 172, "partition.scatter_rows": 2908859,
+            "partition.setdiff_opsd": 8, "partition.setdiff_runs": 34,
+            "partition.setdiff_tpsd_intersect": 12, "partition.setdiff_tpsd_subtract": 14,
+        }, _AA5_DSD),
+        False: (1.7260169664404854, 4507376, 24, {}, _AA5_DSD),
+    }),
+    ("AA", "andersen-5", dict(dsd=False, join_cache=False), {
+        True: (1.542389658944324, 7184512, 24, {
+            "partition.dedup_runs": 24, "partition.join_runs": 172, "partition.scatter_rows": 2889778,
+            "partition.setdiff_opsd": 21, "partition.setdiff_runs": 21,
+        }, _AA5_OPSD),
+        False: (1.710463990558132, 4507376, 24, {}, _AA5_OPSD),
+    }),
+    # Stale statistics: dedup chain factors other than 1.
+    ("AA", "andersen-5", dict(oof=OofMode.NA), {
+        True: (1.5635772089873234, 7773712, 24, {"partition.dedup_runs": 24, "partition.join_runs": 159, "partition.scatter_rows": 2096170}, _AA5_STALE),
+        False: (1.8369375776809562, 5096576, 24, {}, _AA5_STALE),
+    }),
+    # One thread never partitions, yet on/off differ in the last digit:
+    # index passes split into min(256, rows) chunks, not into blocks.
+    ("AA", "andersen-5", dict(threads=1), {
+        True: (3.945235746666656, 5096576, 24, {}, _AA5_DEFAULT),
+        False: (3.9452357466666563, 5096576, 24, {}, _AA5_DEFAULT),
+    }),
+    ("AA", "andersen-5", dict(threads=7), {
+        True: (1.741730182958528, 5096576, 24, {"partition.dedup_runs": 15, "partition.join_runs": 149, "partition.scatter_rows": 1020625}, _AA5_DEFAULT),
+        False: (1.8728541882314937, 5096576, 24, {}, _AA5_DEFAULT),
+    }),
+    ("AA", "andersen-5", dict(threads=40), {
+        True: (1.4798761179823863, 7773712, 24, {"partition.dedup_runs": 24, "partition.join_runs": 167, "partition.scatter_rows": 2520408}, _AA5_DEFAULT),
+        False: (1.669189783122611, 5096576, 24, {}, _AA5_DEFAULT),
+    }),
+    # Tight budget: lean-dedup, shed-partitioning and force-tpsd all fire.
+    ("AA", "andersen-5", dict(memory_budget=4_200_000, degradation=True), {
+        True: (1.6870868143923772, 4183248, 24, {
+            "partition.dedup_runs": 13, "partition.join_runs": 131, "partition.scatter_rows": 1162677, "partition.shed": 56,
+        }, {
+            **_AA5_TIGHT, "degradation_force_tpsd": 3, "degradation_shed_partitioning": 56, "degradations_taken": 70,
+            "dsd_opsd_choices": 15, "dsd_tpsd_choices": 9,
+            "taken": ["lean-dedup", "shed-partitioning", "shed-join-cache", "force-tpsd"],
+        }),
+        False: (1.801226871571387, 3956960, 24, {}, {
+            **_AA5_TIGHT, "degradations_taken": 11, "dsd_opsd_choices": 18, "dsd_tpsd_choices": 6,
+            "taken": ["lean-dedup", "shed-join-cache"],
+        }),
+    }),
+    # The perf benchmark's tc-cycle300-spill cell.
+    ("TC", "cycle-300", dict(memory_budget=550_000, degradation=True, spill_dir=True), {
+        True: (13.687660496116958, 441600, 301, {
+            "partition.scatter_rows": 153000, "partition.setdiff_runs": 15,
+            "partition.setdiff_tpsd_intersect": 15, "partition.shed": 1148,
+        }, {
+            **_SPILL, "degradation_shed_partitioning": 1148, "degradations_taken": 1354,
+            "taken": ["force-tpsd", "shed-partitioning", "shed-join-cache", "spill-cold-tables", "lean-dedup"],
+        }),
+        False: (13.722478653333429, 441600, 301, {}, {
+            **_SPILL, "degradations_taken": 206,
+            "taken": ["force-tpsd", "shed-join-cache", "spill-cold-tables", "lean-dedup"],
+        }),
+    }),
+    # Recursive aggregation (aggregate_merge) and negation (cross product, anti-join).
+    ("CC", "G500", dict(), {
+        True: (0.29403861000000037, 134216, 10, {"partition.dedup_runs": 1, "partition.join_runs": 7, "partition.scatter_rows": 20518}, _CC),
+        False: (0.29840121000000025, 85320, 10, {}, _CC),
+    }),
+    ("SSSP", "G500", dict(), {
+        True: (0.37677433674226835, 112712, 14, {"partition.join_runs": 12, "partition.scatter_rows": 31828}, _SSSP),
+        False: (0.3830649120000005, 67512, 14, {}, _SSSP),
+    }),
+    ("NTC", "G500", dict(), {
+        True: (0.31803064647991613, 9942576, 10, {"partition.dedup_runs": 2, "partition.scatter_rows": 7111}, _NTC),
+        False: (0.32014473036488633, 9942576, 10, {}, _NTC),
+    }),
+]  # fmt: skip
+_MODEL_COUNTER_PREFIXES = ("dedup_", "dsd_", "hash_", "degradation")
+
+
+def _pin_id(program, dataset, config):
+    values = (f"{k}={v}" if isinstance(v, bool) else str(v) for k, v in config.items())
+    return "-".join((program, dataset, "-".join(values)))
+
 
 class TestSimClockPin:
     @pytest.mark.parametrize(
         "program,dataset,config,expected",
         SIM_CLOCK_PINS,
-        ids=[f"{p}-{d}-{'-'.join(map(str, c.values()))}" for p, d, c, _ in SIM_CLOCK_PINS],
+        ids=[_pin_id(p, d, c) for p, d, c, _ in SIM_CLOCK_PINS],
     )
-    def test_modeled_numbers_match_recorded(self, program, dataset, config, expected):
-        edb = load_dataset(dataset)
-        for partitioned, (sim, peak, iterations, counters) in expected.items():
+    def test_modeled_numbers_match_recorded(
+        self, program, dataset, config, expected, tmp_path
+    ):
+        spec = get_program(program)
+        edb = prepare_edb(spec, dataset)
+        sizes = []
+        for partitioned, (sim, peak, iterations, counters, *pinned) in expected.items():
+            if config.get("spill_dir"):
+                config = dict(config, spill_dir=str(tmp_path / f"spill-{partitioned}"))
             # fault_seed=None: a chaos run (REPRO_CHAOS_SEED) pays retries
             # on the sim clock; the pin is of the undisturbed model.
             result = RecStep(
                 RecStepConfig(
                     partitioned_exec=partitioned, profile=True, fault_seed=None, **config
                 )
-            ).evaluate(get_program(program), edb, dataset=dataset)
+            ).evaluate(spec, edb, dataset=dataset)
             assert result.status == "ok"
             assert result.sim_seconds == sim
             assert result.peak_memory_bytes == peak
@@ -164,6 +288,54 @@ class TestSimClockPin:
                 for name, value in result.profile.counters.items()
                 if name.startswith("partition.")
             } == counters
+            for model_counters in pinned:
+                recorded = {
+                    name: value
+                    for name, value in result.profile.counters.items()
+                    if name.startswith(_MODEL_COUNTER_PREFIXES)
+                }
+                if (result.resilience or {}).get("degradations_taken"):
+                    recorded["taken"] = result.resilience["degradations_taken"]
+                assert recorded == model_counters
+            sizes.append(result.sizes())
+        # Partitioning is modeled: on and off reach the same fixpoint.
+        assert sizes[0] == sizes[-1]
+
+    def test_maintenance_batches_match_recorded(self):
+        """One insert and one delete batch on a relational TC view."""
+        arcs = gnp_graph(150, 0.02, seed=7)
+        view = RecStep(
+            RecStepConfig(**RELATIONAL, profile=True, fault_seed=None)
+        ).materialize(get_program("TC"), {"arc": arcs}, dataset="ivm-pin")
+        database = view.database
+        inserted = view.maintain(
+            inserts={"arc": np.array([[0, 149], [149, 3], [77, 5], [5, 140]])}
+        )
+        after_insert = (database.sim_seconds, database.peak_memory_bytes)
+        deleted = view.maintain(deletes={"arc": arcs[:1]})
+        after_delete = (database.sim_seconds, database.peak_memory_bytes)
+        counters = database.profiler.counters.snapshot()
+        view.release()
+        assert (inserted.status, deleted.status) == ("ok", "ok")
+        assert (view.result.sim_seconds, view.result.peak_memory_bytes) == (
+            0.5662510194845374, 981688,
+        )  # fmt: skip
+        assert after_insert == (0.9442519673792755, 981688)
+        assert after_delete == (1.0838773630837413, 1506120)
+        assert (inserted.iterations, deleted.iterations) == (9, 2)
+        assert {
+            name: value
+            for name, value in counters.items()
+            if name.startswith(("partition.", "dsd_", "hash_", "dedup_", "ivm."))
+        } == {
+            "dedup_calls": 24, "dedup_fast_path": 24, "dedup_input_rows": 62611,
+            "dedup_output_rows": 47147, "dsd_opsd_choices": 14, "dsd_tpsd_choices": 10,
+            "hash_build_rows": 3705, "hash_probe_rows": 86004, "hash_tables_built": 20,
+            "ivm.maintain_runs": 2, "ivm.overdeleted_rows": 140, "ivm.rederived_rows": 140,
+            "ivm.strata_dred": 2, "partition.dedup_runs": 10, "partition.join_runs": 15,
+            "partition.scatter_rows": 352929, "partition.setdiff_runs": 11,
+            "partition.setdiff_tpsd_intersect": 10, "partition.setdiff_tpsd_subtract": 1,
+        }  # fmt: skip
 
 
 # --------------------------------------------------------------------------
