@@ -147,6 +147,9 @@ class MaintenanceRun:
         """Apply the batch. Meanwhile the interpreter takes no checkpoints
         (they would mix old and new state) and keeps its join cache warm."""
         self._interp._maintaining = True
+        # Per-batch traces: nothing reads a finished batch's samples, and
+        # a view serving batches forever must not accumulate them.
+        self._db.metrics.take_traces()
         try:
             return self._run()
         finally:

@@ -252,8 +252,9 @@ class RecStep:
         result.sim_seconds = database.sim_seconds
         result.peak_memory_bytes = database.peak_memory_bytes
         result.peak_transient_bytes = database.metrics.peak_transient_bytes
-        result.memory_trace = database.metrics.memory_trace
-        result.cpu_trace = database.metrics.cpu_trace
+        # The result takes the traces: a kept view's recorder lives on and
+        # must not keep appending to (or pinning) this run's samples.
+        result.memory_trace, result.cpu_trace = database.metrics.take_traces()
         if (
             resilience.active
             or checkpoints is not None

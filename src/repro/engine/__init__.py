@@ -2,8 +2,8 @@
 
 ``Database`` is the public entry point: it parses mini-SQL, binds it
 against the catalog, plans joins with cost-based build-side selection,
-executes vectorized NumPy kernels, and charges all work to a simulated
-multicore clock (see ``repro.common.timing``).
+executes vectorized NumPy kernels, and reports all work to one cost
+model (``repro.engine.executor``) that owns the simulated multicore clock.
 """
 
 from repro.engine.database import Database

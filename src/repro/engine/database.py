@@ -15,23 +15,18 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.common.errors import PlanError
-from repro.engine.dedup import (
-    DedupOutcome,
-    deduplicate,
-    planned_transient_bytes,
-    row_codec,
-)
-from repro.engine.executor import QUERY_DISPATCH_OVERHEAD, ParallelCostModel
-from repro.engine.joincache import COUNTER_EVICT, INDEX_ROW_BYTES, JoinStateCache
+from repro.engine import kernels
+from repro.engine.dedup import DedupOutcome, deduplicate
+from repro.engine.executor import ParallelCostModel, index_bytes
+from repro.engine.joincache import COUNTER_EVICT, JoinStateCache
 from repro.engine.metrics import DEFAULT_MEMORY_BUDGET, DEFAULT_TIME_BUDGET, MetricsRecorder
 from repro.engine.operators import ExecutionContext, run_query
 from repro.engine.setops import (
     SetDifferenceOutcome,
     one_phase_set_difference,
-    streaming_two_phase_set_difference,
     two_phase_set_difference,
 )
-from repro.obs import CATEGORY_STATEMENT, NULL_PROFILER, Profiler
+from repro.obs import CATEGORY_STATEMENT, Profiler
 from repro.resilience.runtime import ResilienceContext
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -65,17 +60,18 @@ class Database:
             ``OutOfMemoryError``, reproducing the paper's OOM envelope.
         eost: evaluate-as-one-single-transaction; when off, every
             state-changing query pays a write-back (Section 5.2).
-        fast_dedup: use the CCK-GSCHT dedup path (Section 5.2).
+        fast_dedup: charge dedup as CCK-GSCHT (Section 5.2); the host's
+            dedup kernel is the same either way.
         enforce_budgets: disable to let tests run without OOM/timeout.
         join_cache: keep packed-key join indexes alive across queries and
             extend them incrementally as tables are appended to (the
             iteration-persistent join state; ``--no-join-cache`` escape
             hatch). Disabled, every join rebuilds its hash state.
-        partitioned_exec: allow operators to run radix-partitioned
-            (scatter by key-hash bits, then per-bucket private hash
-            tables) when the modeled makespan beats the shared-table
-            path; ``--no-partitioned-exec`` escape hatch. Results are
-            byte-identical either way.
+        partitioned_exec: let the cost model charge operators as
+            radix-partitioned (scatter by key-hash bits, then per-bucket
+            private hash tables) when that modeled makespan beats the
+            shared-table plan; ``--no-partitioned-exec`` escape hatch.
+            The host runs the same kernels either way.
         partitions: radix bucket count (rounded up to a power of two).
             The default's many-more-buckets-than-workers keeps LPT
             scheduling quantization below the contention-width bound at
@@ -109,24 +105,28 @@ class Database:
     ) -> None:
         self.catalog = Catalog()
         self.storage = StorageManager(eost=eost)
-        self.cost_model = ParallelCostModel(threads=threads)
         self.metrics = MetricsRecorder(
             memory_budget=memory_budget,
             time_budget=time_budget,
             enforce_budgets=enforce_budgets,
         )
-        self.fast_dedup = fast_dedup
         self.join_cache = JoinStateCache(enabled=join_cache)
         if partitions < 1:
             raise PlanError(f"partitions must be positive, got {partitions}")
         # The radix scatter derives bucket ids from the key hash's top
         # bits, so the count must be a power of two; round up quietly.
         self.partitions = 1 << (partitions - 1).bit_length() if partitions > 1 else 1
-        self.partitioned_exec = partitioned_exec
         self.queries_executed = 0
-        self.profiler = NULL_PROFILER
         self.resilience = resilience if resilience is not None else ResilienceContext()
-        self.cost_model.injector = self.resilience.injector
+        #: The modeled machine: everything below reports its work here.
+        self.cost_model = ParallelCostModel(
+            threads=threads,
+            metrics=self.metrics,
+            fast_dedup=fast_dedup,
+            partitions=self.partitions if partitioned_exec else 0,
+            degradation=self.resilience.degradation,
+            injector=self.resilience.injector,
+        )
         self.resilience.bind(self.metrics, self.profiler.counters)
         self.spill: SpillManager | None = (
             SpillManager(spill_dir) if spill_dir is not None else None
@@ -141,12 +141,15 @@ class Database:
 
     # -- internals -----------------------------------------------------------
 
+    @property
+    def profiler(self):
+        """The observability sink — the one the cost model is bound to."""
+        return self.cost_model.profiler
+
     def enable_profiling(self) -> Profiler:
         """Attach a live profiler to the clock, cost model, and metrics."""
         if not self.profiler.enabled:
-            self.profiler = Profiler(self.metrics.clock)
-            self.cost_model.profiler = self.profiler
-            self.metrics.counters = self.profiler.counters
+            self.cost_model.bind_profiler(Profiler(self.metrics.clock))
             self.resilience.bind(self.metrics, self.profiler.counters)
             self._bind_spill()
         return self.profiler
@@ -165,12 +168,9 @@ class Database:
         self._maybe_spill_cold_tables()
         return ExecutionContext(
             catalog=self.catalog,
-            metrics=self.metrics,
-            cost_model=self.cost_model,
+            model=self.cost_model,
             profiler=self.profiler,
             join_cache=self.join_cache if self.join_cache.enabled else None,
-            partitions=self.partitions if self.partitioned_exec else 0,
-            degradation=self.resilience.degradation,
         )
 
     def _maybe_shed_join_cache(self, planned_bytes: int = 0) -> None:
@@ -283,26 +283,18 @@ class Database:
             attrs["table"] = table
         return self.profiler.span(name, CATEGORY_STATEMENT, **attrs)
 
-    #: Catalog-only DDL (CREATE/DROP) costs far less than a full query
-    #: compile+dispatch cycle.
-    DDL_OVERHEAD = 5.0e-4
-
-    def _charge_dispatch(self) -> None:
+    def _dispatch(self) -> None:
         self.queries_executed += 1
         self._touch_seq += 1
-        self.profiler.counters.inc("queries_dispatched")
         self.resilience.maybe_spike()
-        self.metrics.advance(QUERY_DISPATCH_OVERHEAD, utilization=1.0 / max(1, self.cost_model.threads))
+        self.cost_model.dispatch()
 
-    def _charge_ddl(self) -> None:
+    def _ddl(self) -> None:
         self.queries_executed += 1
-        self.profiler.counters.inc("ddl_statements")
-        self.metrics.advance(self.DDL_OVERHEAD, utilization=1.0 / max(1, self.cost_model.threads))
+        self.cost_model.ddl()
 
     def _after_mutation(self, table: Table, new_bytes: int) -> None:
-        io_cost = self.storage.mark_dirty(table.name, new_bytes)
-        if io_cost:
-            self.metrics.advance(io_cost, utilization=0.02)
+        self.cost_model.write_back(self.storage.mark_dirty(table.name, new_bytes))
         self._refresh_base_bytes()
 
     def _refresh_base_bytes(self) -> None:
@@ -350,7 +342,7 @@ class Database:
                     continue
                 # Pre-flight the index build's sort scratch — a restore
                 # into a tight budget must shed the cache, not OOM.
-                self._maybe_shed_join_cache(table.num_rows * INDEX_ROW_BYTES)
+                self._maybe_shed_join_cache(index_bytes(table.num_rows))
                 if not self.join_cache.enabled:
                     break
                 self._touch(name)
@@ -453,9 +445,9 @@ class Database:
 
     def _execute_ast_inner(self, statement: ast.Statement) -> np.ndarray | None:
         if isinstance(statement, (ast.CreateTable, ast.DropTable)):
-            self._charge_ddl()
+            self._ddl()
         else:
-            self._charge_dispatch()
+            self._dispatch()
         if isinstance(statement, ast.CreateTable):
             self.catalog.create_table(
                 statement.table,
@@ -491,8 +483,7 @@ class Database:
             return None
         if isinstance(statement, ast.Analyze):
             mode = StatsMode.FULL if statement.full else StatsMode.SIZE_ONLY
-            cost = self.catalog.analyze(statement.table, mode)
-            self.metrics.advance(cost, utilization=0.5)
+            self.cost_model.analyze(self.catalog.analyze(statement.table, mode))
             return None
         if isinstance(statement, ast.SelectStatement):
             self._touch(*self._query_source_tables(statement.query))
@@ -510,7 +501,7 @@ class Database:
 
     def create_table(self, name: str, columns: Sequence[str]) -> Table:
         with self._statement_span("CREATE TABLE", table=name):
-            self._charge_ddl()
+            self._ddl()
             table = self.catalog.create_table(
                 name, [ColumnSchema(column, ColumnType.INT) for column in columns]
             )
@@ -571,8 +562,7 @@ class Database:
         """Refresh optimizer statistics (Algorithm 1's ``analyze``)."""
         with self._statement_span("ANALYZE", table=name, full=full):
             mode = StatsMode.FULL if full else StatsMode.SIZE_ONLY
-            cost = self.catalog.analyze(name, mode)
-            self.metrics.advance(cost, utilization=0.5)
+            self.cost_model.analyze(self.catalog.analyze(name, mode))
 
     def dedup_table(self, name: str) -> DedupOutcome:
         """Deduplicate a table in place (Algorithm 1's ``dedup``).
@@ -583,42 +573,14 @@ class Database:
         mis-sized and dedup pays collision chains or wasted memory.
         """
         with self._statement_span("DEDUP", table=name) as span:
-            self._charge_dispatch()
+            self._dispatch()
             self._touch(name)
             table = self.catalog.get_table(name)
             estimated_rows = self.catalog.get_stats(name).num_rows
-            # Kernels are pure, so the live view suffices; its one domain
-            # scan serves the pre-flight, the plan and the kernel.
+            # Kernels are pure, so the live view suffices.
             rows = table.data()
-            codec = row_codec(rows)
-            degradation = self.resilience.degradation
-            lean = False
-            if degradation.enabled:
-                # The pre-flight uses the same sizing rule as deduplicate
-                # itself — including whether the tuple is CCK-packable, so
-                # a wide tuple's generic-path overhead is not under-
-                # reported to the watermark check.
-                planned = planned_transient_bytes(
-                    table.num_rows,
-                    table.arity,
-                    self.fast_dedup,
-                    estimated_rows,
-                    packable=codec.packable,
-                )
-                lean = degradation.lean_dedup(planned)
-                if lean:
-                    degradation.note("lean-dedup")
             outcome = self.resilience.run(
-                "dedup",
-                lambda: deduplicate(
-                    rows,
-                    self._context(),
-                    fast=self.fast_dedup,
-                    estimated_rows=estimated_rows,
-                    lean=lean,
-                    partitions=self.partitions if self.partitioned_exec else 0,
-                    codec=codec,
-                ),
+                "dedup", lambda: deduplicate(rows, self._context(), estimated_rows)
             )
             table.replace_contents(outcome.rows, distinct=True)
             self._note_table_rewrite(name)
@@ -630,7 +592,7 @@ class Database:
                 compact_key=outcome.used_compact_key,
                 partitioned=outcome.partitioned,
             )
-            if lean:
+            if outcome.lean:
                 span.set(lean=True)
         return outcome
 
@@ -641,14 +603,12 @@ class Database:
 
         A spilled base relation is handled without rehydration wherever
         the strategy allows: TPSD streams the on-disk prefix chunk by
-        chunk through :func:`streaming_two_phase_set_difference`, and an
-        OPSD backed by a whole-row cache index never reads base rows at
-        all. Only the uncached OPSD genuinely needs R materialized and
-        faults it back in (``Table.data``) — the DSD policy prices that
-        rehydration, so it rarely picks this path for a spilled base.
+        chunk, and an OPSD backed by a whole-row cache index never reads
+        base rows at all. Only the uncached OPSD genuinely needs R
+        materialized and faults it back in (``Table.data``) — the DSD
+        policy prices that rehydration, so it rarely picks this path for
+        a spilled base.
         """
-        from repro.engine.operators import HASH_ENTRY_OVERHEAD
-
         new = self.catalog.get_table(new_table)
         new_rows = new.data()
         # A generation dedup_table wrote and nothing has touched since.
@@ -658,21 +618,15 @@ class Database:
         ctx = self._context()
         if strategy not in ("OPSD", "TPSD"):
             raise PlanError(f"unknown set-difference strategy {strategy!r}")
-        degradation = self.resilience.degradation
-        forced = False
-        if strategy == "OPSD" and degradation.enabled:
-            # OPSD's hash table covers all of R; under pressure (or when
-            # that build alone would breach the soft watermark) fall back
-            # to TPSD, which only ever builds on the smaller side.
-            planned = base.num_rows * (8 + HASH_ENTRY_OVERHEAD)
-            forced = degradation.force_tpsd(planned)
-            if forced:
-                strategy = "TPSD"
-                degradation.note("force-tpsd")
+        # OPSD's hash table covers all of R; under memory pressure the
+        # model refuses it and TPSD runs instead.
+        forced = strategy == "OPSD" and self.cost_model.force_tpsd(base.num_rows)
+        if forced:
+            strategy = "TPSD"
         with self._statement_span(
             "SET_DIFFERENCE", table=new_table, strategy=strategy, base=base_table
         ) as span:
-            self._charge_dispatch()
+            self._dispatch()
             self.profiler.counters.inc(f"dsd_{strategy.lower()}_choices")
             if strategy == "OPSD":
                 cache_entry = None
@@ -680,71 +634,55 @@ class Database:
                     # Whole-row index over R: the anti-probe for ``Δ = R_Δ - R``
                     # is a semi-join on every column, so the same persistent
                     # index the join operators maintain serves OPSD too.
-                    base_columns = base.column_names
-                    cache_entry, _ = self.join_cache.acquire(ctx, base_table, base_columns)
-                if cache_entry is not None and base.spilled_rows:
-                    # The anti-probe runs entirely against the sorted
-                    # index; R's rows are never read, so the spilled
-                    # prefix stays on disk. Only R's size is needed.
-                    outcome = self.resilience.run(
-                        "set_difference",
-                        lambda: one_phase_set_difference(
-                            new_rows,
-                            base.resident_data(),
-                            ctx,
-                            cache_entry=cache_entry,
-                            build_rows=base.num_rows,
-                            new_distinct=distinct,
-                        ),
+                    cache_entry, _ = self.join_cache.acquire(
+                        ctx, base_table, base.column_names
                     )
-                else:
-                    base_rows = base.data()
-                    outcome = self.resilience.run(
-                        "set_difference",
-                        lambda: one_phase_set_difference(
-                            new_rows,
-                            base_rows,
-                            ctx,
-                            cache_entry=cache_entry,
-                            new_distinct=distinct,
-                        ),
-                    )
-            elif base.spilled_rows and self.spill is not None:
-                self.profiler.counters.inc("spill.streamed_setdiffs")
+                # The cached anti-probe runs entirely against the sorted
+                # index: R's rows are never read, only its size, so a
+                # spilled prefix stays on disk.
+                base_rows = (
+                    base.resident_data()
+                    if cache_entry is not None and base.spilled_rows
+                    else base.data()
+                )
                 outcome = self.resilience.run(
                     "set_difference",
-                    lambda: streaming_two_phase_set_difference(
-                        new_rows, self._spilled_base_chunks(base), ctx, distinct
+                    lambda: one_phase_set_difference(
+                        new_rows, base_rows, ctx, cache_entry, base.num_rows, distinct
                     ),
                 )
             else:
-                base_rows = base.data()
+                if base.spilled_rows:
+                    self.profiler.counters.inc("spill.streamed_setdiffs")
                 outcome = self.resilience.run(
                     "set_difference",
-                    lambda: two_phase_set_difference(new_rows, base_rows, ctx, distinct),
+                    lambda: two_phase_set_difference(
+                        new_rows, self._base_chunks(base), ctx, distinct
+                    ),
                 )
             span.set(rows_in=int(new_rows.shape[0]), rows_out=int(outcome.delta.shape[0]))
             if forced:
                 span.set(forced_tpsd=True)
         return outcome
 
-    def _spilled_base_chunks(self, table: Table):
+    def _base_chunks(self, table: Table):
         """Yield R as bounded chunks: spilled segments one at a time
         (the SpillManager charges each read's I/O; this generator ledgers
         the chunk as a transient while a kernel holds it), then the
         resident tail. Residency is unchanged throughout — R is never
         materialized in memory at once.
         """
-        spill = self.spill
-        tuple_bytes = table.tuple_bytes()
-        for segment in spill.segments(table.name):
-            rows = spill.read_segment(table, segment)
-            chunk_bytes = int(rows.shape[0]) * tuple_bytes
-            self.metrics.allocate_transient(chunk_bytes)
-            try:
-                yield rows
-            finally:
-                self.metrics.release_transient(chunk_bytes)
+        if table.spilled_rows:
+            spill = self.spill
+            tuple_bytes = table.tuple_bytes()
+            for segment in spill.segments(table.name):
+                rows = spill.read_segment(table, segment)
+                chunk_bytes = int(rows.shape[0]) * tuple_bytes
+                self.metrics.allocate_transient(chunk_bytes)
+                try:
+                    yield rows
+                finally:
+                    self.metrics.release_transient(chunk_bytes)
         resident = table.resident_data()
         if resident.shape[0]:
             yield resident
@@ -772,27 +710,20 @@ class Database:
     def _aggregate_merge_inner(
         self, name: str, candidates: np.ndarray, func: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        from repro.engine import kernels
-        from repro.engine.executor import AGGREGATE_PHASE, COST_AGGREGATE
-
-        self._charge_dispatch()
+        self._dispatch()
         self._touch(name)
         table = self.catalog.get_table(name)
         existing = table.data()
         candidates = np.asarray(candidates, dtype=np.int64).reshape(-1, table.arity)
         combined = np.vstack([existing, candidates]) if existing.shape[0] else candidates
         n = combined.shape[0]
-        ctx = self._context()
-        ctx.metrics.allocate_transient(n * 16)
-        ctx.charge_parallel(AGGREGATE_PHASE, n * COST_AGGREGATE, n)
-        if n == 0:
-            ctx.metrics.release_transient(n * 16)
-            return existing.copy(), np.empty((0, table.arity), dtype=np.int64)
-        group_columns = [combined[:, i] for i in range(table.arity - 1)]
-        keys, (values,) = kernels.group_aggregate(group_columns, [(func, combined[:, -1])])
-        merged = np.column_stack([keys, values]) if keys.size else values.reshape(-1, 1)
-        improved = kernels.rows_difference(merged, existing)
-        ctx.metrics.release_transient(n * 16)
+        with self._context().model.aggregate(n):
+            if n == 0:
+                return existing.copy(), np.empty((0, table.arity), dtype=np.int64)
+            group_columns = [combined[:, i] for i in range(table.arity - 1)]
+            keys, (values,) = kernels.group_aggregate(group_columns, [(func, combined[:, -1])])
+            merged = np.column_stack([keys, values]) if keys.size else values.reshape(-1, 1)
+            improved = kernels.rows_difference(merged, existing)
         table.replace_contents(merged)
         self._note_table_rewrite(name)
         self._after_mutation(table, merged.shape[0] * table.tuple_bytes())
@@ -801,7 +732,7 @@ class Database:
     def append_rows(self, name: str, rows: np.ndarray) -> None:
         """Append rows to a table (the ``R <- R ⊎ ΔR`` step)."""
         with self._statement_span("APPEND", table=name, rows_out=int(rows.shape[0])):
-            self._charge_dispatch()
+            self._dispatch()
 
             def _append() -> None:
                 table = self.catalog.get_table(name)
@@ -819,33 +750,25 @@ class Database:
         is unconditional and a stale join index can never outlive a
         delete, whatever the surviving row count is.
         """
-        from repro.engine import kernels
-        from repro.engine.executor import COST_PROBE, PROBE_PHASE
-
         table = self.catalog.get_table(name)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, table.arity)
         with self._statement_span(
             "DELETE_ROWS", table=name, rows_in=int(rows.shape[0])
         ) as span:
-            self._charge_dispatch()
+            self._dispatch()
             self._touch(name)
 
             def _delete() -> np.ndarray:
                 existing = table.data()
-                ctx = self._context()
-                n = existing.shape[0] + rows.shape[0]
-                scratch = n * 16
-                ctx.metrics.allocate_transient(scratch)
-                ctx.charge_parallel(PROBE_PHASE, n * COST_PROBE, n)
-                removed = kernels.rows_intersection(rows, existing)
-                if removed.shape[0] == 0:
-                    ctx.metrics.release_transient(scratch)
-                    return removed
-                left_cols = [existing[:, i] for i in range(table.arity)]
-                right_cols = [removed[:, i] for i in range(table.arity)]
-                left_keys, right_keys = kernels.make_join_keys(left_cols, right_cols)
-                survivors = existing[kernels.anti_join_mask(left_keys, right_keys)]
-                ctx.metrics.release_transient(scratch)
+                model = self._context().model
+                with model.membership_probe(existing.shape[0] + rows.shape[0]):
+                    removed = kernels.rows_intersection(rows, existing)
+                    if removed.shape[0] == 0:
+                        return removed
+                    left_cols = [existing[:, i] for i in range(table.arity)]
+                    right_cols = [removed[:, i] for i in range(table.arity)]
+                    left_keys, right_keys = kernels.make_join_keys(left_cols, right_cols)
+                    survivors = existing[kernels.anti_join_mask(left_keys, right_keys)]
                 table.replace_contents(survivors)
                 self._note_table_rewrite(name)
                 self._after_mutation(table, table.memory_bytes())
@@ -859,7 +782,7 @@ class Database:
         """Swap a table's contents (the ∆-table update each iteration)."""
         rows = np.asarray(rows, dtype=np.int64)
         with self._statement_span("REPLACE", table=name, rows_out=int(rows.shape[0])):
-            self._charge_dispatch()
+            self._dispatch()
             self._touch(name)
             table = self.catalog.get_table(name)
             table.replace_contents(rows)
@@ -870,12 +793,9 @@ class Database:
         """Flush pending writes (end of the EOST transaction)."""
         with self._statement_span("COMMIT"):
 
-            def _commit() -> None:
-                cost = self.storage.commit()
-                if cost:
-                    self.metrics.advance(cost, utilization=0.02)
-
-            self.resilience.run("commit", _commit)
+            self.resilience.run(
+                "commit", lambda: self.cost_model.write_back(self.storage.commit())
+            )
 
     def restore_rows(self, name: str, rows: np.ndarray) -> None:
         """Overwrite a table's contents from a checkpoint snapshot.
@@ -911,15 +831,12 @@ class Database:
         """
         from repro.engine.explain import explain_analyze_sql
 
-        saved = (self.profiler, self.cost_model.profiler, self.metrics.counters)
-        probe = Profiler(self.metrics.clock)
-        self.profiler = probe
-        self.cost_model.profiler = probe
-        self.metrics.counters = probe.counters
+        saved = self.profiler
+        self.cost_model.bind_profiler(Profiler(self.metrics.clock))
         try:
             return explain_analyze_sql(sql_text, self)
         finally:
-            self.profiler, self.cost_model.profiler, self.metrics.counters = saved
+            self.cost_model.bind_profiler(saved)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -16,8 +16,8 @@ invalidate everything (working tables are dropped); a checkpoint resume
 rehydrates the full-table entries so the resumed run joins at cached
 speed from its first iteration.
 
-Everything is metered: index builds/extensions charge the BUILD phase on
-the rows indexed, the resident index bytes are reported into the memory
+Everything is metered: index builds/extensions are reported to the cost
+model on the rows indexed, the resident index bytes go into the memory
 ledger as base (not transient) memory, and every acquire outcome bumps a
 ``join_cache.*`` counter.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine import kernels
-from repro.engine.executor import BUILD_PHASE, COST_BUILD, PARTITIONED_BUILD_PHASE
+from repro.engine.executor import index_bytes
 from repro.storage.stats import ColumnDomain, observed_domain
 
 #: acquire() outcome → counter name.
@@ -38,9 +38,6 @@ COUNTER_MISS = "join_cache.miss"
 COUNTER_EXTEND = "join_cache.extend"
 COUNTER_EVICT = "join_cache.evict"
 COUNTER_EXTEND_ROWS = "join_cache.extend_rows"
-
-#: Modeled bytes per indexed row: the sorted code plus its row position.
-INDEX_ROW_BYTES = 16
 
 
 @dataclass
@@ -65,7 +62,7 @@ class JoinIndexEntry:
     synced_version: int = -1
 
     def memory_bytes(self) -> int:
-        total = self.rows_indexed * INDEX_ROW_BYTES
+        total = index_bytes(self.rows_indexed)
         if self.dictionary is not None:
             total += self.dictionary.memory_bytes()
         return total
@@ -190,7 +187,7 @@ class JoinStateCache:
 
     def _refresh_base(self, ctx) -> None:
         # Index state is resident, not transient: it survives the call.
-        ctx.metrics.set_base_bytes(
+        ctx.model.metrics.set_base_bytes(
             ctx.catalog.total_memory_bytes() + self.memory_bytes()
         )
 
@@ -198,17 +195,6 @@ class JoinStateCache:
         if data.shape[0] == 0:
             return np.empty((0, len(indices)), dtype=np.int64)
         return np.ascontiguousarray(data[:, indices])
-
-    def _charge_build(self, ctx, rows: int) -> None:
-        scratch = rows * INDEX_ROW_BYTES
-        ctx.metrics.allocate_transient(scratch)
-        # Pack + sort of an extension batch is chunk-local work with no
-        # shared hash table; under partitioned execution it is charged at
-        # the partitioned-build contention like every other build.
-        ctx.charge_index_pass(
-            BUILD_PHASE, PARTITIONED_BUILD_PHASE, rows * COST_BUILD, rows
-        )
-        ctx.metrics.release_transient(scratch)
 
     def _codec_for(self, ctx, table, columns: list[np.ndarray], names) -> kernels.KeyCodec:
         domains: list[ColumnDomain] = []
@@ -224,7 +210,7 @@ class JoinStateCache:
         columns_matrix = self._key_matrix(table.data(), indices)
         columns = [columns_matrix[:, i] for i in range(columns_matrix.shape[1])]
         n = table.num_rows
-        self._charge_build(ctx, n)
+        ctx.model.index_build(n)
         codec = self._codec_for(ctx, table, columns, key_columns)
         dictionary = None
         if codec.packable:
@@ -264,7 +250,7 @@ class JoinStateCache:
                     table.name, name, observed.low, observed.high
                 )
         new_rows = tail_matrix.shape[0]
-        self._charge_build(ctx, new_rows)
+        ctx.model.index_build(new_rows)
         ctx.profiler.counters.inc(COUNTER_EXTEND_ROWS, new_rows)
         if entry.codec is not None:
             codes = entry.codec.pack(columns)

@@ -83,6 +83,17 @@ class MetricsRecorder:
                 time_budget=self.time_budget,
             )
 
+    def take_traces(self) -> tuple[Trace, Trace]:
+        """Hand over ``(memory_trace, cpu_trace)`` and start fresh ones.
+
+        Keeps the traces of a recorder that outlives one run (a kept
+        view's) per run; clock, peaks and counters stay cumulative.
+        """
+        taken = (self.memory_trace, self.cpu_trace)
+        self.memory_trace = Trace(self.memory_trace.name)
+        self.cpu_trace = Trace(self.cpu_trace.name)
+        return taken
+
     # -- memory ---------------------------------------------------------------
 
     def set_base_bytes(self, total: int) -> None:

@@ -3,8 +3,9 @@
 One module implements the whole pipeline the RecStep query generator
 needs: scan → (filter) → multi-way equi-join with cost-based build-side
 selection → anti-join (NOT EXISTS) → projection or grouped aggregation.
-Every operator charges its work to the execution context's parallel cost
-model and declares its transient allocations to the metrics recorder.
+Operators run kernels and report the work they did — cardinalities and
+key arrays — to the execution context's cost model, which prices it
+(``repro.engine.executor``); no cost or byte size is named here.
 """
 
 from __future__ import annotations
@@ -13,26 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import OutOfMemoryError, PlanError
+from repro.common.errors import PlanError
 from repro.engine import kernels
-from repro.engine.executor import (
-    AGGREGATE_PHASE,
-    BUILD_PHASE,
-    COST_AGGREGATE,
-    COST_BUILD,
-    COST_MATERIALIZE,
-    COST_PARTITION,
-    COST_PROBE,
-    COST_SCAN,
-    PARTITION_PHASE,
-    PARTITIONED_BUILD_PHASE,
-    PARTITIONED_PROBE_PHASE,
-    PROBE_PHASE,
-    SCAN_PHASE,
-    ParallelCostModel,
-    PhaseKind,
-    split_tasks,
-)
+from repro.engine.executor import ParallelCostModel
 from repro.engine.expressions import (
     Frame,
     evaluate,
@@ -40,115 +24,28 @@ from repro.engine.expressions import (
     expr_aliases,
     resolve_column,
 )
-from repro.engine.metrics import MetricsRecorder
 from repro.engine.optimizer import (
-    cached_join_cost_estimate,
     choose_build_side,
-    join_cost_estimate,
     order_tables_by_estimate,
-    partitioned_join_decision,
+    prefer_cached_index,
 )
 from repro.obs.profiler import NULL_PROFILER
 from repro.obs.tracer import CATEGORY_OPERATOR
 from repro.sql import ast
-from repro.storage.block import block_count
 from repro.storage.catalog import Catalog
-
-#: Modeled per-entry overhead of a join hash table (bucket pointer + next).
-HASH_ENTRY_OVERHEAD = 24
-
-#: Radix scatter scratch per row: the copied-out key plus a row index.
-PARTITION_SCRATCH_BYTES = 16
-
-#: Hard cap on a single join's output cardinality. QuickStep would spill
-#: such an intermediate to disk and (on the paper's dense workloads)
-#: subsequently die; we surface it as the same OOM failure. This also
-#: bounds host-side allocations independent of the modeled budget.
-HARD_JOIN_ROWS = 30_000_000
 
 
 @dataclass
 class ExecutionContext:
-    """Everything operators need: catalog, metrics, and the cost model."""
+    """Everything operators need: the catalog, and the model to report to."""
 
     catalog: Catalog
-    metrics: MetricsRecorder
-    cost_model: ParallelCostModel
+    model: ParallelCostModel
     #: Observability sink; the inert default keeps hot paths branch-free.
     profiler: object = field(default=NULL_PROFILER, repr=False)
     #: Iteration-persistent join indexes (repro.engine.joincache); None
     #: disables the cached join path entirely.
     join_cache: object | None = field(default=None, repr=False)
-    #: Radix-partitioned execution: bucket count, 0 = disabled. When set,
-    #: the contention-heavy operators compare shared vs partitioned
-    #: makespans per call and may take the scatter + per-bucket path.
-    partitions: int = 0
-    #: Degradation ladder hook (repro.resilience.degradation); partition
-    #: scratch is a speed-for-memory trade, shed under pressure.
-    degradation: object | None = field(default=None, repr=False)
-
-    def charge_parallel(self, kind: PhaseKind, total_cost: float, rows_hint: int) -> None:
-        """Run a data-parallel phase through the scheduler and the clock."""
-        tasks = split_tasks(total_cost, block_count(rows_hint))
-        outcome = self.cost_model.run_phase(kind, tasks)
-        # The CPU trace wants whole-machine utilization, not the per-worker
-        # scheduling efficiency a narrow phase reports.
-        self.metrics.advance(
-            outcome.makespan, outcome.machine_utilization(self.cost_model.threads)
-        )
-
-    def charge_partitioned_tasks(self, kind: PhaseKind, task_costs) -> None:
-        """Run a phase whose tasks are one-per-bucket (possibly skewed).
-
-        Unlike :meth:`charge_parallel` the task split is not uniform: a
-        skewed radix scatter yields unequal buckets, and the straggler
-        bucket bounds the makespan — partitioning does not hide skew.
-        """
-        tasks = [float(cost) for cost in task_costs if cost > 0]
-        outcome = self.cost_model.run_phase(kind, tasks)
-        self.metrics.advance(
-            outcome.makespan, outcome.machine_utilization(self.cost_model.threads)
-        )
-
-    def charge_index_pass(
-        self,
-        shared_kind: PhaseKind,
-        partitioned_kind: PhaseKind,
-        total_cost: float,
-        rows: int,
-    ) -> None:
-        """Charge position-chunkable index work (cache extends/probes).
-
-        Packing, sorting, and binary-searching a persistent sorted-code
-        index are independent per input chunk — there is no shared hash
-        table to contend on. With partitioned execution on, the work is
-        charged as P even position chunks at the partitioned contention
-        rate; otherwise it pays the classic shared phase.
-        """
-        if self.partitions and rows > 0:
-            chunks = min(self.partitions, rows)
-            self.charge_partitioned_tasks(
-                partitioned_kind, [total_cost / chunks] * chunks
-            )
-        else:
-            self.charge_parallel(shared_kind, total_cost, rows)
-
-    def partition_scratch_ok(self, planned_bytes: int) -> bool:
-        """Pre-flight a partitioned operator against the degradation ladder.
-
-        ``planned_bytes`` is the full transient the partitioned path would
-        allocate (bucket tables *and* scatter scratch). False shunts the
-        operator back to the shared path: the scatter buffers are pure
-        speed-for-memory, so under pressure they are shed like the join
-        cache.
-        """
-        if self.degradation is None or not getattr(self.degradation, "enabled", False):
-            return True
-        if self.degradation.shed_partitioning(planned_bytes):
-            self.degradation.note("shed-partitioning")
-            self.profiler.counters.inc("partition.shed")
-            return False
-        return True
 
     def op_span(self, name: str, key: str, **attrs):
         """Open an operator-category span carrying a plan-matching key.
@@ -233,7 +130,7 @@ def _scan_table(alias: str, table_name: str, ctx: ExecutionContext) -> Frame:
     table = ctx.catalog.get_table(table_name)
     with ctx.op_span(f"scan {table_name}", key=f"scan:{alias}", table=table_name) as span:
         data = table.data()
-        ctx.charge_parallel(SCAN_PHASE, table.num_rows * COST_SCAN, table.num_rows)
+        ctx.model.scan(table.num_rows)
         span.set(rows_out=table.num_rows)
     return Frame.from_table(alias, data, table.column_names)
 
@@ -252,7 +149,7 @@ def _apply_ready_filters(
             f"filter {predicate}", key=f"filter:{index}", rows_in=len(frame)
         ) as span:
             mask = evaluate_comparison(predicate, frame)
-            ctx.charge_parallel(SCAN_PHASE, len(frame) * COST_SCAN, len(frame))
+            ctx.model.filter(len(frame))
             frame = frame.select(mask)
             span.set(rows_out=len(frame))
         applied.add(index)
@@ -297,19 +194,16 @@ def _join_frame_with_alias_inner(
     if not edges:
         # Cross product (e.g. node(x), node(y) in the NTC program).
         n, m = len(frame), len(new_frame)
-        width = len(frame.indices) + 1
-        # Reserve the output *before* materializing so oversized products
-        # die as modeled OOMs, not host allocations.
-        ctx.metrics.allocate_transient(n * m * 8 * width)
-        left_positions = np.repeat(np.arange(n, dtype=np.int64), m)
-        right_positions = np.tile(np.arange(m, dtype=np.int64), n)
-        ctx.charge_parallel(PROBE_PHASE, (n * m) * COST_MATERIALIZE, n)
-        result = frame.joined_with(
-            alias, new_frame.bases[alias], new_frame.schemas[alias],
-            left_positions, new_frame.indices[alias][right_positions],
-        )
-        ctx.metrics.release_transient(n * m * 8 * width)
-        _charge_frame_materialization(result, ctx)
+        # Reported *before* materializing so oversized products die as
+        # modeled OOMs, not host allocations.
+        with ctx.model.cross_product(n, m, len(frame.indices) + 1):
+            left_positions = np.repeat(np.arange(n, dtype=np.int64), m)
+            right_positions = np.tile(np.arange(m, dtype=np.int64), n)
+            result = frame.joined_with(
+                alias, new_frame.bases[alias], new_frame.schemas[alias],
+                left_positions, new_frame.indices[alias][right_positions],
+            )
+        ctx.model.materialize(len(result), len(result.indices))
         return result
 
     cache = ctx.join_cache
@@ -317,15 +211,7 @@ def _join_frame_with_alias_inner(
         cache_columns = _cacheable_key_columns(edges, alias, new_frame)
         if cache_columns is not None:
             extension = cache.extension_estimate(ctx.catalog, table_name, cache_columns)
-            classic = choose_build_side(frame_estimate, right_estimate)
-            classic_probe = right_estimate if classic.build_left else frame_estimate
-            # Build-once/probe-many: a warm index costs probes alone,
-            # so the cache wins whenever its extension (Δ) is cheaper
-            # than the classic per-iteration hash build. Ties prefer the
-            # cache — its build is an investment later probes amortize.
-            if cached_join_cost_estimate(extension, frame_estimate) <= join_cost_estimate(
-                classic.estimated_build_rows, classic_probe
-            ):
+            if prefer_cached_index(extension, frame_estimate, right_estimate):
                 return _cached_index_join(
                     frame, alias, table_name, new_frame, edges, cache_columns, ctx, span
                 )
@@ -334,67 +220,31 @@ def _join_frame_with_alias_inner(
     right_keys = [evaluate(edge.key_for(alias), new_frame) for edge in edges]
     left_key, right_key = kernels.make_join_keys(left_keys, right_keys)
 
-    # The *decision* uses optimizer estimates (possibly stale); the *cost*
-    # uses true sizes. A stale decision builds the hash table on the truly
-    # larger side — slower and bigger, exactly the OOF-NA penalty.
+    # The *decision* uses optimizer estimates (possibly stale); what is
+    # reported are the true sides. A stale decision builds the hash table
+    # on the truly larger side — slower and bigger, exactly the OOF-NA
+    # penalty.
     decision = choose_build_side(frame_estimate, right_estimate)
-    true_left, true_right = len(frame), len(new_frame)
-    if decision.build_left:
-        build_rows, probe_rows = true_left, true_right
-    else:
-        build_rows, probe_rows = true_right, true_left
-    hash_bytes = build_rows * (8 + HASH_ENTRY_OVERHEAD)
-    scatter_rows = true_left + true_right
-    scratch_bytes = scatter_rows * PARTITION_SCRATCH_BYTES
-    partitioned = False
-    if ctx.partitions and left_key.size and right_key.size:
-        partition_choice = partitioned_join_decision(
-            ctx.cost_model, ctx.partitions, build_rows, probe_rows
-        )
-        partitioned = partition_choice.partitioned and ctx.partition_scratch_ok(
-            hash_bytes + scratch_bytes
-        )
-    if partitioned:
-        # The scatter is modeled: its per-bucket counts size the private
-        # build/probe tasks; the host runs the shared kernel below.
-        left_counts = kernels.radix_partition(left_key, ctx.partitions)
-        right_counts = kernels.radix_partition(right_key, ctx.partitions)
-        if decision.build_left:
-            build_counts, probe_counts = left_counts, right_counts
-        else:
-            build_counts, probe_counts = right_counts, left_counts
-        ctx.metrics.allocate_transient(hash_bytes + scratch_bytes)
-        ctx.charge_parallel(
-            PARTITION_PHASE, scatter_rows * COST_PARTITION, scatter_rows
-        )
-        ctx.charge_partitioned_tasks(PARTITIONED_BUILD_PHASE, build_counts * COST_BUILD)
-        ctx.charge_partitioned_tasks(PARTITIONED_PROBE_PHASE, probe_counts * COST_PROBE)
-        ctx.profiler.counters.inc("partition.join_runs")
-        ctx.profiler.counters.inc("partition.scatter_rows", scatter_rows)
-    else:
-        scratch_bytes = 0
-        ctx.metrics.allocate_transient(hash_bytes)
-        ctx.charge_parallel(BUILD_PHASE, build_rows * COST_BUILD, build_rows)
-        ctx.charge_parallel(PROBE_PHASE, probe_rows * COST_PROBE, probe_rows)
-    ctx.profiler.counters.inc("hash_tables_built")
-    ctx.profiler.counters.inc("hash_build_rows", build_rows)
-    ctx.profiler.counters.inc("hash_probe_rows", probe_rows)
-    span.set(
-        build_rows=build_rows,
-        probe_rows=probe_rows,
-        build_side="left(frame)" if decision.build_left else f"right({alias})",
-        transient_bytes=hash_bytes + scratch_bytes,
-        partitioned=partitioned,
+    build_key, probe_key = (
+        (left_key, right_key) if decision.build_left else (right_key, left_key)
     )
-
-    # One sort of the table side serves both the guard's count and the
-    # expansion.
-    sorted_right, right_order = kernels.sort_index(right_key)
-    result = _probe_sorted_index(
-        frame, alias, new_frame, left_key, sorted_right, right_order, ctx
-    )
-    ctx.metrics.release_transient(hash_bytes + scratch_bytes)
-    return result
+    with ctx.model.hash_join(build_key, probe_key) as work:
+        ctx.profiler.counters.inc("hash_tables_built")
+        ctx.profiler.counters.inc("hash_build_rows", build_key.size)
+        ctx.profiler.counters.inc("hash_probe_rows", probe_key.size)
+        span.set(
+            build_rows=build_key.size,
+            probe_rows=probe_key.size,
+            build_side="left(frame)" if decision.build_left else f"right({alias})",
+            transient_bytes=work.transient_bytes,
+            partitioned=work.partitioned,
+        )
+        # One sort of the table side serves both the guard's count and the
+        # expansion.
+        sorted_right, right_order = kernels.sort_index(right_key)
+        return _probe_sorted_index(
+            frame, alias, new_frame, left_key, sorted_right, right_order, ctx
+        )
 
 
 def _cacheable_key_columns(
@@ -433,7 +283,7 @@ def _cached_index_join(
 ) -> Frame:
     """Probe the persistent sorted-code index instead of hashing a side.
 
-    The index build/extension is charged inside ``acquire`` (on the rows
+    The index build/extension is reported inside ``acquire`` (on the rows
     actually indexed); this path then pays probes only — no per-call hash
     transient, the index is resident memory.
     """
@@ -441,9 +291,7 @@ def _cached_index_join(
     probe_columns = [evaluate(edge.key_for(edge.other(alias)), frame) for edge in edges]
     probe_rows = len(frame)
     probe_codes = entry.probe_codes(probe_columns)
-    ctx.charge_index_pass(
-        PROBE_PHASE, PARTITIONED_PROBE_PHASE, probe_rows * COST_PROBE, probe_rows
-    )
+    ctx.model.index_probe(probe_rows)
     ctx.profiler.counters.inc("hash_probe_rows", probe_rows)
     span.set(
         probe_rows=probe_rows,
@@ -469,43 +317,26 @@ def _probe_sorted_index(
     """Probe a sorted (keys, table positions) index and join the matches.
 
     The one physical join both the classic and the cached path end in.
-    The output is counted and reserved *before* it exists: an
-    intermediate too big for the modeled budget must OOM here, not in
+    The output is counted and reported *before* it exists: an
+    intermediate too big for the modeled machine must OOM here, not in
     the host allocator.
     """
     starts, ends = kernels.sorted_probe_range(probe_keys, sorted_keys)
     out_rows = int((ends - starts).sum())
     ctx.profiler.counters.inc("join_output_rows", out_rows)
-    out_bytes = out_rows * 8 * (len(frame.indices) + 1)
-    if out_rows > HARD_JOIN_ROWS:
-        raise OutOfMemoryError(
-            f"join intermediate of {out_rows} rows exceeds the spill limit",
-            rows=out_rows,
-            limit_rows=HARD_JOIN_ROWS,
-            modeled_bytes=out_bytes,
+    with ctx.model.join_output(out_rows, len(frame.indices) + 1):
+        left_positions, table_positions = kernels.sorted_join_indices(
+            starts, ends, sorted_positions
         )
-    ctx.metrics.allocate_transient(out_bytes)
-    left_positions, table_positions = kernels.sorted_join_indices(
-        starts, ends, sorted_positions
-    )
-    result = frame.joined_with(
-        alias,
-        new_frame.bases[alias],
-        new_frame.schemas[alias],
-        left_positions,
-        new_frame.indices[alias][table_positions],
-    )
-    ctx.metrics.release_transient(out_bytes)
-    _charge_frame_materialization(result, ctx)
+        result = frame.joined_with(
+            alias,
+            new_frame.bases[alias],
+            new_frame.schemas[alias],
+            left_positions,
+            new_frame.indices[alias][table_positions],
+        )
+    ctx.model.materialize(len(result), len(result.indices))
     return result
-
-
-def _charge_frame_materialization(frame: Frame, ctx: ExecutionContext) -> None:
-    rows = len(frame)
-    width = len(frame.indices)
-    ctx.metrics.allocate_transient(rows * 8 * width)
-    ctx.charge_parallel(PROBE_PHASE, rows * COST_MATERIALIZE, rows)
-    ctx.metrics.release_transient(rows * 8 * width)
 
 
 def _build_join_frame(select: ast.Select, ctx: ExecutionContext) -> Frame:
@@ -624,15 +455,11 @@ def _apply_anti_join_inner(
     inner_keys = [evaluate(inner_expr, inner_frame) for _, inner_expr in correlated]
     left_key, right_key = kernels.make_join_keys(outer_keys, inner_keys)
 
-    hash_bytes = len(inner_frame) * (8 + HASH_ENTRY_OVERHEAD)
-    ctx.metrics.allocate_transient(hash_bytes)
-    ctx.charge_parallel(BUILD_PHASE, len(inner_frame) * COST_BUILD, len(inner_frame))
-    ctx.charge_parallel(PROBE_PHASE, len(frame) * COST_PROBE, len(frame))
-    ctx.profiler.counters.inc("hash_tables_built")
-    ctx.profiler.counters.inc("hash_build_rows", len(inner_frame))
-    ctx.profiler.counters.inc("hash_probe_rows", len(frame))
-    mask = kernels.anti_join_mask(left_key, right_key)
-    ctx.metrics.release_transient(hash_bytes)
+    with ctx.model.anti_join(right_key, left_key):
+        ctx.profiler.counters.inc("hash_tables_built")
+        ctx.profiler.counters.inc("hash_build_rows", len(inner_frame))
+        ctx.profiler.counters.inc("hash_probe_rows", len(frame))
+        mask = kernels.anti_join_mask(left_key, right_key)
     return frame.select(mask)
 
 
@@ -680,12 +507,12 @@ def _project(select: ast.Select, frame: Frame, ctx: ExecutionContext) -> np.ndar
     with ctx.op_span("project", key="project", rows_in=len(frame)) as span:
         columns = [evaluate(item.expr, frame) for item in select.items]
         rows = len(frame)
-        ctx.charge_parallel(SCAN_PHASE, rows * COST_MATERIALIZE * len(columns), rows)
+        ctx.model.project(rows, len(columns))
         if not columns:
             raise PlanError("SELECT list is empty")
         result = np.column_stack(columns) if rows else np.empty((0, len(columns)), np.int64)
         if select.distinct:
-            ctx.charge_parallel(AGGREGATE_PHASE, rows * COST_AGGREGATE, rows)
+            ctx.model.distinct(rows)
             result = kernels.unique_rows(result)
         span.set(rows_out=int(result.shape[0]))
     return result
@@ -718,11 +545,8 @@ def _aggregate_inner(select: ast.Select, frame: Frame, ctx: ExecutionContext) ->
                 )
             item_plan.append(("group", group_repr.index(text)))
 
-    rows = len(frame)
-    ctx.metrics.allocate_transient(rows * 16)
-    ctx.charge_parallel(AGGREGATE_PHASE, rows * COST_AGGREGATE, rows)
-    group_keys, agg_outputs = kernels.group_aggregate(group_columns, agg_specs)
-    ctx.metrics.release_transient(rows * 16)
+    with ctx.model.aggregate(len(frame)):
+        group_keys, agg_outputs = kernels.group_aggregate(group_columns, agg_specs)
 
     if group_columns and group_keys.shape[0] == 0:
         return np.empty((0, len(select.items)), dtype=np.int64)

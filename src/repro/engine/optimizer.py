@@ -1,5 +1,10 @@
 """Cost-based planning decisions.
 
+The decisions that change what the host executes: build side, join
+order, cached index vs classic hash join. (What the chosen plan *costs*,
+and whether it is charged shared or radix-partitioned, is the cost
+model's business — ``repro.engine.executor``.)
+
 The optimizer sees *catalog statistics*, not live tables. Statistics are
 refreshed only by explicit ANALYZE calls, so when the interpreter runs
 with OOF disabled (OOF-NA) the estimates here go stale and the planner
@@ -11,21 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.executor import (
-    BUILD_PHASE,
-    COST_BUILD,
-    COST_PARTITION,
-    COST_PROBE,
-    DEDUP_PHASE,
-    PARTITION_PHASE,
-    PARTITIONED_BUILD_PHASE,
-    PARTITIONED_DEDUP_PHASE,
-    PARTITIONED_PROBE_PHASE,
-    PROBE_PHASE,
-    ParallelCostModel,
-    PhaseKind,
-)
-from repro.storage.block import block_count
+from repro.engine.executor import join_cost_estimate
 
 
 @dataclass(frozen=True)
@@ -43,110 +34,25 @@ def choose_build_side(left_estimate: int, right_estimate: int) -> BuildSideDecis
     return BuildSideDecision(build_left=False, estimated_build_rows=right_estimate)
 
 
-def join_cost_estimate(build_rows: int, probe_rows: int) -> float:
-    """Estimated cost of a hash join given the chosen build side."""
-    return build_rows * COST_BUILD + probe_rows * COST_PROBE
+def prefer_cached_index(
+    extension_rows: int, frame_estimate: int, table_estimate: int
+) -> bool:
+    """Probe the persistent join index instead of hashing a side?
 
-
-def cached_join_cost_estimate(extension_rows: int, probe_rows: int) -> float:
-    """Estimated cost of probing a persistent join index.
-
-    Build-once/probe-many: the build charge covers only the rows the
-    index does not hold yet (the appended Δ since the last iteration, or
-    the whole table on a cold miss), so on a warm index the join costs
-    probes alone.
+    Build-once/probe-many: the index's build covers only the rows it does
+    not hold yet (the appended Δ since the last iteration, or the whole
+    table on a cold miss), so a warm index costs probes alone and the
+    cache wins whenever its extension is cheaper than the classic
+    per-iteration hash build. Ties prefer the cache — its build is an
+    investment later probes amortize.
     """
-    return extension_rows * COST_BUILD + probe_rows * COST_PROBE
+    classic = choose_build_side(frame_estimate, table_estimate)
+    classic_probe = table_estimate if classic.build_left else frame_estimate
+    return join_cost_estimate(extension_rows, frame_estimate) <= join_cost_estimate(
+        classic.estimated_build_rows, classic_probe
+    )
 
 
 def order_tables_by_estimate(estimates: dict[str, int]) -> list[str]:
     """Aliases ordered by estimated cardinality (ascending, name-stable)."""
     return sorted(estimates, key=lambda alias: (estimates[alias], alias))
-
-
-# --------------------------------------------------------------------------
-# Partitioned-vs-shared execution (the radix escape from Figure 8's plateau)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionDecision:
-    """Whether an operator should run radix-partitioned.
-
-    Carries both modeled makespans so spans/tests can see the margin the
-    decision was made on.
-    """
-
-    partitioned: bool
-    shared_estimate: float
-    partitioned_estimate: float
-
-
-def _phase_sequence_estimate(
-    cost_model: ParallelCostModel,
-    phases: list[tuple[PhaseKind, float, int]],
-) -> float:
-    """Sum of predicted makespans of a sequence of barrier-separated phases."""
-    return sum(
-        cost_model.estimate_phase_time(kind, cost, tasks)
-        for kind, cost, tasks in phases
-    )
-
-
-def partitioned_dedup_decision(
-    cost_model: ParallelCostModel,
-    partitions: int,
-    rows: int,
-    per_tuple_cost: float,
-) -> PartitionDecision:
-    """Shared GSCHT dedup vs radix scatter + per-bucket private tables.
-
-    Partitioning replaces the dedup phase's heavy shared-table contention
-    with a cheap scatter pass plus near-contention-free bucket work, but
-    pays an extra barrier and the scatter itself — tiny deltas stay
-    shared, and at low thread counts (no contention to remove) the
-    scatter never wins.
-    """
-    shared = _phase_sequence_estimate(
-        cost_model, [(DEDUP_PHASE, rows * per_tuple_cost, block_count(rows))]
-    )
-    partitioned = _phase_sequence_estimate(
-        cost_model,
-        [
-            (PARTITION_PHASE, rows * COST_PARTITION, block_count(rows)),
-            (PARTITIONED_DEDUP_PHASE, rows * per_tuple_cost, partitions),
-        ],
-    )
-    return PartitionDecision(partitioned < shared, shared, partitioned)
-
-
-def partitioned_join_decision(
-    cost_model: ParallelCostModel,
-    partitions: int,
-    build_rows: int,
-    probe_rows: int,
-) -> PartitionDecision:
-    """Shared hash build/probe vs radix scatter of both sides.
-
-    The scatter covers build *and* probe rows; per-bucket builds escape
-    the shared build phase's contention. Build-heavy operators (OPSD's
-    hash over R, balanced joins) win; probe-dominated joins don't, and
-    correctly stay shared.
-    """
-    shared = _phase_sequence_estimate(
-        cost_model,
-        [
-            (BUILD_PHASE, build_rows * COST_BUILD, block_count(build_rows)),
-            (PROBE_PHASE, probe_rows * COST_PROBE, block_count(probe_rows)),
-        ],
-    )
-    scatter_rows = build_rows + probe_rows
-    partitioned = _phase_sequence_estimate(
-        cost_model,
-        [
-            (PARTITION_PHASE, scatter_rows * COST_PARTITION, block_count(scatter_rows)),
-            (PARTITIONED_BUILD_PHASE, build_rows * COST_BUILD, partitions),
-            (PARTITIONED_PROBE_PHASE, probe_rows * COST_PROBE, partitions),
-        ],
-    )
-    return PartitionDecision(partitioned < shared, shared, partitioned)

@@ -11,13 +11,16 @@ Ladder (in escalation order):
 1. **shed-join-cache** (soft watermark): evict the iteration-persistent
    join indexes and stop building new ones — they are a pure
    speed-for-memory trade, so they are the first thing to give back.
-2. **shed-partitioning** (soft watermark): keep operators on the shared
-   hash-table path instead of radix-partitioned execution — the scatter
-   buffers are transient speed-for-memory scratch, given back like the
-   join cache (but per-operator, not sticky state: partitioning resumes
-   if pressure recedes below the sticky level).
-3. **lean-dedup** (soft watermark): deduplicate with the in-place
-   sort-based path — slower per tuple, but no hash-bucket array.
+2. **shed-partitioning** (soft watermark): the cost model keeps an
+   operator on the shared hash-table plan instead of charging it as
+   radix-partitioned — the *modeled* scatter scratch is given back like
+   the join cache (but per-operator, not sticky state: partitioning
+   resumes if pressure recedes below the sticky level). The host runs
+   the same kernel either way and never held that scratch.
+3. **lean-dedup** (soft watermark): the cost model charges dedup as an
+   in-place sort — slower per tuple, but its modeled transient is the
+   index array alone, no hash-bucket array. Again a charge only: the
+   host's dedup is always a sort of the packed key.
 4. **spill-cold-tables** (soft watermark): evict cold full-relation
    prefixes to checksummed segment files on disk and stream them back
    through the kernels — the footprint leaves RAM entirely instead of

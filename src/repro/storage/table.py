@@ -34,6 +34,9 @@ class Table:
             seen.add(column.name)
         self.name = name
         self.columns: tuple[ColumnSchema, ...] = tuple(columns)
+        # The schema is immutable: its derived constants are computed once.
+        self.column_names: tuple[str, ...] = tuple(column.name for column in columns)
+        self._tuple_bytes = sum(column.ctype.logical_bytes for column in columns)
         self._rows = np.empty((_INITIAL_CAPACITY, len(columns)), dtype=np.int64)
         self._count = 0
         #: Rows [0, _spilled_rows) live in spill segment files; the
@@ -60,10 +63,6 @@ class Table:
     def arity(self) -> int:
         return len(self.columns)
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
-
     def column_index(self, name: str) -> int:
         for index, column in enumerate(self.columns):
             if column.name == name:
@@ -72,7 +71,7 @@ class Table:
 
     def tuple_bytes(self) -> int:
         """Logical bytes per tuple (used by cost and memory models)."""
-        return sum(column.ctype.logical_bytes for column in self.columns)
+        return self._tuple_bytes
 
     # -- contents ----------------------------------------------------------
 
@@ -140,11 +139,11 @@ class Table:
 
     def memory_bytes(self) -> int:
         """Modeled resident size: logical tuple width times resident rows."""
-        return self.tuple_bytes() * self.resident_rows
+        return self._tuple_bytes * self.resident_rows
 
     def spilled_bytes(self) -> int:
         """Modeled bytes of the spilled prefix (on disk, not in memory)."""
-        return self.tuple_bytes() * self._spilled_rows
+        return self._tuple_bytes * self._spilled_rows
 
     # -- mutation ----------------------------------------------------------
 

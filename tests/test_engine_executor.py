@@ -1,8 +1,11 @@
 """Tests for the simulated multicore cost model and metrics recorder."""
 
+import heapq
+
 import pytest
 
 from repro.common.errors import EvaluationTimeout, OutOfMemoryError
+from repro.common.timing import SimClock
 from repro.engine.executor import (
     BUILD_PHASE,
     DEDUP_PHASE,
@@ -11,6 +14,7 @@ from repro.engine.executor import (
     split_tasks,
 )
 from repro.engine.metrics import MetricsRecorder
+from repro.obs import Profiler
 
 
 class TestParallelCostModel:
@@ -83,10 +87,11 @@ class TestParallelCostModel:
         assert faulty.total_work > clean.total_work
 
     def test_history_recorded(self):
-        model = ParallelCostModel(threads=2)
+        model = ParallelCostModel(threads=2, profiler=Profiler(SimClock()))
         model.run_phase(SCAN_PHASE, [0.1])
         model.run_phase(BUILD_PHASE, [0.1])
-        assert [kind for kind, _ in model.history] == ["scan", "build"]
+        counters = model.profiler.counters
+        assert counters.get("phase_scan_runs") == counters.get("phase_build_runs") == 1
 
     def test_split_tasks_even(self):
         tasks = split_tasks(1.0, 4)
@@ -97,6 +102,38 @@ class TestParallelCostModel:
         model = ParallelCostModel(threads=40, physical_cores=20, ht_yield=0.2)
         width = model.effective_width(SCAN_PHASE)
         assert 20 < width < 40
+
+
+def _reference_lpt_makespan(task_costs, workers):
+    """The heap the model ran over every phase before the closed form."""
+    loads = [0.0] * workers
+    heapq.heapify(loads)
+    for cost in sorted(task_costs, reverse=True):
+        lightest = heapq.heappop(loads)
+        heapq.heappush(loads, lightest + cost)
+    return max(loads)
+
+
+class TestEqualTaskClosedForm:
+    """``n`` equal tasks are priced without a task list or a heap, to the
+    same float: the sim clock is pinned digit for digit."""
+
+    @pytest.mark.parametrize(
+        "tasks,threads",
+        [(256, 20), (256, 32), (64, 20), (7, 20), (1, 20), (4150, 20), (13, 7),
+         (40, 40), (41, 40), (300, 1)],
+    )  # fmt: skip
+    @pytest.mark.parametrize(
+        "total_cost", [0.0, 1.0e-7, 0.1, 1.0 / 3.0, 4096 * 2.2e-6, 1234567 * 7.0e-7 / 3]
+    )
+    def test_same_float_as_the_reference_heap(self, tasks, threads, total_cost):
+        split = split_tasks(total_cost, tasks)
+        listed = [total_cost / tasks] * tasks
+        workers = min(threads, tasks)
+        assert split.makespan(workers) == _reference_lpt_makespan(listed, workers)
+        for kind in (SCAN_PHASE, DEDUP_PHASE):
+            model = ParallelCostModel(threads=threads)
+            assert model.run_phase(kind, split) == model.run_phase(kind, listed)
 
 
 class TestMetricsRecorder:

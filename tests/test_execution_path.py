@@ -8,7 +8,10 @@ between the scheduler and the Datalog-aware handlers.
   inside ``maintain``, at the service's isolation boundary — agree;
 * ``repro.server.scheduler`` imports nothing from ``repro.core`` or
   ``repro.datalog``;
+* ``repro.engine.executor`` is the only module of the relational engine
+  that knows what work costs;
 * config surfaces have a budget, so knobs cannot creep back unreviewed;
+* a kept view's traces are per run, not per recorder lifetime;
 * recovery opens its view without a tuple-set read-out and reports the
   post-replay sizes;
 * a point request resolves its program once, and the EDB is only
@@ -18,6 +21,8 @@ between the scheduler and the Datalog-aware handlers.
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -152,6 +157,51 @@ class TestModuleSeam:
         }
         assert not leaks, f"scheduler must not know Datalog: {sorted(leaks)}"
 
+    def test_only_the_cost_model_knows_what_work_costs(self):
+        from repro.engine import dedup, executor, operators, setops
+
+        engine = Path(executor.__file__).parent
+        priced = re.compile(
+            r"^COST_|_PHASE$|^PhaseKind$|^(HASH_ENTRY_OVERHEAD|PARTITION_SCRATCH_BYTES"
+            r"|GENERIC_ENTRY_OVERHEAD|CCK_BUCKET_BYTES|LEAN_INDEX_BYTES|INDEX_ROW_BYTES)$"
+        )
+        leaks, scatters = [], []
+        for path in sorted(engine.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    if called == "radix_partition":
+                        scatters.append(path.name)
+                if path.name != "executor.py":
+                    leaks += [(path.name, name) for name in names if priced.search(name)]
+                    if isinstance(node, ast.keyword) and node.arg == "utilization":
+                        leaks.append((path.name, "utilization="))
+        assert not leaks, f"priced outside the model: {sorted(set(leaks))}"
+        # One modeled scatter per side, counted where it is priced.
+        assert set(scatters) == {"executor.py"}
+        # The model is configured once; nothing threads its switches through.
+        for function in (
+            dedup.deduplicate,
+            setops.one_phase_set_difference,
+            setops.two_phase_set_difference,
+        ):
+            parameters = set(inspect.signature(function).parameters)
+            assert not parameters & {"fast", "lean", "partitions", "partitioned"}
+        context = {field.name for field in fields(operators.ExecutionContext)}
+        assert context == {"catalog", "model", "profiler", "join_cache"}
+        assert not [
+            name
+            for name in vars(operators.ExecutionContext)
+            if name.startswith("charge_") or name == "partition_scratch_ok"
+        ]
+
     def test_config_surface_budget(self):
         # Raising a bound is a reviewed decision: a new knob needs two
         # callers that set it differently (see the knob audit in CHANGES.md).
@@ -203,6 +253,33 @@ class TestRecoveryOpensWithoutReadout:
         assert session.to_dict()["sizes"] != base_sizes
         assert session.result.tuples == {}
         assert view.fixpoint() == expected.tuples
+
+
+class TestKeptViewTraces:
+    def test_traces_are_per_run_not_per_recorder_lifetime(self):
+        def serve(batches):
+            # fault_seed=None: injected retries would add their own samples.
+            view = RecStep(RecStepConfig(**RELATIONAL, fault_seed=None)).materialize(
+                TC, {"arc": path_arcs(12)}
+            )
+            opened = (
+                view.result.memory_trace.as_tuples(),
+                view.result.cpu_trace.as_tuples(),
+            )
+            assert all(opened)
+            for batch in range(batches):
+                isolated = np.array([[100 + 10 * batch, 101 + 10 * batch]])
+                assert view.maintain({"arc": isolated}).status == "ok"
+            metrics = view.database.metrics
+            # The opening result kept its traces, and only those.
+            assert opened == (
+                view.result.memory_trace.as_tuples(),
+                view.result.cpu_trace.as_tuples(),
+            )
+            view.release()
+            return len(metrics.memory_trace.samples), len(metrics.cpu_trace.samples)
+
+        assert serve(2) == serve(7)
 
 
 class TestWorkDoneOnce:

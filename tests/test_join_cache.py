@@ -18,8 +18,9 @@ import pytest
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.core.setdiff_policy import DsdPolicy
 from repro.engine.database import Database
-from repro.engine.dedup import plan_transient, planned_transient_bytes
-from repro.engine.joincache import INDEX_ROW_BYTES, JoinStateCache
+from repro.engine.executor import INDEX_ROW_BYTES, plan_transient
+from repro.engine.executor import plan_transient as planned_transient_bytes
+from repro.engine.joincache import JoinStateCache
 from repro.obs.tracer import CATEGORY_ITERATION
 from repro.programs import get_program
 from repro.resilience import DegradationController, ResilienceContext

@@ -23,8 +23,9 @@ from repro.core.config import OofMode
 from repro.datasets.gnp import gnp_graph
 from repro.engine import kernels
 from repro.engine.database import Database
-from repro.engine.executor import COST_DEDUP_FAST, ParallelCostModel
-from repro.engine.optimizer import (
+from repro.engine.executor import (
+    COST_DEDUP_FAST,
+    ParallelCostModel,
     partitioned_dedup_decision,
     partitioned_join_decision,
 )
@@ -498,7 +499,7 @@ class TestPartitionMemory:
         db.load_table("d", ["a", "b"], rows)
         outcome = db.dedup_table("d")
         assert outcome.partitioned
-        from repro.engine.operators import PARTITION_SCRATCH_BYTES
+        from repro.engine.executor import PARTITION_SCRATCH_BYTES
 
         assert db.metrics.peak_transient_bytes >= rows.shape[0] * PARTITION_SCRATCH_BYTES
         assert db.metrics.transient_bytes == 0
