@@ -52,8 +52,8 @@ def trace_to_csv(result: EvaluationResult, which: str = "memory") -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["sim_seconds", which])
-    for sample in trace.samples:
-        writer.writerow([f"{sample.time:.6f}", f"{sample.value:.6f}"])
+    for time, value in trace.as_tuples():
+        writer.writerow([f"{time:.6f}", f"{value:.6f}"])
     return buffer.getvalue()
 
 

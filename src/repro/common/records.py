@@ -36,31 +36,38 @@ class TraceSample:
 
 @dataclass
 class Trace:
-    """A named time series (memory usage, CPU utilization, delta sizes...)."""
+    """A named time series (memory usage, CPU utilization, delta sizes...).
+
+    Stored as two flat float lists — the recorder appends tens of
+    thousands of samples per evaluation; :attr:`samples` builds the
+    :class:`TraceSample` view on read.
+    """
 
     name: str
-    samples: list[TraceSample] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
 
     def record(self, time: float, value: float) -> None:
-        self.samples.append(TraceSample(time, value))
+        self.times.append(time)
+        self.values.append(value)
+
+    @property
+    def samples(self) -> list[TraceSample]:
+        return [TraceSample(time, value) for time, value in zip(self.times, self.values)]
 
     def peak(self) -> float:
-        if not self.samples:
-            return 0.0
-        return max(sample.value for sample in self.samples)
+        return max(self.values, default=0.0)
 
     def mean(self) -> float:
-        if not self.samples:
+        if not self.values:
             return 0.0
-        return sum(sample.value for sample in self.samples) / len(self.samples)
+        return sum(self.values) / len(self.values)
 
     def final(self) -> float:
-        if not self.samples:
-            return 0.0
-        return self.samples[-1].value
+        return self.values[-1] if self.values else 0.0
 
     def as_tuples(self) -> list[tuple[float, float]]:
-        return [(sample.time, sample.value) for sample in self.samples]
+        return list(zip(self.times, self.values))
 
 
 @dataclass

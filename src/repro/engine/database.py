@@ -762,13 +762,12 @@ class Database:
                 existing = table.data()
                 model = self._context().model
                 with model.membership_probe(existing.shape[0] + rows.shape[0]):
-                    removed = kernels.rows_intersection(rows, existing)
+                    removed, deleted = kernels.rows_intersection(
+                        rows, existing, mark_right=True
+                    )
                     if removed.shape[0] == 0:
                         return removed
-                    left_cols = [existing[:, i] for i in range(table.arity)]
-                    right_cols = [removed[:, i] for i in range(table.arity)]
-                    left_keys, right_keys = kernels.make_join_keys(left_cols, right_cols)
-                    survivors = existing[kernels.anti_join_mask(left_keys, right_keys)]
+                    survivors = existing[~deleted]
                 table.replace_contents(survivors)
                 self._note_table_rewrite(name)
                 self._after_mutation(table, table.memory_bytes())

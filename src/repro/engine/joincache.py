@@ -7,7 +7,8 @@ over a full-side join input — stable CCK codes (or a
 :class:`~repro.engine.kernels.RowDictionary` when the key is too wide to
 pack) kept sorted alongside the originating row positions — is built
 once, then *extended* with each iteration's Δ slice instead of rebuilt.
-Per-iteration build cost becomes proportional to |Δ|, not |full|.
+Per-iteration build cost becomes proportional to |Δ|, not |full|; the
+whole-row index ``Δ = R_Δ - R`` anti-probes keeps each Δ as a sorted run.
 
 Validity is proven with the table's ``epoch`` counter (bumped on
 rewrites, not appends): an entry whose epoch no longer matches describes
@@ -50,8 +51,12 @@ class JoinIndexEntry:
     #: domain-stable CCK codec, wide keys the incremental row dictionary.
     codec: kernels.KeyCodec | None
     dictionary: kernels.RowDictionary | None
-    sorted_codes: np.ndarray
-    sorted_positions: np.ndarray
+    #: Ascending code arrays whose union is the indexed keys: one, aligned
+    #: with ``sorted_positions``, for a join key; for a whole-row entry (the
+    #: index cached OPSD anti-probes) one immutable run per size tier of
+    #: appended Δs — at most log2(rows) + 1 — and no positions.
+    runs: list[np.ndarray]
+    sorted_positions: np.ndarray | None
     rows_indexed: int
     epoch: int
     #: ``table.version`` at the last build/extend/hit. Backstop for the
@@ -60,6 +65,23 @@ class JoinIndexEntry:
     #: bumps ``version``, and a same-size entry whose synced version no
     #: longer matches is describing different rows — evict, don't hit.
     synced_version: int = -1
+
+    def contains(self, codes: np.ndarray) -> np.ndarray:
+        """Membership mask of probe ``codes`` in the indexed keys."""
+        mask = np.zeros(codes.shape[0], dtype=bool)
+        for run in self.runs:
+            mask |= kernels.isin_sorted(codes, run)
+        return mask
+
+    def flat_index(self, table) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted codes, table positions)`` for a join probe; a whole-row
+        entry builds the pair on demand and the next extend drops it."""
+        if self.sorted_positions is None:
+            rows = table.data()[: self.rows_indexed]
+            codes = self.probe_codes([rows[:, i] for i in range(rows.shape[1])])
+            order = np.argsort(codes, kind="stable")
+            self.runs, self.sorted_positions = [codes[order]], order
+        return self.runs[0], self.sorted_positions
 
     def memory_bytes(self) -> int:
         total = index_bytes(self.rows_indexed)
@@ -219,14 +241,15 @@ class JoinStateCache:
             codec = None
             dictionary = kernels.RowDictionary(len(key_columns))
             codes = dictionary.encode(columns_matrix, extend=True)
-        order = np.argsort(codes, kind="stable")
+        whole_row = key_columns == table.column_names
+        order = None if whole_row else np.argsort(codes, kind="stable")
         return JoinIndexEntry(
             table=table.name,
             key_columns=key_columns,
             codec=codec,
             dictionary=dictionary,
-            sorted_codes=np.ascontiguousarray(codes[order]),
-            sorted_positions=order.astype(np.int64),
+            runs=[np.sort(codes) if whole_row else codes[order]],
+            sorted_positions=order,
             rows_indexed=n,
             epoch=table.epoch,
             synced_version=table.version,
@@ -256,10 +279,23 @@ class JoinStateCache:
             codes = entry.codec.pack(columns)
         else:
             codes = entry.dictionary.encode(tail_matrix, extend=True)
-        positions = np.arange(entry.rows_indexed, table.num_rows, dtype=np.int64)
-        entry.sorted_codes, entry.sorted_positions = kernels.merge_sorted_index(
-            entry.sorted_codes, entry.sorted_positions, codes, positions
-        )
+        if entry.key_columns == table.column_names:
+            # The appended Δ is a run; merge the newest two while the older
+            # is at most twice the newer: R is re-sorted O(log |R|) times
+            # over a stratum, not rewritten once per iteration.
+            runs, positions = entry.runs + [np.sort(codes)], None
+            while len(runs) > 1 and runs[-2].size <= 2 * runs[-1].size:
+                newer = runs.pop()
+                runs[-1] = np.sort(np.concatenate([runs[-1], newer]), kind="stable")
+        else:
+            tail_positions = np.arange(entry.rows_indexed, table.num_rows, dtype=np.int64)
+            merged, positions = kernels.merge_sorted_index(
+                entry.runs[0], entry.sorted_positions, codes, tail_positions
+            )
+            runs = [merged]
+        # Mutated last: a retried statement sees the old entry or the
+        # extended one, never half an extend.
+        entry.runs, entry.sorted_positions = runs, positions
         entry.rows_indexed = table.num_rows
         entry.synced_version = table.version
         return True

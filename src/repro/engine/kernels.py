@@ -402,13 +402,13 @@ def sorted_join_indices(
 
 
 def isin_sorted(probe_keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Membership mask of ``probe_keys`` against a sorted key array."""
-    if probe_keys.size == 0:
-        return np.zeros(0, dtype=bool)
+    """Membership mask of ``probe_keys`` against a sorted key array: one
+    binary search per probe, then "is the key at the insertion point it"."""
     if sorted_keys.size == 0:
         return np.zeros(probe_keys.size, dtype=bool)
-    starts, ends = sorted_probe_range(probe_keys, sorted_keys)
-    return ends > starts
+    slots = np.searchsorted(sorted_keys, probe_keys)
+    np.minimum(slots, sorted_keys.size - 1, out=slots)
+    return sorted_keys[slots] == probe_keys
 
 
 def merge_sorted_index(
@@ -480,13 +480,26 @@ def radix_partition(keys: np.ndarray, num_partitions: int) -> np.ndarray:
 
 
 def semi_join_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask of left rows whose key appears in ``right_keys``."""
+    """Boolean mask of left rows whose key appears in ``right_keys``.
+
+    A dense right side (key range within 6x the input sizes, NumPy's own
+    threshold) is answered from a lookup table; a sparser one is sorted
+    and probed in ascending left order — never ``np.isin``'s default,
+    which hash-uniques the larger side.
+    """
     _check_comparable(left_keys, right_keys)
-    if left_keys.size == 0:
-        return np.zeros(0, dtype=bool)
-    if right_keys.size == 0:
-        return np.zeros(left_keys.size, dtype=bool)
-    return np.isin(left_keys, right_keys)
+    left, right = np.asarray(left_keys), np.asarray(right_keys)
+    if left.size == 0 or right.size == 0:
+        return np.zeros(left.size, dtype=bool)
+    if int(right.max()) - int(right.min()) <= 6 * (left.size + right.size):
+        return np.isin(left, right, kind="table")
+    sorted_right = np.sort(right)
+    if np.all(left[1:] >= left[:-1]):
+        return isin_sorted(left, sorted_right)
+    order = np.argsort(left)
+    mask = np.empty(left.size, dtype=bool)
+    mask[order] = isin_sorted(left[order], sorted_right)
+    return mask
 
 
 def anti_join_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
@@ -515,41 +528,53 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def sorted_distinct(key: np.ndarray) -> np.ndarray:
-    """Distinct values of a non-empty key column, ascending."""
+    """Distinct values of a key column, ascending."""
     key = np.sort(key)
     keep = np.empty(key.shape[0], dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.not_equal(key[1:], key[:-1], out=keep[1:])
     return key[keep]
 
 
-def rows_difference(new_rows: np.ndarray, existing_rows: np.ndarray) -> np.ndarray:
-    """Set difference ``new_rows - existing_rows`` (both deduplicated first).
+def _distinct_left_keys(left: np.ndarray, right: np.ndarray):
+    """``(distinct left keys, right keys, rows_of)`` in one shared code space.
 
-    The arithmetic core shared by both OPSD and TPSD; the two strategies
-    differ only in which side is hashed and whether an intersection is
-    materialized, which the DSD cost model accounts for.
+    One domain scan and one encode per side; ``rows_of(mask)`` decodes
+    the selected left keys back to rows, in row order. Rows too wide to
+    pack are compared whole (``np.unique`` + factorization).
     """
-    new_unique = unique_rows(new_rows)
-    if existing_rows.shape[0] == 0:
-        return new_unique
-    if new_unique.shape[0] == 0:
-        return new_unique
-    left_cols = [new_unique[:, i] for i in range(new_unique.shape[1])]
-    right_cols = [existing_rows[:, i] for i in range(existing_rows.shape[1])]
-    left_keys, right_keys = make_join_keys(left_cols, right_cols)
-    return new_unique[anti_join_mask(left_keys, right_keys)]
-
-
-def rows_intersection(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Distinct rows appearing in both matrices (TPSD's first phase)."""
-    left_unique = unique_rows(left)
-    if left_unique.shape[0] == 0 or right.shape[0] == 0:
-        return left_unique[:0]
-    left_cols = [left_unique[:, i] for i in range(left_unique.shape[1])]
+    left_cols = [left[:, i] for i in range(left.shape[1])]
     right_cols = [right[:, i] for i in range(right.shape[1])]
-    left_keys, right_keys = make_join_keys(left_cols, right_cols)
-    return left_unique[semi_join_mask(left_keys, right_keys)]
+    codec = KeyCodec.observed(left_cols, right_cols)
+    if codec.packable:
+        left_keys = sorted_distinct(codec.encode(left_cols))
+        return left_keys, codec.encode(right_cols), lambda mask: codec.decode(left_keys[mask])
+    distinct = np.unique(left, axis=0)
+    left_keys, right_keys = factorize_rows(distinct, right)
+    return left_keys, right_keys, lambda mask: distinct[mask]
+
+
+def rows_difference(new_rows: np.ndarray, existing_rows: np.ndarray) -> np.ndarray:
+    """Set difference ``new_rows - existing_rows``: distinct, in row order,
+    never leaving the key domain between the domain scan and the decode."""
+    new_keys, existing_keys, rows_of = _distinct_left_keys(new_rows, existing_rows)
+    return rows_of(anti_join_mask(new_keys, existing_keys))
+
+
+def rows_intersection(
+    left: np.ndarray, right: np.ndarray, mark_right: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Distinct rows appearing in both matrices (TPSD's first phase).
+
+    With ``mark_right`` also returns the mask of ``right`` rows that are
+    in the intersection, from the keys already packed — the rows a delete
+    must drop.
+    """
+    left_keys, right_keys, rows_of = _distinct_left_keys(left, right)
+    hit = semi_join_mask(left_keys, right_keys)
+    if mark_right:
+        return rows_of(hit), semi_join_mask(right_keys, left_keys[hit])
+    return rows_of(hit)
 
 
 # --------------------------------------------------------------------------

@@ -187,8 +187,8 @@ class MetricsRecorder:
         than dividing by zero.
         """
         if self.memory_budget <= 0:
-            return [(sample.time, 0.0) for sample in self.memory_trace.samples]
+            return [(time, 0.0) for time in self.memory_trace.times]
         return [
-            (sample.time, 100.0 * sample.value / self.memory_budget)
-            for sample in self.memory_trace.samples
+            (time, 100.0 * value / self.memory_budget)
+            for time, value in self.memory_trace.as_tuples()
         ]

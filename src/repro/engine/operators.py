@@ -300,8 +300,9 @@ def _cached_index_join(
         cached_rows=entry.rows_indexed,
     )
 
+    sorted_codes, sorted_positions = entry.flat_index(ctx.catalog.get_table(table_name))
     return _probe_sorted_index(
-        frame, alias, new_frame, probe_codes, entry.sorted_codes, entry.sorted_positions, ctx
+        frame, alias, new_frame, probe_codes, sorted_codes, sorted_positions, ctx
     )
 
 

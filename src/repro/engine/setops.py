@@ -106,9 +106,7 @@ def one_phase_set_difference(
             else:
                 columns = [new_unique[:, i] for i in range(new_unique.shape[1])]
                 probe_codes = cache_entry.probe_codes(columns)
-                delta = new_unique[
-                    ~kernels.isin_sorted(probe_codes, cache_entry.sorted_codes)
-                ]
+                delta = new_unique[~cache_entry.contains(probe_codes)]
     elif build_rows == 0:
         delta = new_unique
     else:

@@ -322,6 +322,50 @@ class TestSemiAntiJoin:
         for index, value in enumerate(left_list):
             assert bool(semi[index]) == (value in right_set)
 
+    @given(
+        st.data(),
+        st.sampled_from([(0, 40), (-1, 300), (-(1 << 40), 1 << 40), (1 << 61, (1 << 62) + 50)]),
+        st.sampled_from([(0, 40), (-1, 300), (-(1 << 40), 1 << 40), (1 << 61, (1 << 62) + 50)]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mask_equals_isin(self, data, left_range, right_range, sort_left):
+        # Dense and sparse key ranges on either side, duplicates, -1
+        # (pack_probe's "never inserted"), empty sides, both probe orders.
+        def side(bounds):
+            values = data.draw(st.lists(st.integers(*bounds), max_size=60))
+            if values and data.draw(st.booleans()):
+                values += [values[0], -1]
+            return np.asarray(values, dtype=np.int64)
+
+        left, right = side(left_range), side(right_range)
+        if sort_left:
+            left = np.sort(left)
+        mask = kernels.semi_join_mask(left, right)
+        assert mask.dtype == bool and type(mask) is np.ndarray
+        assert np.array_equal(mask, np.isin(left, right))
+        assert np.array_equal(kernels.anti_join_mask(left, right), ~np.isin(left, right))
+        assert np.array_equal(
+            kernels.isin_sorted(left, np.sort(right)), np.isin(left, right)
+        )
+
+    @given(rows_strategy, st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_local_packed_keys_of_one_call(self, pairs, split):
+        # Both sides sliced from one pack_columns call: comparable, and
+        # the mask is what np.isin says about the untagged codes.
+        rows = as_matrix(pairs + [(0, 0), (50, 50)])
+        key = kernels.pack_columns([rows[:, 0], rows[:, 1]])
+        left, right = key[:split], key[split:]
+        mask = kernels.semi_join_mask(left, right)
+        assert type(mask) is np.ndarray
+        assert np.array_equal(mask, np.isin(np.asarray(left), np.asarray(right)))
+        other = kernels.pack_columns([rows[:, 1], rows[:, 0]])
+        with pytest.raises(KeyPackingError):
+            kernels.semi_join_mask(left, other)
+        with pytest.raises(KeyPackingError):
+            kernels.semi_join_mask(other[:0], right)
+
 
 class TestUniqueRows:
     def test_empty(self):
@@ -401,6 +445,79 @@ class TestSetOperations:
     def test_intersection_matches_python_sets(self, left_pairs, right_pairs):
         got = kernels.rows_intersection(as_matrix(left_pairs), as_matrix(right_pairs))
         assert {tuple(r) for r in got.tolist()} == set(left_pairs) & set(right_pairs)
+
+
+def _parent_rows_difference(new_rows, existing_rows):
+    """``rows_difference`` as it stood before the key-domain rewrite."""
+    new_unique = kernels.unique_rows(new_rows)
+    if existing_rows.shape[0] == 0 or new_unique.shape[0] == 0:
+        return new_unique
+    left_keys, right_keys = kernels.make_join_keys(
+        [new_unique[:, i] for i in range(new_unique.shape[1])],
+        [existing_rows[:, i] for i in range(existing_rows.shape[1])],
+    )
+    return new_unique[~np.isin(left_keys, right_keys)]
+
+
+def _parent_rows_intersection(left, right):
+    left_unique = kernels.unique_rows(left)
+    if left_unique.shape[0] == 0 or right.shape[0] == 0:
+        return left_unique[:0]
+    left_keys, right_keys = kernels.make_join_keys(
+        [left_unique[:, i] for i in range(left_unique.shape[1])],
+        [right[:, i] for i in range(right.shape[1])],
+    )
+    return left_unique[np.isin(left_keys, right_keys)]
+
+
+@st.composite
+def _row_matrix_pairs(draw):
+    """Two row matrices of one width: narrow rows pack into one int64, the
+    (2, 2**40) shape takes the whole-row fallback."""
+    width, high = draw(st.sampled_from([(1, 50), (2, 50), (3, 1 << 20), (2, 1 << 40)]))
+    row = st.tuples(*[st.integers(-3, high)] * width)
+    return tuple(
+        np.asarray(draw(st.lists(row, max_size=40)), dtype=np.int64).reshape(-1, width)
+        for _ in range(2)
+    )
+
+
+class TestSetOperationsMatchParent:
+    @given(_row_matrix_pairs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows_in_the_same_order(self, sides, overlap):
+        left, right = sides
+        if overlap and left.shape[0]:
+            right = np.vstack([right, left[::2]])
+        assert np.array_equal(
+            kernels.rows_difference(left, right), _parent_rows_difference(left, right)
+        )
+        common = kernels.rows_intersection(left, right)
+        assert np.array_equal(common, _parent_rows_intersection(left, right))
+        assert common.shape[1] == left.shape[1]
+        again, in_common = kernels.rows_intersection(left, right, mark_right=True)
+        assert np.array_equal(again, common)
+        members = {tuple(row) for row in common.tolist()}
+        assert in_common.tolist() == [tuple(row) in members for row in right.tolist()]
+
+    def test_empty_sides_wide_and_narrow(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        wide = np.array([[1 << 40, 5], [7, 1 << 41], [0, 0]], dtype=np.int64)
+        for rows in (wide, wide % 9, empty):
+            assert kernels.rows_difference(empty, rows).shape == (0, 2)
+            assert np.array_equal(
+                kernels.rows_difference(rows, empty), np.unique(rows, axis=0)
+            )
+            for left, right in ((empty, rows), (rows, empty)):
+                common, marked = kernels.rows_intersection(left, right, mark_right=True)
+                assert common.shape == (0, 2) and not marked.any()
+                assert marked.shape == (right.shape[0],)
+
+    def test_results_never_alias_their_inputs(self):
+        rows = np.array([[1], [2], [3]], dtype=np.int64)
+        for other in (np.empty((0, 1), dtype=np.int64), np.array([[2]], dtype=np.int64)):
+            assert not np.shares_memory(kernels.rows_difference(rows, other), rows)
+            assert not np.shares_memory(kernels.rows_intersection(rows, other), rows)
 
 
 class TestGroupAggregate:

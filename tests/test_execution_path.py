@@ -202,6 +202,46 @@ class TestModuleSeam:
             if name.startswith("charge_") or name == "partition_scratch_ok"
         ]
 
+    def test_membership_goes_through_the_sorted_kernels(self):
+        # np.isin's default hash-uniques the larger side, np.insert rewrites
+        # a whole sorted index per append, np.unique re-sorts what a packed
+        # key already orders: each is allowed only where it is the point.
+        from repro.engine import executor
+
+        allowed = {
+            "isin": {"semi_join_mask"},  # the kind="table" pass
+            "insert": {"merge_sorted_index", "RowDictionary.encode"},
+            "unique": {
+                "RowDictionary.encode",
+                "factorize_rows",
+                "unique_rows",
+                "_distinct_left_keys",  # wide-row fallbacks
+                "MaintenanceRun._group_sum",
+            },
+        }
+        found = {name: [] for name in allowed}
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = scope + [node.name]
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in allowed
+                and getattr(node.func.value, "id", None) == "np"
+            ):
+                found[node.func.attr].append((".".join(scope[-2:]), node))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        source = Path(executor.__file__).parent.parent
+        for path in sorted([*source.glob("engine/*.py"), *source.glob("core/*.py")]):
+            visit(ast.parse(path.read_text()), [])
+        for name, sites in found.items():
+            assert {scope for scope, _ in sites} <= allowed[name], (name, sites)
+        ((_, isin),) = found["isin"]
+        assert [(kw.arg, kw.value.value) for kw in isin.keywords] == [("kind", "table")]
+
     def test_config_surface_budget(self):
         # Raising a bound is a reviewed decision: a new knob needs two
         # callers that set it differently (see the knob audit in CHANGES.md).

@@ -14,9 +14,13 @@ Acceptance criteria covered here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.core.setdiff_policy import DsdPolicy
+from repro.datasets import load_dataset
+from repro.engine import kernels
 from repro.engine.database import Database
 from repro.engine.executor import INDEX_ROW_BYTES, plan_transient
 from repro.engine.executor import plan_transient as planned_transient_bytes
@@ -294,7 +298,7 @@ class TestCacheMechanics:
         probe = entry.probe_codes(
             [np.array([7], dtype=np.int64), np.array([7], dtype=np.int64)]
         )
-        assert probe[0] in entry.sorted_codes
+        assert entry.contains(probe).tolist() == [True]
 
     def test_empty_table_then_growth(self):
         db = Database(enforce_budgets=False)
@@ -303,7 +307,7 @@ class TestCacheMechanics:
         entry, event = db.join_cache.acquire(ctx, "r", ("x",))
         assert event == "miss" and entry.rows_indexed == 0
         probe = entry.probe_codes([np.array([5], dtype=np.int64)])
-        assert not bool(np.isin(probe, entry.sorted_codes).any())
+        assert not bool(entry.contains(probe).any())
 
     def test_disabled_cache_is_inert(self):
         cache = JoinStateCache(enabled=False)
@@ -313,6 +317,135 @@ class TestCacheMechanics:
         db.execute("SELECT r.x AS x FROM r r")
         assert len(db.join_cache) == 0
         assert len(cache) == 0
+
+
+#: Append batches: mostly small non-negative rows (packable codec), and
+#: one shape whose first batch is wide enough to force the dictionary.
+_append_batches = st.lists(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=30),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestWholeRowRuns:
+    """A whole-row entry keeps sorted runs; a flat sorted array is the spec."""
+
+    @given(_append_batches, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_answer_like_one_sorted_array(self, batches, wide):
+        scale = (1 << 40) if wide else 1
+        db = Database(enforce_budgets=False)
+        # The first rows pin the codec's domains, so every append extends.
+        corners = np.array([[0, 0], [40, 40]], dtype=np.int64) * scale
+        db.load_table("r", ("x", "y"), corners)
+        db.load_table("s", ("x", "y"), np.empty((0, 2), dtype=np.int64))
+        ctx = db._context()
+        table = db.catalog.get_table("r")
+        probes = np.array([(x, y) for x in range(0, 41, 3) for y in range(0, 41, 5)])
+        probes = probes.astype(np.int64) * scale
+        entry, _ = db.join_cache.acquire(ctx, "r", ("x", "y"))
+        #: The pre-runs index: one stable argsort, then merge_sorted_index.
+        flat_codes, flat_positions = kernels.sort_index(entry.probe_codes([corners[:, 0], corners[:, 1]]))
+        for batch in batches:
+            rows = np.asarray(batch, dtype=np.int64) * scale
+            before = table.num_rows
+            db.append_rows("r", rows)
+            entry, event = db.join_cache.acquire(ctx, "r", ("x", "y"))
+            assert event == "extend" and (entry.dictionary is not None) == wide
+            assert entry.sorted_positions is None
+            assert entry.rows_indexed == table.num_rows == sum(run.size for run in entry.runs)
+            assert len(entry.runs) <= int(np.log2(table.num_rows)) + 1
+            assert all(np.all(run[1:] >= run[:-1]) for run in entry.runs)
+            flat_codes, flat_positions = kernels.merge_sorted_index(
+                flat_codes,
+                flat_positions,
+                entry.probe_codes([rows[:, 0], rows[:, 1]]),
+                np.arange(before, table.num_rows, dtype=np.int64),
+            )
+            # Every anti-probe: as one flat sorted array would answer it.
+            codes = entry.probe_codes([probes[:, 0], probes[:, 1]])
+            present = {tuple(row) for row in table.data().tolist()}
+            expected = [tuple(row) in present for row in probes.tolist()]
+            assert entry.contains(codes).tolist() == expected
+            assert kernels.isin_sorted(codes, flat_codes).tolist() == expected
+            # Δ − R through the statement that owns the entry.
+            db.replace_rows("s", probes)
+            delta = db.set_difference("s", "r", "OPSD").delta
+            assert {tuple(row) for row in delta.tolist()} == {
+                tuple(row) for row, hit in zip(probes.tolist(), expected) if not hit
+            }
+        # A join on every column gets the flat (codes, positions) pair the
+        # merged index used to hold, built on demand ...
+        codes, positions = entry.flat_index(table)
+        assert np.array_equal(codes, flat_codes)
+        assert np.array_equal(positions, flat_positions)
+        assert entry.flat_index(table)[1] is positions
+        # ... and the next extend drops it again.
+        db.append_rows("r", np.array([[41, 41]], dtype=np.int64) * scale)
+        entry, event = db.join_cache.acquire(ctx, "r", ("x", "y"))
+        assert event == "extend" and entry.sorted_positions is None
+        assert entry.contains(entry.probe_codes([probes[:1, 0] * 0 + 41 * scale] * 2)).all()
+
+    def test_all_column_join_after_extend_matches_uncached(self):
+        rng = np.random.default_rng(5)
+        r_rows = rng.integers(0, 12, size=(150, 2)).astype(np.int64)
+        s_rows = rng.integers(0, 12, size=(60, 2)).astype(np.int64)
+        sql = "SELECT a.x AS x, b.y AS y FROM s a, r b WHERE a.x = b.x AND a.y = b.y"
+        results = {}
+        for cached in (True, False):
+            db = Database(enforce_budgets=False, profile=True, join_cache=cached)
+            db.load_table("r", ("x", "y"), r_rows[:100])
+            db.load_table("s", ("x", "y"), s_rows)
+            db.set_difference("s", "r", "OPSD")  # builds the whole-row entry
+            db.append_rows("r", r_rows[100:])
+            db.set_difference("s", "r", "OPSD")  # extends it: two runs, no positions
+            results[cached] = db.execute(sql)
+            if cached:
+                counters = db.profiler.counters
+                assert counters.get("join_cache.miss") == 1  # one entry serves both
+                assert counters.get("join_cache.extend") == 1
+                assert counters.get("join_cache.hit") == 1  # the join
+        assert results[True].shape[0] > 0
+        assert np.array_equal(results[True], results[False])
+
+    def test_key_column_entries_stay_flat(self):
+        db = Database(enforce_budgets=False)
+        db.load_table("r", ("x", "y"), np.arange(100, dtype=np.int64).reshape(-1, 2))
+        ctx = db._context()
+        for columns in (("x",), ("y", "x")):  # a permutation is a join key, not a row
+            db.join_cache.acquire(ctx, "r", columns)
+        db.append_rows("r", np.array([[5, 7], [3, 3]], dtype=np.int64))
+        for columns in (("x",), ("y", "x")):
+            entry, event = db.join_cache.acquire(ctx, "r", columns)
+            assert event == "extend" and len(entry.runs) == 1
+            assert entry.sorted_positions.shape == entry.runs[0].shape == (52,)
+
+
+class TestWritersNeverIndex:
+    def test_pbme_evaluation_builds_no_index_and_probes_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("semi_join_mask", "isin_sorted"):
+            monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+        monkeypatch.setattr(
+            JoinStateCache, "_build", counting("_build", JoinStateCache._build)
+        )
+        result = RecStep(RecStepConfig(profile=True)).evaluate(
+            get_program("TC"), load_dataset("G500", 7), "G500"
+        )
+        assert result.status == "ok" and result.detail.get("pbme_strata")
+        assert calls == []
+        assert not [
+            name for name in result.profile.counters if name.startswith("join_cache.")
+        ]
 
 
 class TestDegradationShedsCache:
