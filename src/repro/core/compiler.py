@@ -59,9 +59,14 @@ def ivm_old_table(predicate: str) -> str:
     return f"{predicate}_ivm_old"
 
 
-def ivm_overdel_table(predicate: str) -> str:
-    """Accumulated over-deleted tuples of a DRed stratum."""
-    return f"{predicate}_ivm_overdel"
+def ivm_cand_table(predicate: str) -> str:
+    """Tuples of a DRed stratum whose support is being checked."""
+    return f"{predicate}_ivm_cand"
+
+
+def ivm_kept_table(predicate: str) -> str:
+    """Rows of a relation present both before and after a batch."""
+    return f"{predicate}_ivm_kept"
 
 
 def ivm_odelta_table(predicate: str) -> str:
@@ -164,6 +169,42 @@ class QueryGenerator:
         by the time a stratum is maintained they are already current.
         """
         return self._compile_rule(rule, delta_atom=None, source_overrides=source_overrides)
+
+    def compile_support(
+        self,
+        rule: dast.Rule,
+        candidates: str,
+        members: set[str],
+        sources: dict[str, str] | None = None,
+    ) -> sast.Select:
+        """``rule`` restricted to the heads in table ``candidates``: one row
+        per derivation, the head then every column of each ``members``
+        atom. Such an atom is joined only if the rest leaves a term
+        unbound; else the caller looks its rows up. ``sources`` redirects
+        relations to other tables."""
+        supports = [  # wildcards become variables, so columns can be emitted
+            dast.Atom(
+                atom.predicate,
+                tuple(
+                    dast.Variable(f"?{index}.{p}") if isinstance(term, dast.Wildcard) else term
+                    for p, term in enumerate(atom.terms)
+                ),
+            )
+            for index, atom in enumerate(rule.positive_atoms())
+            if atom.predicate in members
+        ]
+        body = [rule.head, *(a for a in rule.positive_atoms() if a.predicate not in members)]
+        bound = set().union(*(atom.variables() for atom in body))
+        for atom in supports:
+            if not atom.variables() <= bound:
+                body.append(atom)
+                bound |= atom.variables()
+        head = dast.Atom(rule.head.predicate, sum((a.terms for a in supports), rule.head.terms))
+        sources = sources or {}
+        overrides = {i: sources[a.predicate] for i, a in enumerate(body) if a.predicate in sources}
+        overrides[0] = candidates
+        support_rule = dast.Rule(head, (*body, *rule.negative_atoms(), *rule.comparisons()))
+        return self._compile_rule(support_rule, delta_atom=None, source_overrides=overrides)
 
     def _compile_rule(
         self,

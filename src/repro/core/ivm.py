@@ -15,13 +15,15 @@ for its shape:
   batch table, positions before it the new state, positions after it
   the old snapshot. Tuples whose count crosses zero enter/leave the
   full relation.
-* **DRed** — recursive monotone strata over-delete (every derivation
-  touching a deleted tuple, to a fixpoint over old state), apply the
-  deletions, then warm-start the ordinary semi-naive loop with a seed Δ
-  of rederivation candidates plus insertion-derived tuples. When the
-  batch carries no deletions into the stratum the over-deletion and the
-  O(|full|) rederivation scan are skipped entirely — insert-only
-  maintenance costs only the delta propagation.
+* **DRed** — recursive monotone strata over-delete, apply the
+  deletions, then warm-start the ordinary semi-naive loop with the
+  rederivable deleted tuples plus insertion-derived ones. A candidate
+  (the head of a derivation through a just-deleted tuple) survives if it
+  is a fact or derives from lower strata and same-stratum tuples not
+  deleted and of strictly lower *append rank* (``Database.append_rows``
+  numbers its calls). Ranks decrease along any chain of support, so
+  circular support keeps nothing; bulk-written rows rank 0 and get plain
+  DRed. Insert-only batches pay only the delta propagation.
 * **recompute** — strata with negation or aggregation fall back to a
   from-scratch re-evaluation of just that stratum (inputs are already
   maintained), reusing ``_run_stratum`` unchanged.
@@ -85,6 +87,44 @@ def classify_stratum(compiled: CompiledStratum) -> str:
     ):
         return CLASS_RECOMPUTE
     return CLASS_DRED if compiled.stratum.recursive else CLASS_COUNTING
+
+
+class _RankIndex:
+    """Row → (append rank, deleted?) over one relation's pre-batch rows:
+    their packed keys (row-dictionary codes if too wide), sorted once."""
+
+    def __init__(self, rows: np.ndarray, ranks: np.ndarray) -> None:
+        columns = [rows[:, i] for i in range(rows.shape[1])]
+        codec = kernels.KeyCodec.observed(columns)
+        if codec.packable:
+            self._keys_of = lambda probe: codec.pack_probe(
+                [probe[:, i] for i in range(probe.shape[1])]
+            )
+            keys = codec.encode(columns)
+        else:
+            dictionary = kernels.RowDictionary(rows.shape[1])
+            keys = dictionary.encode(rows, extend=True)
+            self._keys_of = dictionary.encode
+        # Stable: a relation appended in sorted Δ runs merges, not sorts.
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self.rank = ranks[order]
+        self.deleted = np.zeros(order.size, dtype=bool)
+
+    def slots(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's slot in the index, -1 where the relation lacks it."""
+        if self._keys.size == 0:
+            return np.full(rows.shape[0], -1, dtype=np.int64)
+        keys = self._keys_of(rows)
+        slots = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[slots] == keys, slots, -1)
+
+    def supports(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Which rows are present, not deleted and ranked below ``ranks``."""
+        slots = self.slots(rows)
+        ok = slots >= 0
+        ok[ok] = ~self.deleted[slots[ok]] & (self.rank[slots[ok]] < ranks[ok])
+        return ok
 
 
 def _as_rows(rows, arity: int) -> np.ndarray:
@@ -216,7 +256,8 @@ class MaintenanceRun:
             arity = self._analyzed.arities[name]
             ins = _as_rows(self._inserts.get(name), arity)
             dels = _as_rows(self._deletes.get(name), arity)
-            existing = self._db.table_array(name)
+            # Nothing is mutated yet: the live view, not a copy per batch.
+            existing = self._db.catalog.get_table(name).data()
             if dels.shape[0]:
                 if ins.shape[0]:
                     dels = kernels.rows_difference(dels, ins)
@@ -467,9 +508,7 @@ class MaintenanceRun:
 
     def _maintain_dred(self, cs: CompiledStratum) -> None:
         stratum = cs.stratum
-        overdel = self._overdelete(cs) if self._stratum_sees_deletes(cs) else {
-            p.predicate: np.empty((0, p.arity), dtype=np.int64) for p in cs.predicates
-        }
+        overdel = self._overdelete(cs)
         counters = self._db.profiler.counters
         for name, rows in overdel.items():
             if rows.shape[0]:
@@ -503,8 +542,10 @@ class MaintenanceRun:
             with self._db.profiler.span(
                 f"maintain iteration {iteration}", CATEGORY_ITERATION
             ) as span:
-                for predicate in cs.predicates:
-                    query = None if iteration == 0 else predicate.delta_query()
+                for position, predicate in enumerate(cs.predicates):
+                    # Gauss-Seidel: members after the first read the seeds'
+                    # Δ of the ones before them already in iteration 0.
+                    query = predicate.delta_query() if iteration or position else None
                     self._interp._evaluate_predicate(
                         predicate, query, record, init=iteration == 0
                     )
@@ -541,17 +582,6 @@ class MaintenanceRun:
                 kernels.rows_difference(removed, added),
             )
         self._interp._drop_working_tables(cs.predicates)
-        # Unused by later strata; members' reads all happened above.
-        for predicate in cs.predicates:
-            odelta = compiler.ivm_odelta_table(predicate.predicate)
-            if odelta in self._db.catalog:
-                self._db.execute_ast(sast.DropTable(odelta))
-
-    def _stratum_sees_deletes(self, cs: CompiledStratum) -> bool:
-        return any(
-            self._changed(name) and self._net[name][1].shape[0]
-            for name in self._body_predicates(cs, positive_only=True)
-        )
 
     def _old_source_overrides(
         self, positive, skip: int, members: set[str]
@@ -571,79 +601,113 @@ class MaintenanceRun:
         return overrides
 
     def _overdelete(self, cs: CompiledStratum) -> dict[str, np.ndarray]:
-        """DRed phase one: the over-deletion fixpoint, evaluated on old state."""
+        """DRed phase one: delete every tuple left without lower-ranked
+        support, on old state (the fulls shrink only after the loop)."""
         stratum = cs.stratum
-        members = stratum.predicates
-        arity_of = {p.predicate: p.arity for p in cs.predicates}
-        overdel = {
-            name: np.empty((0, arity_of[name]), dtype=np.int64) for name in arity_of
+        deleted = {p.predicate: [np.empty((0, p.arity), dtype=np.int64)] for p in cs.predicates}
+        lower = [
+            name
+            for name in set(self._body_predicates(cs, positive_only=True)) - stratum.predicates
+            if self._changed(name)
+        ]
+        # Round 0 reads the deleted lower-stratum tuples, every later round
+        # the tuples the previous one deleted.
+        frontier = {
+            name: compiler.ivm_del_table(name) for name in lower if self._net[name][1].shape[0]
         }
-
-        # Seeds: derivations using a deleted lower-stratum tuple.
-        seeds = {name: [overdel[name]] for name in arity_of}
-        for rule in stratum.rules:
-            if rule.is_fact:
-                continue
-            positive = rule.positive_atoms()
-            for p, atom in enumerate(positive):
-                source = atom.predicate
-                if source in members or not self._changed(source):
-                    continue
-                if self._net[source][1].shape[0] == 0:
-                    continue
-                overrides = self._old_source_overrides(positive, p, members)
-                overrides[p] = compiler.ivm_del_table(source)
-                seeds[rule.head.predicate].append(
-                    self._eval_rows(
-                        self._generator.compile_rule_with_sources(rule, overrides),
-                        arity_of[rule.head.predicate],
-                    )
-                )
-
-        frontier: dict[str, np.ndarray] = {}
-        for name in arity_of:
-            fresh = kernels.unique_rows(np.concatenate(seeds[name]))
-            overdel[name] = fresh
-            frontier[name] = fresh
-            self._make_work_table(compiler.ivm_odelta_table(name), fresh)
-
-        # Propagate through the stratum's own recursion, still on old state.
+        if not frontier:
+            return {name: empty for name, (empty,) in deleted.items()}
+        index = {
+            name: _RankIndex(rows, ranks)
+            for name, (rows, ranks) in self._db.ranked_rows(sorted(deleted)).items()
+        }
+        for name, (empty,) in deleted.items():
+            self._make_work_table(compiler.ivm_odelta_table(name), empty)
+            self._make_work_table(compiler.ivm_cand_table(name), empty)
+        # Support may not rest on a lower row this batch inserted: the
+        # candidate rounds read old state, so they would never revisit a
+        # tuple whose same-stratum supporter dies later in the loop.
+        kept = {
+            name: compiler.ivm_kept_table(name) for name in lower if self._net[name][0].shape[0]
+        }
+        for name, table in kept.items():
+            if table not in self._db.catalog:  # one per batch, shared by strata
+                existing = self._db.catalog.get_table(name).data()
+                self._make_work_table(table, kernels.rows_difference(existing, self._net[name][0]))
         round_index = 0
-        while any(rows.shape[0] for rows in frontier.values()):
+        while frontier:
             round_index += 1
             self._db.resilience.check_cancelled(
                 stratum=stratum.index, iteration=round_index
             )
-            derived = {
-                name: [np.empty((0, arity_of[name]), dtype=np.int64)]
-                for name in arity_of
-            }
+            # Candidates: the heads of every old-state derivation through a
+            # tuple of a frontier table.
+            candidates = {name: [parts[0]] for name, parts in deleted.items()}
             for rule in stratum.rules:
-                if rule.is_fact:
-                    continue
                 positive = rule.positive_atoms()
                 for p, atom in enumerate(positive):
-                    if atom.predicate not in members:
-                        continue
-                    if frontier[atom.predicate].shape[0] == 0:
-                        continue
-                    overrides = self._old_source_overrides(positive, p, members)
-                    overrides[p] = compiler.ivm_odelta_table(atom.predicate)
-                    derived[rule.head.predicate].append(
-                        self._eval_rows(
-                            self._generator.compile_rule_with_sources(rule, overrides),
-                            arity_of[rule.head.predicate],
+                    if atom.predicate in frontier:
+                        overrides = self._old_source_overrides(positive, p, stratum.predicates)
+                        overrides[p] = frontier[atom.predicate]
+                        candidates[rule.head.predicate].append(
+                            self._eval_rows(
+                                self._generator.compile_rule_with_sources(rule, overrides),
+                                len(rule.head.terms),
+                            )
                         )
-                    )
-            for name in arity_of:
-                fresh = kernels.rows_difference(
-                    np.concatenate(derived[name]), overdel[name]
-                )
-                frontier[name] = fresh
-                if fresh.shape[0]:
-                    overdel[name] = np.concatenate([overdel[name], fresh])
-                self._db.replace_rows(compiler.ivm_odelta_table(name), fresh)
-        return overdel
+            frontier = {}
+            for predicate in cs.predicates:
+                name = predicate.predicate
+                gone = self._unsupported(cs, predicate, candidates[name], index, kept)
+                deleted[name].append(gone)
+                if gone.shape[0]:
+                    frontier[name] = compiler.ivm_odelta_table(name)
+                    self._db.replace_rows(frontier[name], gone)
+        return {name: np.concatenate(parts) for name, parts in deleted.items()}
+
+    def _unsupported(
+        self,
+        cs: CompiledStratum,
+        predicate: CompiledPredicate,
+        candidates: list[np.ndarray],
+        index: dict[str, _RankIndex],
+        kept: dict[str, str],
+    ) -> np.ndarray:
+        """The candidates no fact or lower-ranked derivation keeps; they are
+        marked deleted in ``index`` and returned. ``kept`` maps lower
+        relations the batch inserted into to their pre-existing rows."""
+        own = index[predicate.predicate]
+        rows = kernels.unique_rows(np.concatenate(candidates))
+        slots = own.slots(rows)
+        live = (slots >= 0) & ~own.deleted[slots]
+        rows, slots = rows[live], slots[live]
+        ranks = own.rank[slots]
+        facts = np.asarray(predicate.facts, dtype=np.int64).reshape(-1, predicate.arity)
+        keep = kernels.semi_join_mask(slots, own.slots(facts))
+        members = cs.stratum.predicates
+        candidate_table = compiler.ivm_cand_table(predicate.predicate)
+        for rule in self._analyzed.rules_for(predicate.predicate, cs.stratum):
+            supporters = [a.predicate for a in rule.positive_atoms() if a.predicate in members]
+            # Nothing ranks below 0: a rank-0 tuple only stays on a
+            # derivation from lower strata alone.
+            pending = ~keep & (ranks > 0) if supporters else ~keep
+            if rule.is_fact or not pending.any():
+                continue
+            self._db.replace_rows(candidate_table, rows[pending])
+            select = self._generator.compile_support(rule, candidate_table, members, kept)
+            support = self._eval_rows(select, len(select.items))
+            heads = own.slots(support[:, : predicate.arity])
+            ok = np.ones(support.shape[0], dtype=bool)
+            offset = predicate.arity
+            for supporter in supporters:
+                end = offset + self._analyzed.arities[supporter]
+                ok &= index[supporter].supports(support[:, offset:end], own.rank[heads])
+                offset = end
+            supported = np.zeros(own.rank.shape[0], dtype=bool)
+            supported[heads[ok]] = True
+            keep |= supported[slots]
+        own.deleted[slots[~keep]] = True
+        return rows[~keep]
 
     def _dred_seeds(
         self, cs: CompiledStratum, predicate: CompiledPredicate, removed: np.ndarray
@@ -651,18 +715,20 @@ class MaintenanceRun:
         """The warm-start Δ seed: rederivation candidates + insertion joins."""
         parts: list[np.ndarray] = [np.empty((0, predicate.arity), dtype=np.int64)]
         if removed.shape[0]:
-            # Over-deleted tuples one-step derivable from the *new* state
-            # are rederivation candidates; the delta loop restores their
-            # transitive consequences. This is the only O(|full|) scan
-            # of maintenance, paid just when deletions reached here.
-            derivable = [
-                self._eval_rows(select, predicate.arity)
-                for select in predicate.init_subqueries
-            ]
-            if predicate.facts:
-                derivable.append(np.asarray(predicate.facts, dtype=np.int64))
-            candidates = kernels.unique_rows(np.concatenate([removed[:0], *derivable]))
-            parts.append(kernels.rows_intersection(candidates, removed))
+            # Deleted tuples one-step derivable from the *new* state seed
+            # their own rederivation; the delta loop restores their
+            # transitive consequences. Every atom is joined, so the planner
+            # starts from whichever side is small.
+            candidate_table = compiler.ivm_cand_table(predicate.predicate)
+            self._db.replace_rows(candidate_table, removed)
+            for rule in self._analyzed.rules_for(predicate.predicate, cs.stratum):
+                if not rule.is_fact:
+                    parts.append(
+                        self._eval_rows(
+                            self._generator.compile_support(rule, candidate_table, set()),
+                            predicate.arity,
+                        )
+                    )
         for rule in self._analyzed.rules_for(predicate.predicate, cs.stratum):
             if rule.is_fact:
                 continue

@@ -117,6 +117,8 @@ class Database:
         # bits, so the count must be a power of two; round up quietly.
         self.partitions = 1 << (partitions - 1).bit_length() if partitions > 1 else 1
         self.queries_executed = 0
+        #: Bumped once per ``append_rows``: the rank of the rows it appends.
+        self._appends = 0
         self.resilience = resilience if resilience is not None else ResilienceContext()
         #: The modeled machine: everything below reports its work here.
         self.cost_model = ParallelCostModel(
@@ -522,6 +524,18 @@ class Database:
     def table_array(self, name: str) -> np.ndarray:
         return self.catalog.get_table(name).to_array()
 
+    def ranked_rows(self, names: Sequence[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each table's live rows (read-only) and append ranks, for the
+        caller's row → rank index: reported as one ``index_build``."""
+        with self._statement_span("RANK_INDEX", tables=len(names)) as span:
+            self._touch(*names)
+            tables = [self.catalog.get_table(name) for name in names]
+            ranked = {table.name: (table.data(), table.ranks()) for table in tables}
+            rows = sum(table.num_rows for table in tables)
+            self.cost_model.index_build(rows)
+            span.set(rows_out=rows)
+        return ranked
+
     def table_size(self, name: str) -> int:
         return self.catalog.get_table(name).num_rows
 
@@ -730,13 +744,15 @@ class Database:
         return merged, improved
 
     def append_rows(self, name: str, rows: np.ndarray) -> None:
-        """Append rows to a table (the ``R <- R ⊎ ΔR`` step)."""
+        """Append rows to a table (the ``R <- R ⊎ ΔR`` step), one rank per call."""
         with self._statement_span("APPEND", table=name, rows_out=int(rows.shape[0])):
             self._dispatch()
+            self._appends += 1
+            rank = self._appends
 
             def _append() -> None:
                 table = self.catalog.get_table(name)
-                table.append_array(rows)
+                table.append_array(rows, rank)
                 self._after_mutation(table, rows.shape[0] * table.tuple_bytes())
 
             self.resilience.run("append", _append)
@@ -748,7 +764,8 @@ class Database:
         are ignored. Survivors go through ``replace_contents``, so every
         deletion path shares the one rewrite primitive — the epoch bump
         is unconditional and a stale join index can never outlive a
-        delete, whatever the surviving row count is.
+        delete, whatever the surviving row count is. Survivors keep their
+        append ranks.
         """
         table = self.catalog.get_table(name)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, table.arity)
@@ -767,8 +784,8 @@ class Database:
                     )
                     if removed.shape[0] == 0:
                         return removed
-                    survivors = existing[~deleted]
-                table.replace_contents(survivors)
+                    kept = ~deleted
+                table.replace_contents(existing[kept], kept=kept)
                 self._note_table_rewrite(name)
                 self._after_mutation(table, table.memory_bytes())
                 return removed

@@ -56,6 +56,12 @@ class Table:
         #: by ``replace_contents(..., distinct=True)``, cleared by every
         #: other mutation. Lets set-difference skip its own sort-unique.
         self.distinct = False
+        #: Append ranks as runs: rows ``[start_i, start_{i+1})`` carry
+        #: ``rank_i``, rows before the first start rank 0. One entry per
+        #: ranked append (runs a delete emptied stay, zero rows long);
+        #: bulk writes clear the runs (every row rank 0).
+        self._rank_starts: list[int] = []
+        self._rank_values: list[int] = []
 
     # -- schema ------------------------------------------------------------
 
@@ -127,6 +133,11 @@ class Table:
         """A copy of the live rows, safe to mutate."""
         return self.data().copy()
 
+    def ranks(self) -> np.ndarray:
+        """Each live row's append rank (0 for bulk-written rows)."""
+        lengths = np.diff([0, *self._rank_starts, self._count])
+        return np.repeat(np.array([0, *self._rank_values], dtype=np.int64), lengths)
+
     def to_set(self) -> set[tuple[int, ...]]:
         """Rows as a Python set of tuples (tests and small results only)."""
         return rows_to_set(self.data())
@@ -158,8 +169,8 @@ class Table:
         grown[: self.resident_rows] = self._rows[: self.resident_rows]
         self._rows = grown
 
-    def append_array(self, rows: np.ndarray) -> None:
-        """Append a 2-D array of rows (bag semantics, no dedup)."""
+    def append_array(self, rows: np.ndarray, rank: int = 0) -> None:
+        """Append a 2-D array of rows of append rank ``rank`` (bag semantics)."""
         if rows.ndim != 2 or rows.shape[1] != self.arity:
             raise CatalogError(
                 f"cannot append shape {rows.shape} into table {self.name!r} "
@@ -167,6 +178,9 @@ class Table:
             )
         if rows.shape[0] == 0:
             return
+        if rank != (self._rank_values[-1] if self._rank_values else 0):
+            self._rank_starts.append(self._count)
+            self._rank_values.append(rank)
         self._reserve(rows.shape[0])
         resident = self.resident_rows
         self._rows[resident : resident + rows.shape[0]] = rows
@@ -180,17 +194,27 @@ class Table:
             return
         self.append_array(np.asarray(materialized, dtype=np.int64).reshape(len(materialized), self.arity))
 
-    def replace_contents(self, rows: np.ndarray, distinct: bool = False) -> None:
+    def replace_contents(
+        self, rows: np.ndarray, distinct: bool = False, kept: np.ndarray | None = None
+    ) -> None:
         """Overwrite the table's rows (used by dedup and delta swaps).
 
         ``distinct`` is the caller's promise that ``rows`` holds no
-        duplicate tuple (only dedup makes it).
+        duplicate tuple (only dedup makes it). ``kept`` is the mask of old
+        rows that ``rows`` is, in order (a delete's survivors): they keep
+        their append ranks. Without it every row is rank 0.
         """
         if rows.ndim != 2 or rows.shape[1] != self.arity:
             raise CatalogError(
                 f"cannot load shape {rows.shape} into table {self.name!r} "
                 f"of arity {self.arity}"
             )
+        if kept is None:
+            self._rank_starts, self._rank_values = [], []
+        elif self._rank_starts:
+            # A run now starts after as many rows as survived before it.
+            survivors_before = np.concatenate([[0], np.cumsum(kept)])
+            self._rank_starts = survivors_before[self._rank_starts].tolist()
         self._discard_spill()
         self._rows = np.ascontiguousarray(rows, dtype=np.int64)
         self._count = rows.shape[0]
@@ -200,6 +224,7 @@ class Table:
 
     def truncate(self) -> None:
         self._discard_spill()
+        self._rank_starts, self._rank_values = [], []
         self._count = 0
         self.version += 1
         self.epoch += 1

@@ -11,6 +11,8 @@ between the scheduler and the Datalog-aware handlers.
 * ``repro.engine.executor`` is the only module of the relational engine
   that knows what work costs;
 * config surfaces have a budget, so knobs cannot creep back unreviewed;
+* a delete goes through one rank-restricted over-deletion loop, and only
+  maintenance, the table and the database touch append ranks;
 * a kept view's traces are per run, not per recorder lifetime;
 * recovery opens its view without a tuple-set read-out and reports the
   post-replay sizes;
@@ -241,6 +243,37 @@ class TestModuleSeam:
             assert {scope for scope, _ in sites} <= allowed[name], (name, sites)
         ((_, isin),) = found["isin"]
         assert [(kw.arg, kw.value.value) for kw in isin.keywords] == [("kind", "table")]
+
+    def test_deletes_go_through_one_rank_restricted_loop(self):
+        from repro.core import ivm
+
+        functions = {
+            node.name: node
+            for node in ast.walk(ast.parse(Path(ivm.__file__).read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        loops = {
+            name: sum(isinstance(node, ast.While) for node in ast.walk(function))
+            for name, function in functions.items()
+        }
+        # One over-deletion loop, beside the warm-start semi-naive loop.
+        assert {name: count for name, count in loops.items() if count} == {
+            "_overdelete": 1,
+            "_maintain_dred": 1,
+        }
+        # Rederivation is seeded from the deleted rows, not a full scan.
+        assert "init_subqueries" not in ast.unparse(functions["_dred_seeds"])
+        # Ranks are kept by the table, handed out by the database and read
+        # by maintenance; nothing else looks at them.
+        source = Path(ivm.__file__).parent.parent
+        readers = {
+            path.relative_to(source).as_posix()
+            for path in source.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and node.attr in {"ranks", "ranked_rows", "_rank_starts", "_rank_values"}
+        }
+        assert readers == {"core/ivm.py", "engine/database.py", "storage/table.py"}
 
     def test_config_surface_budget(self):
         # Raising a bound is a reviewed decision: a new knob needs two
