@@ -175,7 +175,7 @@ class QueryGenerator:
         rule: dast.Rule,
         candidates: str,
         members: set[str],
-        sources: dict[str, str] | None = None,
+        sources: dict[str, str],
     ) -> sast.Select:
         """``rule`` restricted to the heads in table ``candidates``: one row
         per derivation, the head then every column of each ``members``
@@ -200,7 +200,6 @@ class QueryGenerator:
                 body.append(atom)
                 bound |= atom.variables()
         head = dast.Atom(rule.head.predicate, sum((a.terms for a in supports), rule.head.terms))
-        sources = sources or {}
         overrides = {i: sources[a.predicate] for i, a in enumerate(body) if a.predicate in sources}
         overrides[0] = candidates
         support_rule = dast.Rule(head, (*body, *rule.negative_atoms(), *rule.comparisons()))

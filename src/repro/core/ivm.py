@@ -514,6 +514,9 @@ class MaintenanceRun:
             if rows.shape[0]:
                 self._db.delete_rows(name, rows)
                 counters.inc("ivm.overdeleted_rows", int(rows.shape[0]))
+        # The rewrite evicted the fulls' whole-row indexes; the set
+        # differences of this batch and the next ones probe them.
+        self._db.rehydrate_join_cache([name for name, rows in overdel.items() if rows.shape[0]])
 
         # Warm-start semi-naive: fresh Δ/mΔ tables, seeds into mΔ.
         for predicate in cs.predicates:
@@ -605,11 +608,8 @@ class MaintenanceRun:
         support, on old state (the fulls shrink only after the loop)."""
         stratum = cs.stratum
         deleted = {p.predicate: [np.empty((0, p.arity), dtype=np.int64)] for p in cs.predicates}
-        lower = [
-            name
-            for name in set(self._body_predicates(cs, positive_only=True)) - stratum.predicates
-            if self._changed(name)
-        ]
+        read = set(self._body_predicates(cs, positive_only=True))
+        lower = [name for name in read - stratum.predicates if self._changed(name)]
         # Round 0 reads the deleted lower-stratum tuples, every later round
         # the tuples the previous one deleted.
         frontier = {
@@ -725,7 +725,7 @@ class MaintenanceRun:
                 if not rule.is_fact:
                     parts.append(
                         self._eval_rows(
-                            self._generator.compile_support(rule, candidate_table, set()),
+                            self._generator.compile_support(rule, candidate_table, set(), {}),
                             predicate.arity,
                         )
                     )

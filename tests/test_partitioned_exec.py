@@ -349,16 +349,16 @@ class TestSimClockPin:
         }  # fmt: skip
         # Re-recorded when over-deletion became rank-restricted: 31 rows
         # over-deleted instead of 140, and no 1.5 MB snapshot peak.
-        assert after_delete == (1.1173869097847708, 981688)
+        assert after_delete == (1.1149575219497192, 981688)
         assert deleted.iterations == 2
         assert counters == {
             "dedup_calls": 24, "dedup_fast_path": 24, "dedup_input_rows": 62502,
-            "dedup_output_rows": 47038, "dsd_opsd_choices": 14, "dsd_tpsd_choices": 10,
-            "hash_build_rows": 3409, "hash_probe_rows": 87913, "hash_tables_built": 24,
+            "dedup_output_rows": 47038, "dsd_opsd_choices": 15, "dsd_tpsd_choices": 9,
+            "hash_build_rows": 3378, "hash_probe_rows": 67534, "hash_tables_built": 23,
             "ivm.maintain_runs": 2, "ivm.overdeleted_rows": 31, "ivm.rederived_rows": 31,
-            "ivm.strata_dred": 2, "partition.dedup_runs": 10, "partition.join_runs": 19,
-            "partition.scatter_rows": 354542, "partition.setdiff_runs": 11,
-            "partition.setdiff_tpsd_intersect": 10, "partition.setdiff_tpsd_subtract": 1,
+            "ivm.strata_dred": 2, "partition.dedup_runs": 10, "partition.join_runs": 18,
+            "partition.scatter_rows": 313660, "partition.setdiff_runs": 10,
+            "partition.setdiff_tpsd_intersect": 9, "partition.setdiff_tpsd_subtract": 1,
         }  # fmt: skip
 
 
