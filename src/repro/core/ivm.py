@@ -681,16 +681,15 @@ class MaintenanceRun:
         slots = own.slots(rows)
         live = (slots >= 0) & ~own.deleted[slots]
         rows, slots = rows[live], slots[live]
-        ranks = own.rank[slots]
         facts = np.asarray(predicate.facts, dtype=np.int64).reshape(-1, predicate.arity)
         keep = kernels.semi_join_mask(slots, own.slots(facts))
+        # Rank-0 tuples get plain DRed: deleted, then rederived if they can be.
+        ranked = own.rank[slots] > 0
         members = cs.stratum.predicates
         candidate_table = compiler.ivm_cand_table(predicate.predicate)
         for rule in self._analyzed.rules_for(predicate.predicate, cs.stratum):
             supporters = [a.predicate for a in rule.positive_atoms() if a.predicate in members]
-            # Nothing ranks below 0: a rank-0 tuple only stays on a
-            # derivation from lower strata alone.
-            pending = ~keep & (ranks > 0) if supporters else ~keep
+            pending = ranked & ~keep
             if rule.is_fact or not pending.any():
                 continue
             self._db.replace_rows(candidate_table, rows[pending])
