@@ -177,19 +177,11 @@ class QueryGenerator:
         members: set[str],
         sources: dict[str, str],
     ) -> sast.Select:
-        """``rule`` restricted to the heads in table ``candidates``: one row
-        per derivation, the head then every column of each ``members``
-        atom. Such an atom is joined only if the rest leaves a term
-        unbound; else the caller looks its rows up. ``sources`` redirects
-        relations to other tables."""
-        supports = [  # wildcards become variables, so columns can be emitted
-            dast.Atom(
-                atom.predicate,
-                tuple(
-                    dast.Variable(f"?{index}.{p}") if isinstance(term, dast.Wildcard) else term
-                    for p, term in enumerate(atom.terms)
-                ),
-            )
+        """``rule`` restricted to the heads in table ``candidates``: per
+        derivation the head, then each ``members`` atom's columns (joined only
+        if a term is otherwise unbound). ``sources`` redirects relations."""
+        supports = [
+            _named_wildcards(atom, index)
             for index, atom in enumerate(rule.positive_atoms())
             if atom.predicate in members
         ]
@@ -314,6 +306,15 @@ class QueryGenerator:
             else:
                 raise DatalogError(f"unsupported head term {term!r}")
         return items, group_by
+
+
+def _named_wildcards(atom: dast.Atom, index: int) -> dast.Atom:
+    """``atom`` with every wildcard a fresh variable, so its column can be emitted."""
+    terms = (
+        dast.Variable(f"?{index}.{p}") if isinstance(term, dast.Wildcard) else term
+        for p, term in enumerate(atom.terms)
+    )
+    return dast.Atom(atom.predicate, tuple(terms))
 
 
 def _scalar_to_sql(expr: dast.ScalarExpr, bindings: dict[str, sast.ColumnRef]) -> sast.Expr:

@@ -97,9 +97,13 @@ class _RankIndex:
         columns = [rows[:, i] for i in range(rows.shape[1])]
         codec = kernels.KeyCodec.observed(columns)
         if codec.packable:
-            self._keys_of = lambda probe: codec.pack_probe(
-                [probe[:, i] for i in range(probe.shape[1])]
-            )
+
+            def keys_of(probe: np.ndarray) -> np.ndarray:
+                # Probes mostly come from the relation: checking beats clipping.
+                columns = [probe[:, i] for i in range(probe.shape[1])]
+                return codec.encode(columns) if codec.fits(columns) else codec.pack_probe(columns)
+
+            self._keys_of = keys_of
             keys = codec.encode(columns)
         else:
             dictionary = kernels.RowDictionary(rows.shape[1])
@@ -108,16 +112,25 @@ class _RankIndex:
         # Stable: a relation appended in sorted Δ runs merges, not sorts.
         order = np.argsort(keys, kind="stable")
         self._keys = keys[order]
+        self.rows = rows[order]
         self.rank = ranks[order]
         self.deleted = np.zeros(order.size, dtype=bool)
 
-    def slots(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's slot in the index, -1 where the relation lacks it."""
+    def _find(self, keys: np.ndarray) -> np.ndarray:
         if self._keys.size == 0:
-            return np.full(rows.shape[0], -1, dtype=np.int64)
-        keys = self._keys_of(rows)
+            return np.full(keys.size, -1, dtype=np.int64)
         slots = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
         return np.where(self._keys[slots] == keys, slots, -1)
+
+    def slots(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's slot in the index, -1 where the relation lacks it."""
+        return self._find(self._keys_of(rows))
+
+    def live(self, rows: np.ndarray) -> np.ndarray:
+        """The distinct slots of ``rows`` present and not deleted, ascending."""
+        slots = self._find(kernels.sorted_distinct(self._keys_of(rows)))
+        slots = slots[slots >= 0]
+        return slots[~self.deleted[slots]]
 
     def supports(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Which rows are present, not deleted and ranked below ``ranks``."""
@@ -508,7 +521,8 @@ class MaintenanceRun:
 
     def _maintain_dred(self, cs: CompiledStratum) -> None:
         stratum = cs.stratum
-        overdel = self._overdelete(cs)
+        index = self._overdelete(cs)
+        overdel = {name: own.rows[own.deleted] for name, own in index.items()}
         counters = self._db.profiler.counters
         for name, rows in overdel.items():
             if rows.shape[0]:
@@ -527,7 +541,7 @@ class MaintenanceRun:
                 enabled=self._interp._config.dsd
             )
         for predicate in cs.predicates:
-            seeds = self._dred_seeds(cs, predicate, overdel[predicate.predicate])
+            seeds = self._dred_seeds(cs, predicate, overdel.get(predicate.predicate))
             if seeds.shape[0]:
                 self._db.append_rows(
                     compiler.mdelta_table(predicate.predicate), seeds
@@ -575,15 +589,19 @@ class MaintenanceRun:
 
         for predicate in cs.predicates:
             name = predicate.predicate
-            added = kernels.unique_rows(np.concatenate(appended[name]))
-            removed = overdel[name]
-            rederived = kernels.rows_intersection(added, removed)
-            if rederived.shape[0]:
-                counters.inc("ivm.rederived_rows", int(rederived.shape[0]))
-            self._net[name] = (
-                kernels.rows_difference(added, removed),
-                kernels.rows_difference(removed, added),
-            )
+            # Every Δ missed the full it joined: ``added`` is distinct, and
+            # what it shares with the pre-batch rows was deleted, then rederived.
+            added = np.concatenate(appended[name])
+            if not index:
+                self._net[name] = (added, added[:0])
+                continue
+            own = index[name]
+            slots = own.slots(added)
+            back = np.zeros(own.deleted.shape[0], dtype=bool)
+            back[slots[slots >= 0]] = True
+            if back.any():
+                counters.inc("ivm.rederived_rows", int(back.sum()))
+            self._net[name] = (added[slots < 0], own.rows[own.deleted & ~back])
         self._interp._drop_working_tables(cs.predicates)
 
     def _old_source_overrides(
@@ -603,33 +621,26 @@ class MaintenanceRun:
                 overrides[q] = compiler.ivm_old_table(atom.predicate)
         return overrides
 
-    def _overdelete(self, cs: CompiledStratum) -> dict[str, np.ndarray]:
-        """DRed phase one: delete every tuple left without lower-ranked
-        support, on old state (the fulls shrink only after the loop)."""
+    def _overdelete(self, cs: CompiledStratum) -> dict[str, _RankIndex]:
+        """DRed phase one on old state: mark deleted in per-relation rank
+        indexes (none if nothing is) every tuple without lower-ranked support."""
         stratum = cs.stratum
-        deleted = {p.predicate: [np.empty((0, p.arity), dtype=np.int64)] for p in cs.predicates}
         read = set(self._body_predicates(cs, positive_only=True))
         lower = [name for name in read - stratum.predicates if self._changed(name)]
         # Round 0 reads the deleted lower-stratum tuples, every later round
         # the tuples the previous one deleted.
-        frontier = {
-            name: compiler.ivm_del_table(name) for name in lower if self._net[name][1].shape[0]
-        }
+        frontier = {n: compiler.ivm_del_table(n) for n in lower if self._net[n][1].shape[0]}
         if not frontier:
-            return {name: empty for name, (empty,) in deleted.items()}
-        index = {
-            name: _RankIndex(rows, ranks)
-            for name, (rows, ranks) in self._db.ranked_rows(sorted(deleted)).items()
-        }
-        for name, (empty,) in deleted.items():
-            self._make_work_table(compiler.ivm_odelta_table(name), empty)
-            self._make_work_table(compiler.ivm_cand_table(name), empty)
+            return {}
+        names = sorted(p.predicate for p in cs.predicates)
+        index = {name: _RankIndex(*ranked) for name, ranked in self._db.ranked_rows(names).items()}
+        for name, own in index.items():
+            self._make_work_table(compiler.ivm_odelta_table(name), own.rows[:0])
+            self._make_work_table(compiler.ivm_cand_table(name), own.rows[:0])
         # Support may not rest on a lower row this batch inserted: the
         # candidate rounds read old state, so they would never revisit a
         # tuple whose same-stratum supporter dies later in the loop.
-        kept = {
-            name: compiler.ivm_kept_table(name) for name in lower if self._net[name][0].shape[0]
-        }
+        kept = {n: compiler.ivm_kept_table(n) for n in lower if self._net[n][0].shape[0]}
         for name, table in kept.items():
             if table not in self._db.catalog:  # one per batch, shared by strata
                 existing = self._db.catalog.get_table(name).data()
@@ -642,7 +653,7 @@ class MaintenanceRun:
             )
             # Candidates: the heads of every old-state derivation through a
             # tuple of a frontier table.
-            candidates = {name: [parts[0]] for name, parts in deleted.items()}
+            candidates = {name: [own.rows[:0]] for name, own in index.items()}
             for rule in stratum.rules:
                 positive = rule.positive_atoms()
                 for p, atom in enumerate(positive):
@@ -659,11 +670,10 @@ class MaintenanceRun:
             for predicate in cs.predicates:
                 name = predicate.predicate
                 gone = self._unsupported(cs, predicate, candidates[name], index, kept)
-                deleted[name].append(gone)
                 if gone.shape[0]:
                     frontier[name] = compiler.ivm_odelta_table(name)
                     self._db.replace_rows(frontier[name], gone)
-        return {name: np.concatenate(parts) for name, parts in deleted.items()}
+        return index
 
     def _unsupported(
         self,
@@ -673,14 +683,11 @@ class MaintenanceRun:
         index: dict[str, _RankIndex],
         kept: dict[str, str],
     ) -> np.ndarray:
-        """The candidates no fact or lower-ranked derivation keeps; they are
-        marked deleted in ``index`` and returned. ``kept`` maps lower
-        relations the batch inserted into to their pre-existing rows."""
+        """Mark deleted (and return) the candidates no fact or lower-ranked
+        derivation keeps; ``kept`` names lower relations' pre-batch rows."""
         own = index[predicate.predicate]
-        rows = kernels.unique_rows(np.concatenate(candidates))
-        slots = own.slots(rows)
-        live = (slots >= 0) & ~own.deleted[slots]
-        rows, slots = rows[live], slots[live]
+        slots = own.live(np.concatenate(candidates))
+        rows = own.rows[slots]
         facts = np.asarray(predicate.facts, dtype=np.int64).reshape(-1, predicate.arity)
         keep = kernels.semi_join_mask(slots, own.slots(facts))
         # Rank-0 tuples get plain DRed: deleted, then rederived if they can be.
@@ -709,11 +716,11 @@ class MaintenanceRun:
         return rows[~keep]
 
     def _dred_seeds(
-        self, cs: CompiledStratum, predicate: CompiledPredicate, removed: np.ndarray
+        self, cs: CompiledStratum, predicate: CompiledPredicate, removed: np.ndarray | None
     ) -> np.ndarray:
         """The warm-start Δ seed: rederivation candidates + insertion joins."""
         parts: list[np.ndarray] = [np.empty((0, predicate.arity), dtype=np.int64)]
-        if removed.shape[0]:
+        if removed is not None and removed.shape[0]:
             # Deleted tuples one-step derivable from the *new* state seed
             # their own rederivation; the delta loop restores their
             # transitive consequences. Every atom is joined, so the planner
@@ -722,12 +729,8 @@ class MaintenanceRun:
             self._db.replace_rows(candidate_table, removed)
             for rule in self._analyzed.rules_for(predicate.predicate, cs.stratum):
                 if not rule.is_fact:
-                    parts.append(
-                        self._eval_rows(
-                            self._generator.compile_support(rule, candidate_table, set(), {}),
-                            predicate.arity,
-                        )
-                    )
+                    select = self._generator.compile_support(rule, candidate_table, set(), {})
+                    parts.append(self._eval_rows(select, predicate.arity))
         for rule in self._analyzed.rules_for(predicate.predicate, cs.stratum):
             if rule.is_fact:
                 continue

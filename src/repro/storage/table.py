@@ -200,9 +200,8 @@ class Table:
         """Overwrite the table's rows (used by dedup and delta swaps).
 
         ``distinct`` is the caller's promise that ``rows`` holds no
-        duplicate tuple (only dedup makes it). ``kept`` is the mask of old
-        rows that ``rows`` is, in order (a delete's survivors): they keep
-        their append ranks. Without it every row is rank 0.
+        duplicate tuple (only dedup makes it). ``rows`` are rank 0 unless
+        ``kept`` masks the old rows they are (a delete's survivors).
         """
         if rows.ndim != 2 or rows.shape[1] != self.arity:
             raise CatalogError(
