@@ -90,44 +90,48 @@ def classify_stratum(compiled: CompiledStratum) -> str:
 
 
 class _RankIndex:
-    """Row → (append rank, deleted?) over one relation's pre-batch rows:
-    their packed keys (row-dictionary codes if too wide), sorted once."""
+    """Row → (append rank, deleted?) over one relation's pre-batch rows, by
+    packed key (row-dictionary code if the row is too wide to pack)."""
 
     def __init__(self, rows: np.ndarray, ranks: np.ndarray) -> None:
         columns = [rows[:, i] for i in range(rows.shape[1])]
         codec = kernels.KeyCodec.observed(columns)
         if codec.packable:
-
-            def keys_of(probe: np.ndarray) -> np.ndarray:
-                # Probes mostly come from the relation: checking beats clipping.
-                columns = [probe[:, i] for i in range(probe.shape[1])]
-                return codec.encode(columns) if codec.fits(columns) else codec.pack_probe(columns)
-
-            self._keys_of = keys_of
+            self._keys_of = lambda probe: codec.pack_probe(
+                [probe[:, i] for i in range(probe.shape[1])]
+            )
             keys = codec.encode(columns)
         else:
             dictionary = kernels.RowDictionary(rows.shape[1])
             keys = dictionary.encode(rows, extend=True)
             self._keys_of = dictionary.encode
-        # Stable: a relation appended in sorted Δ runs merges, not sorts.
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
-        self.rows = rows[order]
-        self.rank = ranks[order]
-        self.deleted = np.zeros(order.size, dtype=bool)
+        self.rows, self.rank = rows.copy(), ranks
+        self.deleted = np.zeros(rows.shape[0], dtype=bool)
+        # A dense key space is one lookup per probe (TC/G500: 2^18 codes for
+        # 246 k rows); a sparse one is sorted once and binary-searched.
+        span = 1 << codec.total_bits if codec.packable and len(columns) > 1 else 0
+        self._slot_of = None
+        if 0 < span <= 4 * keys.size:
+            self._slot_of = np.full(span, -1, dtype=np.int64)
+            self._slot_of[keys] = np.arange(keys.size)
+        else:
+            self._order = np.argsort(keys, kind="stable")
+            self._keys = keys[self._order]
 
     def _find(self, keys: np.ndarray) -> np.ndarray:
+        if self._slot_of is not None:
+            return np.where(keys >= 0, self._slot_of[keys], -1)
         if self._keys.size == 0:
             return np.full(keys.size, -1, dtype=np.int64)
-        slots = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return np.where(self._keys[slots] == keys, slots, -1)
+        at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[at] == keys, self._order[at], -1)
 
     def slots(self, rows: np.ndarray) -> np.ndarray:
         """Each row's slot in the index, -1 where the relation lacks it."""
         return self._find(self._keys_of(rows))
 
     def live(self, rows: np.ndarray) -> np.ndarray:
-        """The distinct slots of ``rows`` present and not deleted, ascending."""
+        """The distinct slots of ``rows`` present and not deleted."""
         slots = self._find(kernels.sorted_distinct(self._keys_of(rows)))
         slots = slots[slots >= 0]
         return slots[~self.deleted[slots]]
@@ -722,8 +726,7 @@ class MaintenanceRun:
         parts: list[np.ndarray] = [np.empty((0, predicate.arity), dtype=np.int64)]
         if removed is not None and removed.shape[0]:
             # Deleted tuples one-step derivable from the *new* state seed
-            # their own rederivation; the delta loop restores their
-            # transitive consequences. Every atom is joined, so the planner
+            # their rederivation. Every atom is joined, so the planner
             # starts from whichever side is small.
             candidate_table = compiler.ivm_cand_table(predicate.predicate)
             self._db.replace_rows(candidate_table, removed)

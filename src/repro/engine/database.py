@@ -748,11 +748,10 @@ class Database:
         with self._statement_span("APPEND", table=name, rows_out=int(rows.shape[0])):
             self._dispatch()
             self._appends += 1
-            rank = self._appends
 
             def _append() -> None:
                 table = self.catalog.get_table(name)
-                table.append_array(rows, rank)
+                table.append_array(rows, self._appends)
                 self._after_mutation(table, rows.shape[0] * table.tuple_bytes())
 
             self.resilience.run("append", _append)

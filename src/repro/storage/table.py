@@ -56,10 +56,8 @@ class Table:
         #: by ``replace_contents(..., distinct=True)``, cleared by every
         #: other mutation. Lets set-difference skip its own sort-unique.
         self.distinct = False
-        #: Append ranks as runs: rows ``[start_i, start_{i+1})`` carry
-        #: ``rank_i``, rows before the first start rank 0. One entry per
-        #: ranked append (runs a delete emptied stay, zero rows long);
-        #: bulk writes clear the runs (every row rank 0).
+        #: Append ranks as runs: rows ``[start_i, start_{i+1})`` rank
+        #: ``rank_i``, rows before the first run 0; bulk writes clear them.
         self._rank_starts: list[int] = []
         self._rank_values: list[int] = []
 
