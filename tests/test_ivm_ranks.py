@@ -86,6 +86,11 @@ def _recompute(spec, edb) -> dict[str, set]:
     }
 
 
+def _cycle(n: int) -> np.ndarray:
+    src = np.arange(n, dtype=np.int64)
+    return np.stack([src, (src + 1) % n], axis=1)
+
+
 # --------------------------------------------------------------------------
 # The test-side invariant checker
 # --------------------------------------------------------------------------
@@ -248,11 +253,6 @@ class TestAppendRanks:
             assert table.ranks().tolist() == ranks.tolist()
         finally:
             view.release()
-
-
-def _cycle(n: int) -> np.ndarray:
-    src = np.arange(n, dtype=np.int64)
-    return np.stack([src, (src + 1) % n], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +465,6 @@ class TestMixedRankViews:
         )
         database = view.database
         table = database.catalog.get_table("tc")
-
         seen = []
 
         def spill_half():
