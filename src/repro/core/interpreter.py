@@ -71,8 +71,6 @@ class SemiNaiveInterpreter:
         #: Where the evaluation currently is, for failure-report context.
         self.current_stratum = -1
         self.current_iteration = -1
-        #: True while a ``MaintenanceRun`` is applying a batch.
-        self._maintaining = False
         #: Content fingerprint of the loaded EDB, stamped into this run's
         #: checkpoints so a resume can reject snapshots of a different
         #: input; computed only when there is a manager to write them.
@@ -128,6 +126,7 @@ class SemiNaiveInterpreter:
                 # Evaluated before the snapshot: the restored full tables
                 # already hold this stratum's fixpoint.
                 self._drop_working_tables(compiled_stratum.predicates)
+                self._db.invalidate_join_cache()
                 continue
             self.current_stratum = stratum.index
             self.current_iteration = -1
@@ -146,10 +145,19 @@ class SemiNaiveInterpreter:
                     self._maybe_checkpoint(stratum.index, -1, [])
                     continue
                 span.set(engine="relational")
-                self._run_stratum(
-                    compiled_stratum,
-                    resume_iteration=resume.iteration if resuming_here else None,
-                )
+                if resuming_here:
+                    records = self.run_fixpoint(compiled_stratum, None, start=resume.iteration)
+                else:
+                    records = self.run_fixpoint(
+                        compiled_stratum,
+                        [(p.facts, p.init_query()) for p in compiled_stratum.predicates],
+                    )
+                self.report.iterations += len(records)
+                self.report.records.extend(records)
+                # Stratum boundary: the next stratum joins different
+                # tables, so the join indexes built for this one are dead
+                # weight. (Maintenance keeps them warm across batches.)
+                self._db.invalidate_join_cache()
             self._maybe_checkpoint(stratum.index, -1, [])
         self._db.commit()
         return self.report
@@ -167,108 +175,74 @@ class SemiNaiveInterpreter:
         self.report.pbme_strata.append(compiled_stratum.stratum.index)
         return True
 
-    def _run_stratum(
+    def run_fixpoint(
         self,
         compiled_stratum: CompiledStratum,
-        resume_iteration: int | None = None,
-    ) -> None:
+        seeds: list[tuple] | None,
+        start: int = 0,
+    ) -> list[IterationRecord]:
+        """Algorithm 1's loop over one stratum, for every caller: evaluation,
+        DRed rederivation and maintenance's per-stratum recompute.
+
+        ``seeds`` is iteration 0, per member in member order: the rows to
+        append to m∆ and the query to evaluate (None: no query). Facts and
+        rederivation seeds both go through m∆, so the dedup/set-difference
+        path lands them in full and ∆ and semi-naive rules see them.
+        ``seeds=None`` resumes a checkpoint: the ∆ tables were restored, and
+        the loop goes on after iteration ``start`` while they are non-empty.
+        Returns one record per iteration run; the working tables are
+        dropped.
+        """
         stratum = compiled_stratum.stratum
         predicates = compiled_stratum.predicates
         for predicate in predicates:
-            self._policies[predicate.predicate] = DsdPolicy(enabled=self._config.dsd)
-
-        if resume_iteration is None:
-            # Iteration 0: all rules over full relations.
-            self.current_iteration = 0
-            record = IterationRecord(stratum=stratum.index, iteration=0)
-            with self._db.profiler.span("iteration 0", CATEGORY_ITERATION) as span:
-                for predicate in predicates:
-                    if predicate.facts:
-                        # Facts seed the merged delta, not the full table:
-                        # the standard dedup/set-difference path then lands
-                        # them in both full and Δ, so semi-naive rules in a
-                        # recursive stratum (e.g. magic-set seeds) see them.
-                        self._db.append_rows(
-                            compiler.mdelta_table(predicate.predicate),
-                            np.asarray(predicate.facts, dtype=np.int64),
-                        )
-                    self._evaluate_predicate(predicate, predicate.init_query(), record, init=True)
-                span.set(delta_sizes=dict(record.delta_sizes))
-            self.report.records.append(record)
-            self.report.iterations += 1
-            self._db.note_iteration(
-                stratum.index, 0, sum(record.delta_sizes.values()), span.duration
-            )
-            self._db.resilience.check_cancelled(stratum=stratum.index, iteration=0)
-            self._db.resilience.check_guard(
-                stratum.index, 0, sum(record.delta_sizes.values())
-            )
-            self._maybe_checkpoint(stratum.index, 0, predicates)
-            iteration = 0
-        else:
-            # Mid-stratum resume: full/Δ tables and the DSD mu were
-            # restored by ``_restore``; continue after the snapshot's
-            # last completed iteration.
-            for predicate in predicates:
-                mu = self._resume.dsd_mu.get(predicate.predicate)
-                if mu is not None:
-                    self._policies[predicate.predicate].prev_mu = mu
-            iteration = resume_iteration
-
-        if not stratum.recursive:
-            self._drop_working_tables(predicates)
-            return
-
-        if resume_iteration is not None and all(
-            self._db.table_size(compiler.delta_table(p.predicate)) == 0
-            for p in predicates
-        ):
-            # The snapshot caught the stratum exactly at its fixpoint.
-            self._drop_working_tables(predicates)
-            return
-
-        while True:
-            iteration += 1
+            name = predicate.predicate
+            policy = self._policies[name] = DsdPolicy(enabled=self._config.dsd)
+            if seeds is None:
+                policy.prev_mu = self._resume.dsd_mu.get(name, policy.prev_mu)
+        records: list[IterationRecord] = []
+        iteration = start
+        more = seeds is not None or (
+            stratum.recursive
+            and any(self._db.table_size(compiler.delta_table(p.predicate)) for p in predicates)
+        )
+        while more:
+            if seeds is None:
+                iteration += 1
             self.current_iteration = iteration
             record = IterationRecord(stratum=stratum.index, iteration=iteration)
             with self._db.profiler.span(
                 f"iteration {iteration}", CATEGORY_ITERATION
             ) as span:
-                for predicate in predicates:
-                    self._evaluate_predicate(
-                        predicate, predicate.delta_query(), record, init=False
-                    )
+                for position, predicate in enumerate(predicates):
+                    if seeds is None:
+                        query = predicate.delta_query()
+                    else:
+                        rows, query = seeds[position]
+                        if len(rows):
+                            self._db.append_rows(
+                                compiler.mdelta_table(predicate.predicate),
+                                np.asarray(rows, dtype=np.int64),
+                            )
+                    self._evaluate_predicate(predicate, query, record, init=seeds is not None)
                 span.set(delta_sizes=dict(record.delta_sizes))
-            self.report.records.append(record)
-            self.report.iterations += 1
-            self._db.note_iteration(
-                stratum.index,
-                iteration,
-                sum(record.delta_sizes.values()),
-                span.duration,
-            )
-            if all(size == 0 for size in record.delta_sizes.values()):
-                break
-            self._db.resilience.check_cancelled(
-                stratum=stratum.index, iteration=iteration
-            )
-            self._db.resilience.check_guard(
-                stratum.index, iteration, sum(record.delta_sizes.values())
-            )
-            self._maybe_checkpoint(stratum.index, iteration, predicates)
+            records.append(record)
+            delta_rows = sum(record.delta_sizes.values())
+            self._db.note_iteration(stratum.index, iteration, delta_rows, span.duration)
+            if seeds is None and not delta_rows:
+                break  # the converging iteration is not charged to the guard
+            self._db.resilience.check_cancelled(stratum=stratum.index, iteration=iteration)
+            self._db.resilience.check_guard(stratum.index, iteration, delta_rows)
+            self._maybe_checkpoint(stratum.index, iteration, predicates, len(records))
+            more = stratum.recursive and delta_rows > 0
+            seeds = None
         self._drop_working_tables(predicates)
+        return records
 
     def _drop_working_tables(self, predicates: list[CompiledPredicate]) -> None:
         for predicate in predicates:
             self._db.execute_ast(sast.DropTable(compiler.delta_table(predicate.predicate)))
             self._db.execute_ast(sast.DropTable(compiler.mdelta_table(predicate.predicate)))
-        # Stratum boundary: the next stratum joins different tables, so
-        # the persistent join indexes built for this one are dead weight.
-        # During maintenance the full-table indexes stay valuable across
-        # batches; dropping the working tables above already evicted
-        # theirs, so keep the rest warm.
-        if not self._maintaining:
-            self._db.invalidate_join_cache()
 
     # -- checkpoint/resume --------------------------------------------------------
 
@@ -277,11 +251,12 @@ class SemiNaiveInterpreter:
         stratum_index: int,
         iteration: int,
         predicates: list[CompiledPredicate],
+        pending: int = 0,
     ) -> None:
         """Checkpoint at an iteration/stratum boundary, if a manager is set."""
-        if self._checkpoints is not None and not self._maintaining:
+        if self._checkpoints is not None:
             self._checkpoints.maybe_save(
-                self.snapshot(stratum_index, iteration, predicates)
+                self.snapshot(stratum_index, iteration, predicates, pending)
             )
 
     def snapshot(
@@ -289,6 +264,7 @@ class SemiNaiveInterpreter:
         stratum_index: int,
         iteration: int,
         predicates: list[CompiledPredicate],
+        pending: int = 0,
     ) -> CheckpointState:
         """Semi-naive state at an iteration/stratum boundary.
 
@@ -296,6 +272,8 @@ class SemiNaiveInterpreter:
         completed iteration's delta, so the snapshot is exactly the
         Algorithm 1 loop state. ``iteration=-1`` marks a stratum
         boundary (working tables already dropped; only fulls survive).
+        ``pending`` counts the current stratum's iterations not yet in
+        the report.
         """
         # table_snapshot, not table_array: snapshotting a spilled full
         # relation streams its on-disk prefix instead of faulting it back
@@ -318,7 +296,7 @@ class SemiNaiveInterpreter:
             iteration=iteration,
             tables=tables,
             dsd_mu=dsd_mu,
-            iterations_total=self.report.iterations,
+            iterations_total=self.report.iterations + pending,
             pbme_strata=list(self.report.pbme_strata),
             sim_seconds=self._db.sim_seconds,
             edb_fingerprint=self._edb_fingerprint,

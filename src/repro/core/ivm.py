@@ -16,8 +16,9 @@ for its shape:
   the old snapshot. Tuples whose count crosses zero enter/leave the
   full relation.
 * **DRed** — recursive monotone strata over-delete, apply the
-  deletions, then warm-start the ordinary semi-naive loop with the
-  rederivable deleted tuples plus insertion-derived ones. A candidate
+  deletions, then warm-start the interpreter's fixpoint loop
+  (``SemiNaiveInterpreter.run_fixpoint``) with the rederivable deleted
+  tuples plus insertion-derived ones as iteration 0's seeds. A candidate
   (the head of a derivation through a just-deleted tuple) survives if it
   is a fact or derives from lower strata and same-stratum tuples not
   deleted and of strictly lower *append rank* (``Database.append_rows``
@@ -26,13 +27,15 @@ for its shape:
   DRed. Insert-only batches pay only the delta propagation.
 * **recompute** — strata with negation or aggregation fall back to a
   from-scratch re-evaluation of just that stratum (inputs are already
-  maintained), reusing ``_run_stratum`` unchanged.
+  maintained): its fulls are emptied and the same fixpoint loop runs,
+  seeded exactly as evaluation seeds it.
 
-Everything runs through the ``Database`` primitives, so maintenance is
-metered, spill-aware, fault-injectable and cancellable exactly like a
-cold evaluation; the join-state cache is kept warm across maintenance
-(appends extend indexes incrementally, deletions evict via the
-unconditional epoch bump).
+Everything runs through the ``Database`` primitives and the one fixpoint
+loop, so maintenance is metered, spill-aware, fault-injectable,
+cancellable and held to the divergence guard's budgets (per batch)
+exactly like a cold evaluation; the join-state cache is kept warm
+across maintenance (appends extend indexes incrementally, deletions
+evict via the unconditional epoch bump).
 
 Batch semantics: insertions and deletions are sets; a tuple listed in
 both is a no-op if already present and an insertion if absent.
@@ -47,9 +50,8 @@ import numpy as np
 from repro.common.errors import DatalogError
 from repro.core import compiler
 from repro.core.compiler import CompiledPredicate, CompiledStratum
-from repro.core.setdiff_policy import DsdPolicy
 from repro.engine import kernels
-from repro.obs import CATEGORY_ITERATION, CATEGORY_STRATUM
+from repro.obs import CATEGORY_STRATUM
 from repro.sql import ast as sast
 
 #: How a stratum was (or would be) maintained.
@@ -175,9 +177,10 @@ def check_batch(analyzed, inserts: dict | None, deletes: dict | None) -> None:
 class MaintenanceRun:
     """One maintenance batch against a warm interpreter.
 
-    The run borrows the interpreter's private machinery (generator,
-    policies, ``_evaluate_predicate``/``_run_stratum``) — this module is
-    the interpreter's maintenance half, split out for size.
+    The run drives the interpreter's fixpoint loop (``run_fixpoint``) for
+    DRed and recompute strata, and shares its query generator and
+    count-table registry — this module is the interpreter's maintenance
+    half, split out for size.
     """
 
     def __init__(
@@ -201,16 +204,19 @@ class MaintenanceRun:
     # -- top level ---------------------------------------------------------
 
     def run(self) -> MaintenanceReport:
-        """Apply the batch. Meanwhile the interpreter takes no checkpoints
-        (they would mix old and new state) and keeps its join cache warm."""
-        self._interp._maintaining = True
-        # Per-batch traces: nothing reads a finished batch's samples, and
-        # a view serving batches forever must not accumulate them.
+        """Apply the batch. Meanwhile the interpreter has no checkpoint
+        manager: a snapshot would mix old and new state."""
+        checkpoints, self._interp._checkpoints = self._interp._checkpoints, None
+        # Per-batch traces and divergence budgets: nothing reads a finished
+        # batch's samples, and a view serving batches forever must neither
+        # accumulate them nor trip on its own history.
         self._db.metrics.take_traces()
+        if self._db.resilience.guard is not None:
+            self._db.resilience.guard.reset()
         try:
             return self._run()
         finally:
-            self._interp._maintaining = False
+            self._interp._checkpoints = checkpoints
 
     def _run(self) -> MaintenanceReport:
         counters = self._db.profiler.counters
@@ -386,10 +392,17 @@ class MaintenanceRun:
         self._db.load_table(table, compiler.columns_for(rows.shape[1]), rows)
         self._work_tables.append(table)
 
-    def _fresh_table(self, name: str, columns) -> None:
-        if name in self._db.catalog:
-            self._db.execute_ast(sast.DropTable(name))
-        self._db.create_table(name, columns)
+    def _fresh_working_tables(self, cs: CompiledStratum) -> None:
+        """Empty Δ/mΔ tables for a run of the interpreter's fixpoint loop."""
+        for predicate in cs.predicates:
+            columns = compiler.columns_for(predicate.arity)
+            for name in (
+                compiler.delta_table(predicate.predicate),
+                compiler.mdelta_table(predicate.predicate),
+            ):
+                if name in self._db.catalog:
+                    self._db.execute_ast(sast.DropTable(name))
+                self._db.create_table(name, columns)
 
     def _eval_rows(self, select: sast.Select, arity: int) -> np.ndarray:
         """Evaluate one subquery to raw (bag) rows."""
@@ -524,7 +537,6 @@ class MaintenanceRun:
     # -- DRed maintenance --------------------------------------------------
 
     def _maintain_dred(self, cs: CompiledStratum) -> None:
-        stratum = cs.stratum
         index = self._overdelete(cs)
         overdel = {name: own.rows[own.deleted] for name, own in index.items()}
         counters = self._db.profiler.counters
@@ -536,66 +548,26 @@ class MaintenanceRun:
         # differences of this batch and the next ones probe them.
         self._db.rehydrate_join_cache([name for name, rows in overdel.items() if rows.shape[0]])
 
-        # Warm-start semi-naive: fresh Δ/mΔ tables, seeds into mΔ.
-        for predicate in cs.predicates:
-            columns = compiler.columns_for(predicate.arity)
-            self._fresh_table(compiler.delta_table(predicate.predicate), columns)
-            self._fresh_table(compiler.mdelta_table(predicate.predicate), columns)
-            self._interp._policies[predicate.predicate] = DsdPolicy(
-                enabled=self._interp._config.dsd
+        # Warm-start semi-naive: the seeds go into fresh mΔ tables, and
+        # members after the first run their delta rules already in
+        # iteration 0 (Gauss-Seidel: they read the Δ of the ones before).
+        self._fresh_working_tables(cs)
+        seeds = [
+            (
+                self._dred_seeds(cs, p, overdel.get(p.predicate)),
+                p.delta_query() if position else None,
             )
-        for predicate in cs.predicates:
-            seeds = self._dred_seeds(cs, predicate, overdel.get(predicate.predicate))
-            if seeds.shape[0]:
-                self._db.append_rows(
-                    compiler.mdelta_table(predicate.predicate), seeds
-                )
-
-        appended = {
-            p.predicate: [np.empty((0, p.arity), dtype=np.int64)]
-            for p in cs.predicates
-        }
-        iteration = 0
-        from repro.core.interpreter import IterationRecord
-
-        while True:
-            record = IterationRecord(stratum=stratum.index, iteration=iteration)
-            with self._db.profiler.span(
-                f"maintain iteration {iteration}", CATEGORY_ITERATION
-            ) as span:
-                for position, predicate in enumerate(cs.predicates):
-                    # Gauss-Seidel: members after the first read the seeds'
-                    # Δ of the ones before them already in iteration 0.
-                    query = predicate.delta_query() if iteration or position else None
-                    self._interp._evaluate_predicate(
-                        predicate, query, record, init=iteration == 0
-                    )
-                span.set(delta_sizes=dict(record.delta_sizes))
-            for predicate in cs.predicates:
-                delta = self._db.table_array(
-                    compiler.delta_table(predicate.predicate)
-                )
-                if delta.shape[0]:
-                    appended[predicate.predicate].append(delta)
-            self.report.iterations += 1
-            self._db.note_iteration(
-                stratum.index,
-                iteration,
-                sum(record.delta_sizes.values()),
-                span.duration,
-            )
-            if all(size == 0 for size in record.delta_sizes.values()):
-                break
-            self._db.resilience.check_cancelled(
-                stratum=stratum.index, iteration=iteration
-            )
-            iteration += 1
+            for position, p in enumerate(cs.predicates)
+        ]
+        before = {p.predicate: self._db.table_size(p.predicate) for p in cs.predicates}
+        self.report.iterations += len(self._interp.run_fixpoint(cs, seeds))
 
         for predicate in cs.predicates:
             name = predicate.predicate
-            # Every Δ missed the full it joined: ``added`` is distinct, and
-            # what it shares with the pre-batch rows was deleted, then rederived.
-            added = np.concatenate(appended[name])
+            # The loop only appends to the full, and every Δ missed the full
+            # it joined: the tail is distinct, and what it shares with the
+            # pre-batch rows was deleted, then rederived.
+            added = self._db.catalog.get_table(name).tail_data(before[name])
             if not index:
                 self._net[name] = (added, added[:0])
                 continue
@@ -606,7 +578,6 @@ class MaintenanceRun:
             if back.any():
                 counters.inc("ivm.rederived_rows", int(back.sum()))
             self._net[name] = (added[slots < 0], own.rows[own.deleted & ~back])
-        self._interp._drop_working_tables(cs.predicates)
 
     def _old_source_overrides(
         self, positive, skip: int, members: set[str]
@@ -762,17 +733,14 @@ class MaintenanceRun:
         """Re-evaluate one stratum from scratch against maintained inputs."""
         old: dict[str, np.ndarray] = {}
         for predicate in cs.predicates:
-            name = predicate.predicate
-            old[name] = np.array(self._db.table_array(name), dtype=np.int64)
+            old[predicate.predicate] = self._db.table_array(predicate.predicate)
             self._db.replace_rows(
-                name, np.empty((0, predicate.arity), dtype=np.int64)
+                predicate.predicate, np.empty((0, predicate.arity), dtype=np.int64)
             )
-            columns = compiler.columns_for(predicate.arity)
-            self._fresh_table(compiler.delta_table(name), columns)
-            self._fresh_table(compiler.mdelta_table(name), columns)
-        before = self._interp.report.iterations
-        self._interp._run_stratum(cs)
-        self.report.iterations += self._interp.report.iterations - before
+        self._fresh_working_tables(cs)
+        self.report.iterations += len(
+            self._interp.run_fixpoint(cs, [(p.facts, p.init_query()) for p in cs.predicates])
+        )
         for predicate in cs.predicates:
             name = predicate.predicate
             new = self._db.table_array(name)

@@ -56,11 +56,14 @@ class RuntimeGuard:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         self.max_iterations = max_iterations
         self.max_total_rows = max_total_rows
-        self.iterations = 0
-        self.total_rows = 0
-        self._soft_fired: set[str] = set()
+        self.reset()
         self._degradation = None
         self._counters = NULL_COUNTERS
+
+    def reset(self) -> None:
+        """Start the budgets over (each maintenance batch gets its own)."""
+        self.iterations = self.total_rows = 0
+        self._soft_fired: set[str] = set()
 
     @property
     def enabled(self) -> bool:

@@ -13,6 +13,8 @@ between the scheduler and the Datalog-aware handlers.
 * config surfaces have a budget, so knobs cannot creep back unreviewed;
 * a delete goes through one rank-restricted over-deletion loop, and only
   maintenance, the table and the database touch append ranks;
+* evaluation, DRed rederivation and recompute share one semi-naive loop,
+  which alone charges the divergence guard;
 * a kept view's traces are per run, not per recorder lifetime;
 * recovery opens its view without a tuple-set read-out and reports the
   post-replay sizes;
@@ -252,15 +254,6 @@ class TestModuleSeam:
             for node in ast.walk(ast.parse(Path(ivm.__file__).read_text()))
             if isinstance(node, ast.FunctionDef)
         }
-        loops = {
-            name: sum(isinstance(node, ast.While) for node in ast.walk(function))
-            for name, function in functions.items()
-        }
-        # One over-deletion loop, beside the warm-start semi-naive loop.
-        assert {name: count for name, count in loops.items() if count} == {
-            "_overdelete": 1,
-            "_maintain_dred": 1,
-        }
         # Rederivation is seeded from the deleted rows, not a full scan.
         assert "init_subqueries" not in ast.unparse(functions["_dred_seeds"])
         # Ranks are kept by the table, handed out by the database and read
@@ -274,6 +267,50 @@ class TestModuleSeam:
             and node.attr in {"ranks", "ranked_rows", "_rank_starts", "_rank_values"}
         }
         assert readers == {"core/ivm.py", "engine/database.py", "storage/table.py"}
+
+    def test_one_semi_naive_loop_for_evaluation_and_maintenance(self):
+        from repro.core import interpreter, ivm
+
+        functions = {
+            f"{Path(module.__file__).stem}.{node.name}": node
+            for module in (interpreter, ivm)
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        loops = {
+            name: sum(isinstance(node, ast.While) for node in ast.walk(function))
+            for name, function in functions.items()
+        }
+        # The fixpoint driver, beside the over-deletion loop.
+        assert {name: count for name, count in loops.items() if count} == {
+            "interpreter.run_fixpoint": 1,
+            "ivm._overdelete": 1,
+        }
+        source = Path(ivm.__file__).read_text()
+        for name in ("_evaluate_predicate", "_run_stratum", "IterationRecord"):
+            assert name not in source, name
+        calls = {
+            name: [
+                node
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            ]
+            for name, function in functions.items()
+        }
+
+        def callers(attr):
+            return {name for name, sites in calls.items() if any(c.func.attr == attr for c in sites)}
+
+        # Guard, telemetry and per-iteration checkpoints happen in the driver
+        # for every caller; ``run`` only adds stratum-boundary snapshots.
+        driver = {"interpreter.run_fixpoint"}
+        assert callers("check_guard") == callers("note_iteration") == driver
+        assert callers("_maybe_checkpoint") == driver | {"interpreter.run"}
+        assert all(
+            ast.literal_eval(call.args[1]) == -1
+            for call in calls["interpreter.run"]
+            if call.func.attr == "_maybe_checkpoint"
+        )
 
     def test_config_surface_budget(self):
         # Raising a bound is a reviewed decision: a new knob needs two

@@ -5,7 +5,9 @@ delete batches, a maintained view's IDB contents are bit-identical to
 recomputing from scratch on the post-churn EDB — across programs that
 exercise every maintenance class (counting for non-recursive strata,
 DRed for recursive monotone ones, recompute for negation/aggregates),
-with the spill tier on, under chaos, and after a checkpoint resume.
+with the spill tier on, under chaos, and after a checkpoint resume. A
+batch answers to the divergence guard, with budgets that start over at
+each batch.
 
 The satellite staleness fixes ride along:
 
@@ -293,6 +295,51 @@ class TestMaintainedIdentityUnderStress:
                 result = view.maintain(inserts, deletes)
                 assert result.status == "ok", result.failure
                 assert view.fixpoint() == recompute_fixpoint(spec, edb_after)
+        finally:
+            view.release()
+
+
+class TestMaintenanceGuard:
+    """A batch answers to the divergence guard; its budgets start over at
+    each batch, so a long-lived view never trips on its own history."""
+
+    @staticmethod
+    def _path_view():
+        # TC over a 10-node path charges 9 iterations (0..8) to materialize.
+        view = RecStep(RecStepConfig(**RELATIONAL, max_iterations=10)).materialize(
+            get_program("TC"), {"arc": path_arcs(10)}, dataset="guard"
+        )
+        assert view.status == "ready", view.result.failure
+        return view
+
+    def test_batch_over_budget_trips_and_poisons(self):
+        view = self._path_view()
+        try:
+            # Twelve more path edges: the closure crawls one hop per iteration.
+            tail = np.array([[n, n + 1] for n in range(9, 21)], dtype=np.int64)
+            result = view.maintain({"arc": tail}, None)
+            assert result.status == "guard", result.failure
+            assert result.failure["kind"] == "max_iterations"
+            assert view.status == "poisoned"
+        finally:
+            view.release()
+
+    def test_budget_is_per_batch(self):
+        view = self._path_view()
+        guard = view.database.resilience.guard
+        try:
+            charged = []
+            for n in range(9, 21):  # one edge per batch, twelve batches
+                result = view.maintain({"arc": np.array([[n, n + 1]])}, None)
+                assert result.status == "ok", result.failure
+                charged.append(guard.iterations)
+                assert "soft_warnings" not in guard.summary()
+            # Each batch is its iteration 0; together they exceed the budget.
+            assert charged == [1] * 12
+            assert sum(charged) > guard.max_iterations
+            assert view.fixpoint() == recompute_fixpoint(
+                get_program("TC"), {"arc": path_arcs(22)}
+            )
         finally:
             view.release()
 
