@@ -74,11 +74,6 @@ def ivm_odelta_table(predicate: str) -> str:
     return f"{predicate}_ivm_odelta"
 
 
-def ivm_count_table(predicate: str) -> str:
-    """Derivation-count table of a counting-maintained relation."""
-    return f"{predicate}_ivm_cnt"
-
-
 def columns_for(arity: int) -> tuple[str, ...]:
     return tuple(f"c{i}" for i in range(arity))
 

@@ -75,9 +75,6 @@ class SemiNaiveInterpreter:
         #: checkpoints so a resume can reject snapshots of a different
         #: input; computed only when there is a manager to write them.
         self._edb_fingerprint = ""
-        #: Count tables (``<pred>_ivm_cnt``) built by past maintenance
-        #: batches; they persist across batches.
-        self._ivm_count_tables: set[str] = set()
 
     def position(self) -> dict:
         """The loop position, as failure-report context (None: not there yet)."""

@@ -3,19 +3,11 @@
 ``MaintenanceRun`` applies one batch of EDB insertions/deletions to a
 database that already holds a program's fixpoint and re-establishes that
 fixpoint without recomputing from scratch. Strata are revisited in
-topological order and each is maintained by the cheapest sound method
-for its shape:
+topological order and each is maintained by one of three classes:
 
 * **skip** — none of the stratum's body relations changed; its fulls are
   still exact.
-* **counting** — non-recursive, negation- and aggregate-free strata keep
-  a derivation-count table (``<pred>_ivm_cnt``). A batch contributes
-  signed count deltas via the standard bag decomposition
-  ``Δ(A ⋈ B) = ΔA ⋈ B_old + A_new ⋈ ΔB``: position ``p`` reads the
-  batch table, positions before it the new state, positions after it
-  the old snapshot. Tuples whose count crosses zero enter/leave the
-  full relation.
-* **DRed** — recursive monotone strata over-delete, apply the
+* **DRed** — monotone strata, recursive or not, over-delete, apply the
   deletions, then warm-start the interpreter's fixpoint loop
   (``SemiNaiveInterpreter.run_fixpoint``) with the rederivable deleted
   tuples plus insertion-derived ones as iteration 0's seeds. A candidate
@@ -24,7 +16,10 @@ for its shape:
   deleted and of strictly lower *append rank* (``Database.append_rows``
   numbers its calls). Ranks decrease along any chain of support, so
   circular support keeps nothing; bulk-written rows rank 0 and get plain
-  DRed. Insert-only batches pay only the delta propagation.
+  DRed. A non-recursive stratum names no same-stratum relation in a
+  body: one support query against lower rows settles each candidate,
+  over-deletion ends after one round and the loop after iteration 0.
+  Insert-only batches pay only the delta propagation.
 * **recompute** — strata with negation or aggregation fall back to a
   from-scratch re-evaluation of just that stratum (inputs are already
   maintained): its fulls are emptied and the same fixpoint loop runs,
@@ -56,7 +51,6 @@ from repro.sql import ast as sast
 
 #: How a stratum was (or would be) maintained.
 CLASS_SKIP = "skip"
-CLASS_COUNTING = "counting"
 CLASS_DRED = "dred"
 CLASS_RECOMPUTE = "recompute"
 
@@ -88,7 +82,7 @@ def classify_stratum(compiled: CompiledStratum) -> str:
         predicate.aggregate for predicate in compiled.predicates
     ):
         return CLASS_RECOMPUTE
-    return CLASS_DRED if compiled.stratum.recursive else CLASS_COUNTING
+    return CLASS_DRED
 
 
 class _RankIndex:
@@ -178,9 +172,8 @@ class MaintenanceRun:
     """One maintenance batch against a warm interpreter.
 
     The run drives the interpreter's fixpoint loop (``run_fixpoint``) for
-    DRed and recompute strata, and shares its query generator and
-    count-table registry — this module is the interpreter's maintenance
-    half, split out for size.
+    DRed and recompute strata, and shares its query generator — this
+    module is the interpreter's maintenance half, split out for size.
     """
 
     def __init__(
@@ -235,7 +228,6 @@ class MaintenanceRun:
             and (cs.stratum.predicates & dirty)
             for cs in compiled
         )
-        self._init_count_tables(compiled, dirty)
         self._apply_edb_batch(compiled, effective)
         try:
             for cs in compiled:
@@ -254,10 +246,7 @@ class MaintenanceRun:
                     predicates=sorted(cs.stratum.predicates),
                     maintenance=cls,
                 ):
-                    if cls == CLASS_COUNTING:
-                        counters.inc("ivm.strata_counting")
-                        self._maintain_counting(cs)
-                    elif cls == CLASS_DRED:
+                    if cls == CLASS_DRED:
                         counters.inc("ivm.strata_dred")
                         self._maintain_dred(cs)
                     else:
@@ -360,22 +349,15 @@ class MaintenanceRun:
     ) -> bool:
         """Does a downstream stratum read ``name``'s pre-batch state?
 
-        Counting readers always evaluate minus/plus rows against old
-        state at later join positions; DRed readers only consult old
-        state while over-deleting, which a deletion-free batch never
-        does.
+        Only DRed's over-deletion reads old state, through positive atoms,
+        and a batch that can delete nothing never over-deletes.
         """
-        for cs in compiled:
-            if cs.stratum.index < from_stratum:
-                continue
-            cls = self._classes[cs.stratum.index]
-            if cls == CLASS_COUNTING or (cls == CLASS_DRED and self._deletes_possible):
-                if any(
-                    read == name
-                    for read in self._body_predicates(cs, positive_only=True)
-                ):
-                    return True
-        return False
+        return self._deletes_possible and any(
+            cs.stratum.index >= from_stratum
+            and self._classes[cs.stratum.index] == CLASS_DRED
+            and name in self._body_predicates(cs, positive_only=True)
+            for cs in compiled
+        )
 
     def _snapshot_before(self, cs: CompiledStratum, compiled) -> None:
         """Snapshot this stratum's relations before mutating them."""
@@ -411,128 +393,11 @@ class MaintenanceRun:
             return np.empty((0, arity), dtype=np.int64)
         return np.asarray(rows, dtype=np.int64).reshape(-1, arity)
 
-    @staticmethod
-    def _group_sum(tuples: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if tuples.shape[0] == 0:
-            return tuples, counts.astype(np.int64)
-        uniq, inverse = np.unique(tuples, axis=0, return_inverse=True)
-        sums = np.bincount(
-            inverse.reshape(-1), weights=counts, minlength=uniq.shape[0]
-        ).astype(np.int64)
-        return uniq, sums
-
     def _cleanup(self) -> None:
         for table in self._work_tables:
             if table in self._db.catalog:
                 self._db.execute_ast(sast.DropTable(table))
         self._work_tables.clear()
-
-    # -- counting maintenance ----------------------------------------------
-
-    def _init_count_tables(self, compiled: list[CompiledStratum], dirty: set[str]) -> None:
-        """Lazily build count tables for counting strata this batch may touch.
-
-        Runs *before* any mutation, so the initial counts describe the
-        pre-batch state the signed deltas are applied to. One O(stratum)
-        evaluation on first touch; the table persists across batches.
-        """
-        tracked = self._interp._ivm_count_tables
-        for cs in compiled:
-            if self._classes[cs.stratum.index] != CLASS_COUNTING:
-                continue
-            if not (cs.stratum.predicates & dirty):
-                continue
-            for predicate in cs.predicates:
-                name = predicate.predicate
-                cnt = compiler.ivm_count_table(name)
-                if cnt in tracked:
-                    continue
-                parts = [
-                    self._eval_rows(select, predicate.arity)
-                    for select in predicate.init_subqueries
-                ]
-                if predicate.facts:
-                    parts.append(np.asarray(predicate.facts, dtype=np.int64))
-                rows = (
-                    np.concatenate(parts)
-                    if parts
-                    else np.empty((0, predicate.arity), dtype=np.int64)
-                )
-                tuples, counts = self._group_sum(rows, np.ones(rows.shape[0]))
-                self._db.load_table(
-                    cnt,
-                    (*compiler.columns_for(predicate.arity), "cnt"),
-                    np.column_stack([tuples, counts]) if tuples.shape[0] else
-                    np.empty((0, predicate.arity + 1), dtype=np.int64),
-                )
-                tracked.add(cnt)
-
-    def _maintain_counting(self, cs: CompiledStratum) -> None:
-        for predicate in cs.predicates:
-            # Heartbeat per predicate: counting maintenance of a wide
-            # stratum must stay cancellable like every other loop here.
-            self._db.resilience.check_cancelled(
-                stratum=cs.stratum.index, phase="ivm-counting"
-            )
-            name = predicate.predicate
-            arity = predicate.arity
-            cnt_table = compiler.ivm_count_table(name)
-            stored = self._db.table_array(cnt_table)
-            old_tuples = stored[:, :arity].astype(np.int64, copy=True)
-            old_counts = stored[:, arity].astype(np.int64, copy=True)
-
-            delta_tuples = [old_tuples]
-            delta_counts = [old_counts]
-            for rule in self._analyzed.rules_for(name, cs.stratum):
-                if rule.is_fact:
-                    continue
-                positive = rule.positive_atoms()
-                for p, atom in enumerate(positive):
-                    source = atom.predicate
-                    if not self._changed(source):
-                        continue
-                    ins, dels = self._net[source]
-                    for sign, batch, batch_table in (
-                        (1, ins, compiler.ivm_ins_table(source)),
-                        (-1, dels, compiler.ivm_del_table(source)),
-                    ):
-                        if batch.shape[0] == 0:
-                            continue
-                        overrides = {p: batch_table}
-                        for q, other in enumerate(positive):
-                            # Positions before p read the new state,
-                            # positions after it the pre-batch state —
-                            # the exact bag-delta decomposition.
-                            if q > p and self._changed(other.predicate):
-                                overrides[q] = compiler.ivm_old_table(other.predicate)
-                        rows = self._eval_rows(
-                            self._generator.compile_rule_with_sources(rule, overrides),
-                            arity,
-                        )
-                        if rows.shape[0]:
-                            delta_tuples.append(rows)
-                            delta_counts.append(
-                                np.full(rows.shape[0], sign, dtype=np.int64)
-                            )
-
-            tuples, counts = self._group_sum(
-                np.concatenate(delta_tuples), np.concatenate(delta_counts)
-            )
-            keep = counts > 0
-            new_tuples, new_counts = tuples[keep], counts[keep]
-            appear = kernels.rows_difference(new_tuples, old_tuples)
-            vanish = kernels.rows_difference(old_tuples, new_tuples)
-            if appear.shape[0]:
-                self._db.append_rows(name, appear)
-            if vanish.shape[0]:
-                self._db.delete_rows(name, vanish)
-            self._db.replace_rows(
-                cnt_table,
-                np.column_stack([new_tuples, new_counts])
-                if new_tuples.shape[0]
-                else np.empty((0, arity + 1), dtype=np.int64),
-            )
-            self._net[name] = (appear, vanish)
 
     # -- DRed maintenance --------------------------------------------------
 

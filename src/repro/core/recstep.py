@@ -472,8 +472,8 @@ class MaterializedFixpoint:
     ) -> MaintenanceResult:
         """Apply one EDB update batch and re-establish the fixpoint.
 
-        Bit-identical to a recompute from the mutated EDB, via
-        counting/DRed/per-stratum recompute (see ``core.ivm``).
+        Bit-identical to a recompute from the mutated EDB, via DRed for
+        monotone strata and per-stratum recompute (see ``core.ivm``).
 
         ``token`` (a duck-typed cancellation token) is installed on the
         view's resilience context for the duration of the batch, so a

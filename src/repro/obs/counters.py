@@ -96,7 +96,6 @@ KNOWN_COUNTERS = {
     # -- incremental view maintenance (repro.core.ivm) -----------------------
     "ivm.maintain_runs": "EDB update batches applied via incremental maintenance",
     "ivm.strata_skipped": "strata skipped because no body predicate changed",
-    "ivm.strata_counting": "strata maintained with derivation counting",
     "ivm.strata_dred": "strata maintained with DRed over-delete/rederive",
     "ivm.strata_recomputed": "strata recomputed from scratch during maintenance",
     "ivm.overdeleted_rows": "rows DRed over-deleted before rederivation",

@@ -13,6 +13,8 @@ between the scheduler and the Datalog-aware handlers.
 * config surfaces have a budget, so knobs cannot creep back unreviewed;
 * a delete goes through one rank-restricted over-deletion loop, and only
   maintenance, the table and the database touch append ranks;
+* every monotone stratum, recursive or not, is maintained by that loop
+  and only negation or aggregation recomputes: no count tables;
 * evaluation, DRed rederivation and recompute share one semi-naive loop,
   which alone charges the divergence guard;
 * a kept view's traces are per run, not per recorder lifetime;
@@ -220,7 +222,6 @@ class TestModuleSeam:
                 "factorize_rows",
                 "unique_rows",
                 "_distinct_left_keys",  # wide-row fallbacks
-                "MaintenanceRun._group_sum",
             },
         }
         found = {name: [] for name in allowed}
@@ -267,6 +268,43 @@ class TestModuleSeam:
             and node.attr in {"ranks", "ranked_rows", "_rank_starts", "_rank_values"}
         }
         assert readers == {"core/ivm.py", "engine/database.py", "storage/table.py"}
+
+    def test_one_maintenance_algorithm_for_monotone_strata(self):
+        from repro.core import ivm
+        from repro.core.compiler import QueryGenerator
+        from repro.datalog import ast as dast
+        from repro.programs import program_names
+
+        # DRed for every monotone stratum, recursive or not; recompute only
+        # where a rule is negated or a head aggregates.
+        for name in program_names():
+            for cs in QueryGenerator(get_program(name).parse()).compile():
+                monotone = not any(
+                    rule.negative_atoms()
+                    or any(isinstance(term, dast.AggTerm) for term in rule.head.terms)
+                    for rule in cs.stratum.rules
+                )
+                expected = ivm.CLASS_DRED if monotone else ivm.CLASS_RECOMPUTE
+                assert ivm.classify_stratum(cs) == expected, (name, cs.stratum.index)
+        # No maintenance table outlives its batch.
+        edb = {"arc": np.array([[0, 1], [1, 2], [2, 0], [3, 4]], dtype=np.int64)}
+        for name in ("CC", "NTC"):
+            view = RecStep(RecStepConfig(**RELATIONAL)).materialize(get_program(name), edb)
+            try:
+                result = view.maintain(
+                    inserts={"arc": np.array([[4, 5]])}, deletes={"arc": np.array([[1, 2]])}
+                )
+                assert result.status == "ok", result.failure
+                tables = view.database.catalog.table_names()
+                assert not [table for table in tables if "_ivm_" in table], (name, tables)
+            finally:
+                view.release()
+        # Derivation counting is gone, not just unreachable.
+        source = Path(ivm.__file__).parent.parent
+        for path in source.rglob("*.py"):
+            text = path.read_text()
+            for name in ("_ivm_cnt", "CLASS_COUNTING", "_group_sum"):
+                assert name not in text, (path, name)
 
     def test_one_semi_naive_loop_for_evaluation_and_maintenance(self):
         from repro.core import interpreter, ivm

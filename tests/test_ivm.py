@@ -3,11 +3,11 @@
 The acceptance bar is *fixpoint identity*: after any sequence of insert/
 delete batches, a maintained view's IDB contents are bit-identical to
 recomputing from scratch on the post-churn EDB — across programs that
-exercise every maintenance class (counting for non-recursive strata,
-DRed for recursive monotone ones, recompute for negation/aggregates),
-with the spill tier on, under chaos, and after a checkpoint resume. A
-batch answers to the divergence guard, with budgets that start over at
-each batch.
+exercise every maintenance class (DRed for monotone strata, recursive
+or not, recompute for negation/aggregates), with the spill tier on,
+under chaos, and after a checkpoint resume. An insert-only batch takes
+no old-state snapshot. A batch answers to the divergence guard, with
+budgets that start over at each batch.
 
 The satellite staleness fixes ride along:
 
@@ -25,9 +25,11 @@ import numpy as np
 import pytest
 
 from repro.core import PbmeMode, RecStep, RecStepConfig
+from repro.core.ivm import MaintenanceRun
 from repro.engine.database import Database
 from repro.obs.counters import CounterRegistry
 from repro.programs import get_program
+from repro.programs.library import ProgramSpec
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -39,6 +41,20 @@ from repro.server.admission import QueryRequest
 from repro.server.service import QueryService, ServerConfig
 
 RELATIONAL = dict(pbme=PbmeMode.OFF)
+
+#: TC plus a non-recursive stratum reading it.
+TC2 = ProgramSpec(
+    name="TC2",
+    title="Transitive Closure and one more hop",
+    domain="graph",
+    source="""
+        tc(x, y) :- arc(x, y).
+        tc(x, y) :- tc(x, z), arc(z, y).
+        two(x, y) :- tc(x, z), arc(z, y).
+    """,
+    edb_schemas={"arc": ("c0", "c1")},
+    outputs=("tc", "two"),
+)
 
 
 def path_arcs(n: int) -> np.ndarray:
@@ -155,8 +171,8 @@ class TestMaintainedIdentity:
             view.release()
 
     def test_negation_and_aggregates_recompute_classes(self):
-        """NTC (negation) and SSSP (MIN) force the recompute/counting
-        classes; CC has a counting-maintainable non-recursive stratum."""
+        """NTC (negation) and CC (MIN) force the recompute class; both
+        also have a non-recursive monotone stratum that DRed maintains."""
         cases = [
             ("NTC", {"arc": random_graph(7, 12, 26)}),
             ("CC", {"arc": random_graph(9, 16, 30)}),
@@ -196,6 +212,36 @@ class TestMaintainedIdentity:
             assert result.idb_deltas["tc"]["deleted"] == 0
             after = view.fixpoint()
             assert len(after["tc"]) == before["tc"] + 30
+        finally:
+            view.release()
+
+    def test_insert_only_batch_snapshots_nothing(self, monkeypatch):
+        """Old state is read only by over-deletion: an insert-only batch
+        copies no relation into an ``_ivm_old`` table, even for a
+        non-recursive stratum reading a recursive one."""
+        made = []
+        make = MaintenanceRun._make_work_table
+
+        def spy(run, table, rows):
+            made.append(table)
+            make(run, table, rows)
+
+        monkeypatch.setattr(MaintenanceRun, "_make_work_table", spy)
+        view = RecStep(RecStepConfig(**RELATIONAL, profile=True)).materialize(
+            TC2, {"arc": path_arcs(20)}, dataset="snapshots"
+        )
+        try:
+            result = view.maintain({"arc": np.array([[19, 20]])}, None)
+            assert result.status == "ok", result.failure
+            assert view.database.profiler.counters.get("ivm.strata_dred") == 2
+            assert made and not [t for t in made if t.endswith("_ivm_old")]
+            made.clear()
+            result = view.maintain(None, {"arc": np.array([[5, 6]])})
+            assert result.status == "ok", result.failure
+            assert {"arc_ivm_old", "tc_ivm_old"} <= set(made)
+            assert view.fixpoint() == recompute_fixpoint(
+                TC2, {"arc": np.delete(path_arcs(21), 5, axis=0)}
+            )
         finally:
             view.release()
 

@@ -8,7 +8,9 @@ such a derivation, so circular support can never keep a tuple alive.
 
 Covered here: the table's rank runs (append, bulk write, delete remap,
 spill), the cycle trap, churn identity plus the invariant over TC on
-cyclic graphs, non-linear TC, SG, AA and CSPA, the over-deletion bound on
+cyclic graphs, non-linear TC, SG, AA and CSPA, churn identity through
+non-recursive strata (below, above and beside a closure, one holding a
+fact; NTC's, beside a recomputed negation), the over-deletion bound on
 a dense graph, and views mixing rank-0 and ranked rows (PBME-built,
 checkpoint-resumed, spilled).
 """
@@ -58,6 +60,24 @@ NONLINEAR_TC = ProgramSpec(
     """,
     edb_schemas={"arc": ("c0", "c1")},
     outputs=("tc",),
+)
+
+#: Non-recursive strata below (with a fact), above and beside a closure.
+LAYERED = ProgramSpec(
+    name="LAYERED",
+    title="Closure between non-recursive strata",
+    domain="graph",
+    source="""
+        hop(x, y) :- arc(x, y).
+        hop(x, y) :- arc(y, x), x < y.
+        hop(1, 1).
+        reach(x, y) :- hop(x, y).
+        reach(x, y) :- reach(x, z), hop(z, y).
+        two(x, y) :- reach(x, z), reach(z, y).
+        back(x, y) :- two(y, x), hop(x, y).
+    """,
+    edb_schemas={"arc": ("c0", "c1")},
+    outputs=("reach", "two", "back"),
 )
 
 
@@ -382,6 +402,16 @@ class TestChurnKeepsRanksWellFounded:
     @settings(max_examples=20, deadline=None)
     def test_cspa_mutual_recursion(self, case):
         _run_churn(get_program("CSPA"), *case, **RELATIONAL)
+
+    @given(_churn(("arc",), nodes=8, size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_non_recursive_strata_around_a_closure(self, case):
+        _run_churn(LAYERED, *case, **RELATIONAL)
+
+    @given(_churn(("arc",), nodes=8, size=16))
+    @settings(max_examples=30, deadline=None)
+    def test_ntc(self, case):
+        _run_churn(get_program("NTC"), *case, **RELATIONAL)
 
 
 class TestOverDeletionIsLocal:
