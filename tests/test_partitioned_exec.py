@@ -14,6 +14,8 @@ Acceptance criteria covered here:
   shed-partitioning rung shunts operators back to the shared path.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,21 @@ SIM_CLOCK_PINS += [
 ]  # fmt: skip
 _MODEL_COUNTER_PREFIXES = ("dedup_", "dsd_", "hash_", "degradation")
 
+#: sha256 of ``repr((sim_seconds, peak_memory_bytes, cpu_trace.times,
+#: cpu_trace.values, memory_trace.times, memory_trace.values, sorted
+#: profile counters))`` at the default (partitioned) config, recorded at
+#: a939fd0. A change that only makes the host faster must leave every
+#: sample of both traces where it was, which the sim-seconds pins alone
+#: do not prove.
+TRACE_DIGEST_PINS = [
+    ("TC", "cycle-300", dict(pbme=PbmeMode.OFF),
+     "f7a9d169ae892310174a5cf5f0f8c52402e72a34342526ef07099f69671abdfb"),
+    ("TC", "cycle-300", dict(memory_budget=550_000, degradation=True, spill_dir=True),
+     "92d306ef0aa2e0219a81d330958b38dc7b868410b0201e15122c97004b695937"),
+    ("AA", "andersen-3", dict(),
+     "e67b0d382c0f57864d702d707877061ba0cb886e68e6734a2041c274e59869fb"),
+]  # fmt: skip
+
 
 def _pin_id(program, dataset, config):
     values = (f"{k}={v}" if isinstance(v, bool) else str(v) for k, v in config.items())
@@ -301,6 +318,27 @@ class TestSimClockPin:
             sizes.append(result.sizes())
         # Partitioning is modeled: on and off reach the same fixpoint.
         assert sizes[0] == sizes[-1]
+
+    @pytest.mark.parametrize(
+        "program,dataset,config,digest",
+        TRACE_DIGEST_PINS,
+        ids=[_pin_id(p, d, c) for p, d, c, _ in TRACE_DIGEST_PINS],
+    )
+    def test_traces_match_recorded_digest(self, program, dataset, config, digest, tmp_path):
+        """Not one CPU or memory sample moved, nor any profile counter."""
+        spec = get_program(program)
+        if config.get("spill_dir"):
+            config = dict(config, spill_dir=str(tmp_path / "spill"))
+        result = RecStep(RecStepConfig(profile=True, fault_seed=None, **config)).evaluate(
+            spec, prepare_edb(spec, dataset), dataset=dataset
+        )
+        assert result.status == "ok"
+        cpu, memory = result.cpu_trace, result.memory_trace
+        recorded = repr((
+            result.sim_seconds, result.peak_memory_bytes, cpu.times, cpu.values,
+            memory.times, memory.values, sorted(result.profile.counters.items()),
+        ))  # fmt: skip
+        assert hashlib.sha256(recorded.encode()).hexdigest() == digest
 
     def test_maintenance_batches_match_recorded(self):
         """One insert and one delete batch on a relational TC view.
