@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -265,10 +266,7 @@ class ParallelCostModel:
 
     def effective_width(self, kind: PhaseKind) -> float:
         """Usable parallelism for a phase of the given contention class."""
-        k = max(1, self.threads)
-        raw = min(k, self.physical_cores) + self.ht_yield * max(0, k - self.physical_cores)
-        saturation = min(k, self.physical_cores) / self.physical_cores
-        return max(1.0, raw * (1.0 - kind.contention * saturation))
+        return _effective_width(kind.contention, self.threads, self.physical_cores, self.ht_yield)
 
     def run_phase(self, kind: PhaseKind, task_costs) -> PhaseOutcome:
         """Schedule ``task_costs`` onto the workers; return the makespan."""
@@ -404,9 +402,8 @@ class ParallelCostModel:
         work = self._hold(partitioned_bytes, partitioned=True)
         self._parallel(PARTITION_PHASE, scatter_rows * COST_PARTITION, scatter_rows)
         for stage, counts in zip(stages, bucket_counts):
-            self._charge(
-                stage.partitioned, [float(cost) for cost in counts * stage.unit if cost > 0]
-            )
+            # One task per non-empty bucket, priced in one array expression.
+            self._charge(stage.partitioned, (counts[counts > 0] * stage.unit).tolist())
         counters.inc("partition.scatter_rows", scatter_rows)
         return work
 
@@ -653,13 +650,23 @@ def split_tasks(total_cost: float, num_blocks: int) -> EqualTasks:
     return EqualTasks(total_cost / blocks, blocks)
 
 
+@cache
+def _effective_width(contention: float, threads: int, physical_cores: int, ht_yield: float) -> float:
+    k = max(1, threads)
+    raw = min(k, physical_cores) + ht_yield * max(0, k - physical_cores)
+    saturation = min(k, physical_cores) / physical_cores
+    return max(1.0, raw * (1.0 - contention * saturation))
+
+
 def _lpt_makespan(task_costs: list[float], workers: int) -> float:
-    """Longest-processing-time-first greedy makespan (unequal tasks)."""
+    """Longest-processing-time-first greedy makespan (unequal tasks).
+
+    ``heapreplace`` leaves the same multiset of loads as a pop plus a push
+    of ``lightest + cost``, so the maximum is the same float.
+    """
     loads = [0.0] * workers
-    heapq.heapify(loads)
     for cost in sorted(task_costs, reverse=True):
-        lightest = heapq.heappop(loads)
-        heapq.heappush(loads, lightest + cost)
+        heapq.heapreplace(loads, loads[0] + cost)
     return max(loads)
 
 

@@ -8,7 +8,8 @@ over a full-side join input — stable CCK codes (or a
 pack) kept sorted alongside the originating row positions — is built
 once, then *extended* with each iteration's Δ slice instead of rebuilt.
 Per-iteration build cost becomes proportional to |Δ|, not |full|; the
-whole-row index ``Δ = R_Δ - R`` anti-probes keeps each Δ as a sorted run.
+whole-row index ``Δ = R_Δ - R`` anti-probes keeps each Δ as a sorted run,
+or one bit per code once R fills enough of its codec's code space.
 
 Validity is proven with the table's ``epoch`` counter (bumped on
 rewrites, not appends): an entry whose epoch no longer matches describes
@@ -40,6 +41,11 @@ COUNTER_EXTEND = "join_cache.extend"
 COUNTER_EVICT = "join_cache.evict"
 COUNTER_EXTEND_ROWS = "join_cache.extend_rows"
 
+#: A whole-row entry whose code space is at most this many codes per
+#: indexed row keeps a bitmap: one bit per code then never holds more
+#: host bytes than the int64 runs it replaces.
+DENSE_CODES_PER_ROW = 64
+
 
 @dataclass
 class JoinIndexEntry:
@@ -54,7 +60,8 @@ class JoinIndexEntry:
     #: Ascending code arrays whose union is the indexed keys: one, aligned
     #: with ``sorted_positions``, for a join key; for a whole-row entry (the
     #: index cached OPSD anti-probes) one immutable run per size tier of
-    #: appended Δs — at most log2(rows) + 1 — and no positions.
+    #: appended Δs — at most log2(rows) + 1 — and no positions (no runs
+    #: at all while ``bitmap`` answers membership).
     runs: list[np.ndarray]
     sorted_positions: np.ndarray | None
     rows_indexed: int
@@ -65,9 +72,17 @@ class JoinIndexEntry:
     #: bumps ``version``, and a same-size entry whose synced version no
     #: longer matches is describing different rows — evict, don't hit.
     synced_version: int = -1
+    #: A whole-row entry over a dense packed code space (see
+    #: :func:`_is_dense`) answers from one bit per code instead of runs:
+    #: ``np.packbits(..., bitorder="little")`` of the indexed codes.
+    bitmap: np.ndarray | None = None
 
     def contains(self, codes: np.ndarray) -> np.ndarray:
         """Membership mask of probe ``codes`` in the indexed keys."""
+        if self.bitmap is not None:
+            # A -1 probe gathers the last byte; the sign test discards it.
+            bits = (self.bitmap[codes >> 3] >> (codes & 7)) & 1
+            return (bits != 0) & (codes >= 0)
         mask = np.zeros(codes.shape[0], dtype=bool)
         for run in self.runs:
             mask |= kernels.isin_sorted(codes, run)
@@ -242,17 +257,25 @@ class JoinStateCache:
             dictionary = kernels.RowDictionary(len(key_columns))
             codes = dictionary.encode(columns_matrix, extend=True)
         whole_row = key_columns == table.column_names
-        order = None if whole_row else np.argsort(codes, kind="stable")
+        bitmap = runs = order = None
+        if whole_row and _is_dense(codec, n):
+            bitmap, runs = _bitmap_of(codes, 1 << codec.total_bits), []
+        elif whole_row:
+            runs = [np.sort(codes)]
+        else:
+            order = np.argsort(codes, kind="stable")
+            runs = [codes[order]]
         return JoinIndexEntry(
             table=table.name,
             key_columns=key_columns,
             codec=codec,
             dictionary=dictionary,
-            runs=[np.sort(codes) if whole_row else codes[order]],
+            runs=runs,
             sorted_positions=order,
             rows_indexed=n,
             epoch=table.epoch,
             synced_version=table.version,
+            bitmap=bitmap,
         )
 
     def _extend(self, ctx, table, entry: JoinIndexEntry) -> bool:
@@ -264,22 +287,34 @@ class JoinStateCache:
         tail = table.tail_data(entry.rows_indexed)
         tail_matrix = self._key_matrix(tail, indices)
         columns = [tail_matrix[:, i] for i in range(tail_matrix.shape[1])]
-        if entry.codec is not None and not entry.codec.fits(columns):
-            return False
-        for name, column in zip(entry.key_columns, columns):
-            observed = observed_domain(column)
-            if column.size:
-                ctx.catalog.widen_domain(
-                    table.name, name, observed.low, observed.high
-                )
         new_rows = tail_matrix.shape[0]
+        # One min/max scan per column answers both "does Δ fit the codec"
+        # and "how far do the catalog's domains widen".
+        observed = [observed_domain(column) for column in columns] if new_rows else []
+        if entry.codec is not None and not all(
+            domain.contains(seen.low, seen.high)
+            for domain, seen in zip(entry.codec.domains, observed)
+        ):
+            return False
+        for name, seen in zip(entry.key_columns, observed):
+            ctx.catalog.widen_domain(table.name, name, seen.low, seen.high)
         ctx.model.index_build(new_rows)
         ctx.profiler.counters.inc(COUNTER_EXTEND_ROWS, new_rows)
         if entry.codec is not None:
-            codes = entry.codec.pack(columns)
+            codes = entry.codec.encode(columns)
         else:
             codes = entry.dictionary.encode(tail_matrix, extend=True)
-        if entry.key_columns == table.column_names:
+        bitmap = entry.bitmap
+        if bitmap is not None:
+            # Setting bits is idempotent, so doing it in place keeps a
+            # retried statement's view consistent; the flat index a join
+            # built on demand is dropped as for runs.
+            _set_bits(bitmap, codes)
+            runs, positions = [], None
+        elif entry.key_columns == table.column_names and _is_dense(entry.codec, table.num_rows):
+            bitmap = _bitmap_of(np.concatenate(entry.runs + [codes]), 1 << entry.codec.total_bits)
+            runs, positions = [], None
+        elif entry.key_columns == table.column_names:
             # The appended Δ is a run; merge the newest two while the older
             # is at most twice the newer: R is re-sorted O(log |R|) times
             # over a stratum, not rewritten once per iteration.
@@ -295,10 +330,46 @@ class JoinStateCache:
             runs = [merged]
         # Mutated last: a retried statement sees the old entry or the
         # extended one, never half an extend.
-        entry.runs, entry.sorted_positions = runs, positions
+        entry.runs, entry.sorted_positions, entry.bitmap = runs, positions, bitmap
         entry.rows_indexed = table.num_rows
         entry.synced_version = table.version
         return True
+
+
+def _is_dense(codec: kernels.KeyCodec | None, rows: int) -> bool:
+    """True when a whole-row entry over ``rows`` rows should be a bitmap.
+
+    Only multi-column packed codes are bounded by the codec's space (a
+    single-column code is the raw value, a dictionary's codes are not
+    positional).
+    """
+    return (
+        codec is not None
+        and len(codec.domains) > 1
+        and 1 << codec.total_bits <= DENSE_CODES_PER_ROW * rows
+    )
+
+
+def _bitmap_of(codes: np.ndarray, space: int) -> np.ndarray:
+    """Packed little-endian bitmap of ``codes`` over ``[0, space)``: a bool
+    scatter plus ``packbits`` (4× faster than ``bitwise_or.at`` at 246 k codes)."""
+    present = np.zeros(space, dtype=bool)
+    present[codes] = True
+    return np.packbits(present, bitorder="little")
+
+
+def _set_bits(bitmap: np.ndarray, codes: np.ndarray) -> None:
+    """Set ``codes``' bits in ``bitmap`` in place.
+
+    A small Δ ORs its bits byte by byte; one that touches a sizeable share
+    of the space goes through the bool scatter instead.
+    """
+    if codes.size * 128 < bitmap.size * 8:
+        np.bitwise_or.at(bitmap, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8))
+    else:
+        present = np.unpackbits(bitmap, bitorder="little").view(bool)
+        present[codes] = True
+        bitmap[:] = np.packbits(present, bitorder="little")
 
 
 def _with_headroom(domains: list[ColumnDomain]) -> list[ColumnDomain]:

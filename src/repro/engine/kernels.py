@@ -198,6 +198,10 @@ class KeyCodec:
             raise KeyPackingError(
                 f"key needs {self.total_bits} bits, over the {MAX_PACK_BITS}-bit CCK limit"
             )
+        if self.fits(columns):
+            # Probes mostly come from the indexed relation's own domains:
+            # one min/max per column is half the cost of clipping them.
+            return self.encode(columns)
         n = columns[0].shape[0]
         key = np.zeros(n, dtype=np.int64)
         valid = np.ones(n, dtype=bool)

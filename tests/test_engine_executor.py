@@ -2,13 +2,19 @@
 
 import heapq
 
+import numpy as np
 import pytest
 
 from repro.common.errors import EvaluationTimeout, OutOfMemoryError
 from repro.common.timing import SimClock
+from repro.engine import executor, kernels
 from repro.engine.executor import (
     BUILD_PHASE,
+    COST_BUILD,
+    COST_DEDUP_FAST,
+    COST_PROBE,
     DEDUP_PHASE,
+    PARTITIONED_DEDUP_PHASE,
     SCAN_PHASE,
     ParallelCostModel,
     split_tasks,
@@ -134,6 +140,58 @@ class TestEqualTaskClosedForm:
         for kind in (SCAN_PHASE, DEDUP_PHASE):
             model = ParallelCostModel(threads=threads)
             assert model.run_phase(kind, split) == model.run_phase(kind, listed)
+
+
+def _bucket_shaped_costs(rng, unit):
+    """One partitioned stage's task list: 256 radix-bucket counts of a
+    small Δ (many ties, many empty buckets) times a per-tuple cost."""
+    counts = rng.poisson(rng.choice([0.3, 1.5, 6.0, 40.0]), size=256)
+    return [float(cost) for cost in counts * unit if cost > 0]
+
+
+class TestBucketTaskPricing:
+    """Pricing radix-bucket tasks with fewer Python operations must land on
+    the same floats the per-task loop and the pop-then-push heap produced."""
+
+    UNITS = [COST_BUILD, COST_PROBE, COST_DEDUP_FAST, COST_DEDUP_FAST * 1.7]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lpt_makespan_matches_the_reference_heap(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            costs = _bucket_shaped_costs(rng, self.UNITS[int(rng.integers(len(self.UNITS)))])
+            workers = int(rng.integers(2, 41))
+            if costs:
+                assert executor._lpt_makespan(costs, workers) == _reference_lpt_makespan(
+                    costs, workers
+                )
+
+    @pytest.mark.parametrize("threads", [2, 7, 20, 40])
+    def test_run_phase_outcome_matches_the_reference_heap(self, threads, monkeypatch):
+        rng = np.random.default_rng(threads)
+        lists = [_bucket_shaped_costs(rng, unit) for unit in self.UNITS * 10]
+        model = ParallelCostModel(threads=threads)
+        current = [model.run_phase(PARTITIONED_DEDUP_PHASE, costs) for costs in lists]
+        monkeypatch.setattr(executor, "_lpt_makespan", _reference_lpt_makespan)
+        assert current == [model.run_phase(PARTITIONED_DEDUP_PHASE, costs) for costs in lists]
+
+    @pytest.mark.parametrize("rows", [400, 5000, 60000])
+    def test_charged_bucket_costs_match_the_per_task_loop(self, rows, monkeypatch):
+        charged = []
+        monkeypatch.setattr(
+            ParallelCostModel, "_charge", lambda self, kind, costs: charged.append((kind, costs))
+        )
+        model = ParallelCostModel(threads=20, partitions=256)
+        keys = np.random.default_rng(rows).integers(0, 1 << 20, size=rows)
+        with model.dedup(rows, 2, True, keys, rows):
+            pass
+        assert [kind for kind, _ in charged] == [executor.PARTITION_PHASE, PARTITIONED_DEDUP_PHASE]
+        counts = kernels.radix_partition(keys, 256)
+        expected = [float(cost) for cost in counts * COST_DEDUP_FAST if cost > 0]
+        costs = charged[1][1]
+        assert costs == expected
+        assert [cost.hex() for cost in costs] == [cost.hex() for cost in expected]
+        assert all(type(cost) is float for cost in costs)
 
 
 class TestMetricsRecorder:

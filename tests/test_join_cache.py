@@ -354,9 +354,11 @@ class TestWholeRowRuns:
             entry, event = db.join_cache.acquire(ctx, "r", ("x", "y"))
             assert event == "extend" and (entry.dictionary is not None) == wide
             assert entry.sorted_positions is None
-            assert entry.rows_indexed == table.num_rows == sum(run.size for run in entry.runs)
-            assert len(entry.runs) <= int(np.log2(table.num_rows)) + 1
-            assert all(np.all(run[1:] >= run[:-1]) for run in entry.runs)
+            assert entry.rows_indexed == table.num_rows
+            if entry.bitmap is None:  # runs' shape; a dense entry has none
+                assert sum(run.size for run in entry.runs) == table.num_rows
+                assert len(entry.runs) <= int(np.log2(table.num_rows)) + 1
+                assert all(np.all(run[1:] >= run[:-1]) for run in entry.runs)
             flat_codes, flat_positions = kernels.merge_sorted_index(
                 flat_codes,
                 flat_positions,
@@ -386,6 +388,62 @@ class TestWholeRowRuns:
         entry, event = db.join_cache.acquire(ctx, "r", ("x", "y"))
         assert event == "extend" and entry.sorted_positions is None
         assert entry.contains(entry.probe_codes([probes[:1, 0] * 0 + 41 * scale] * 2)).all()
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=12),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dense_bitmap_answers_like_one_sorted_array(self, batches):
+        """Corners 0..7 pad to 4-bit domains: 256 codes, a bitmap from 4
+        rows. Two rows start on runs; the appends switch the entry."""
+        db = Database(enforce_budgets=False)
+        db.load_table("r", ("x", "y"), np.array([[0, 0], [7, 7]], dtype=np.int64))
+        ctx = db._context()
+        table = db.catalog.get_table("r")
+        values = np.arange(-3, 20, dtype=np.int64)  # 16..19 are out of domain
+        probes = np.array([(x, y) for x in values for y in values], dtype=np.int64)
+        outside = (probes < 0).any(axis=1) | (probes > 15).any(axis=1)
+        entry, _ = db.join_cache.acquire(ctx, "r", ("x", "y"))
+        assert entry.bitmap is None and entry.codec.total_bits == 8
+        # The top code is set, so a -1 probe gathers a byte with its bit on.
+        for batch in batches + [[(15, 15)]]:
+            db.append_rows("r", np.asarray(batch, dtype=np.int64))
+            entry, event = db.join_cache.acquire(ctx, "r", ("x", "y"))
+            assert event == "extend" and entry.sorted_positions is None
+            assert (entry.bitmap is not None) == (table.num_rows >= 4)
+            codes = entry.probe_codes([probes[:, 0], probes[:, 1]])
+            rows = table.data()
+            flat = np.sort(entry.probe_codes([rows[:, 0], rows[:, 1]]))
+            assert entry.contains(codes).tolist() == kernels.isin_sorted(codes, flat).tolist()
+            assert (codes[outside] == -1).all() and not entry.contains(codes)[outside].any()
+        # A join on every column still gets the flat pair, built on demand.
+        expected = kernels.sort_index(entry.probe_codes([rows[:, 0], rows[:, 1]]))
+        codes, positions = entry.flat_index(table)
+        assert np.array_equal(codes, expected[0]) and np.array_equal(positions, expected[1])
+        # A Δ that escapes the codec's domains rebuilds with wider ones.
+        db.append_rows("r", np.array([[5, 500]], dtype=np.int64))
+        entry, event = db.join_cache.acquire(ctx, "r", ("x", "y"))
+        assert event == "rebuild" and entry.rows_indexed == table.num_rows
+        codes = entry.probe_codes([np.array([5, 6]), np.array([500, 500])])
+        assert entry.contains(codes).tolist() == [True, False]
+
+    def test_wide_and_single_column_entries_stay_on_runs(self):
+        db = Database(enforce_budgets=False)
+        dense = np.array([(x, y) for x in range(20) for y in range(20)], dtype=np.int64)
+        db.load_table("wide", ("x", "y"), dense << 40)
+        db.load_table("unary", ("x",), np.arange(400, dtype=np.int64).reshape(-1, 1))
+        db.load_table("pair", ("x", "y"), dense)
+        ctx = db._context()
+        for name, columns in (("wide", ("x", "y")), ("unary", ("x",)), ("pair", ("x", "y"))):
+            entry, _ = db.join_cache.acquire(ctx, name, columns)
+            on_runs = name != "pair"
+            assert (entry.bitmap is None) == on_runs
+            assert len(entry.runs) == (1 if on_runs else 0)
+            assert (entry.dictionary is not None) == (name == "wide")
 
     def test_all_column_join_after_extend_matches_uncached(self):
         rng = np.random.default_rng(5)
