@@ -231,6 +231,8 @@ class JoinStateCache:
     def _key_matrix(self, data: np.ndarray, indices: list[int]) -> np.ndarray:
         if data.shape[0] == 0:
             return np.empty((0, len(indices)), dtype=np.int64)
+        if indices == list(range(data.shape[1])):
+            return data  # a whole-row key is the (read-only) rows themselves
         return np.ascontiguousarray(data[:, indices])
 
     def _codec_for(self, ctx, table, columns: list[np.ndarray], names) -> kernels.KeyCodec:
