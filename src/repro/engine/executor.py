@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -266,7 +265,10 @@ class ParallelCostModel:
 
     def effective_width(self, kind: PhaseKind) -> float:
         """Usable parallelism for a phase of the given contention class."""
-        return _effective_width(kind.contention, self.threads, self.physical_cores, self.ht_yield)
+        k = max(1, self.threads)
+        raw = min(k, self.physical_cores) + self.ht_yield * max(0, k - self.physical_cores)
+        saturation = min(k, self.physical_cores) / self.physical_cores
+        return max(1.0, raw * (1.0 - kind.contention * saturation))
 
     def run_phase(self, kind: PhaseKind, task_costs) -> PhaseOutcome:
         """Schedule ``task_costs`` onto the workers; return the makespan."""
@@ -648,14 +650,6 @@ def split_tasks(total_cost: float, num_blocks: int) -> EqualTasks:
     """Divide an operator's total cost into per-block task costs."""
     blocks = max(1, num_blocks)
     return EqualTasks(total_cost / blocks, blocks)
-
-
-@cache
-def _effective_width(contention: float, threads: int, physical_cores: int, ht_yield: float) -> float:
-    k = max(1, threads)
-    raw = min(k, physical_cores) + ht_yield * max(0, k - physical_cores)
-    saturation = min(k, physical_cores) / physical_cores
-    return max(1.0, raw * (1.0 - contention * saturation))
 
 
 def _lpt_makespan(task_costs: list[float], workers: int) -> float:

@@ -353,25 +353,19 @@ def _is_dense(codec: kernels.KeyCodec | None, rows: int) -> bool:
 
 
 def _bitmap_of(codes: np.ndarray, space: int) -> np.ndarray:
-    """Packed little-endian bitmap of ``codes`` over ``[0, space)``: a bool
-    scatter plus ``packbits`` (4× faster than ``bitwise_or.at`` at 246 k codes)."""
-    present = np.zeros(space, dtype=bool)
-    present[codes] = True
-    return np.packbits(present, bitorder="little")
+    """Packed little-endian bitmap of ``codes`` over ``[0, space)``."""
+    bitmap = np.zeros((space + 7) >> 3, dtype=np.uint8)
+    _set_bits(bitmap, codes)
+    return bitmap
 
 
 def _set_bits(bitmap: np.ndarray, codes: np.ndarray) -> None:
     """Set ``codes``' bits in ``bitmap`` in place.
 
-    A small Δ ORs its bits byte by byte; one that touches a sizeable share
-    of the space goes through the bool scatter instead.
+    ``bitwise_or.at`` works per code: O(|codes|) time and host bytes, never
+    a transient the size of the code space.
     """
-    if codes.size * 128 < bitmap.size * 8:
-        np.bitwise_or.at(bitmap, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8))
-    else:
-        present = np.unpackbits(bitmap, bitorder="little").view(bool)
-        present[codes] = True
-        bitmap[:] = np.packbits(present, bitorder="little")
+    np.bitwise_or.at(bitmap, codes >> 3, np.left_shift(1, codes & 7).astype(np.uint8))
 
 
 def _with_headroom(domains: list[ColumnDomain]) -> list[ColumnDomain]:

@@ -72,17 +72,14 @@ class MetricsRecorder:
         """Advance the clock, recording CPU utilization over the span."""
         if seconds <= 0:
             return
-        # Tens of thousands of samples per run: append to the trace's lists
-        # directly rather than through ``Trace.record``.
-        trace = self.cpu_trace
-        trace.times.append(self.clock.now())
-        now = self.clock.advance(seconds)
-        trace.times.append(now)
-        trace.values += (utilization, utilization)
-        if self.enforce_budgets and now > self.time_budget:
+        self.cpu_trace.record(self.clock.now(), utilization)
+        self.clock.advance(seconds)
+        self.cpu_trace.record(self.clock.now(), utilization)
+        if self.enforce_budgets and self.clock.now() > self.time_budget:
             raise EvaluationTimeout(
-                f"simulated time {now:.1f}s exceeded budget {self.time_budget:.1f}s",
-                sim_seconds=round(now, 6),
+                f"simulated time {self.clock.now():.1f}s exceeded budget "
+                f"{self.time_budget:.1f}s",
+                sim_seconds=round(self.clock.now(), 6),
                 time_budget=self.time_budget,
             )
 
@@ -146,9 +143,7 @@ class MetricsRecorder:
         total = self.base_bytes + self.transient_bytes
         self.peak_bytes = max(self.peak_bytes, total)
         self.peak_transient_bytes = max(self.peak_transient_bytes, self.transient_bytes)
-        trace = self.memory_trace
-        trace.times.append(self.clock.now())
-        trace.values.append(float(total))
+        self.memory_trace.record(self.clock.now(), float(total))
         if self.memory_budget > 0:
             fraction = total / self.memory_budget
             level = (

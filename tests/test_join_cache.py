@@ -12,6 +12,8 @@ Acceptance criteria covered here:
   rule, including the wide-tuple (unpackable) degradation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from repro.engine import kernels
 from repro.engine.database import Database
 from repro.engine.executor import INDEX_ROW_BYTES, plan_transient
 from repro.engine.executor import plan_transient as planned_transient_bytes
-from repro.engine.joincache import JoinStateCache
+from repro.engine.joincache import JoinStateCache, _bitmap_of, _set_bits
 from repro.obs.tracer import CATEGORY_ITERATION
 from repro.programs import get_program
 from repro.resilience import DegradationController, ResilienceContext
@@ -430,6 +432,25 @@ class TestWholeRowRuns:
         assert event == "rebuild" and entry.rows_indexed == table.num_rows
         codes = entry.probe_codes([np.array([5, 6]), np.array([500, 500])])
         assert entry.contains(codes).tolist() == [True, False]
+
+    def test_bitmap_bits_cost_per_code_not_per_code_space(self):
+        """Build and extend match ``packbits`` of a bool array, and neither
+        allocates an array the size of the code space (2**20 codes)."""
+        space = 1 << 20
+        codes = np.random.default_rng(3).choice(space, 14_000, replace=False)
+        first, delta = codes[:4_000], codes[4_000:]
+        tracemalloc.start()
+        bitmap = _bitmap_of(first, space)
+        resident, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _set_bits(bitmap, delta)
+        extend_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert build_peak < space // 8 + 64 * first.size
+        assert extend_peak - resident < 64 * delta.size
+        present = np.zeros(space, dtype=bool)
+        present[codes] = True
+        assert np.array_equal(bitmap, np.packbits(present, bitorder="little"))
 
     def test_wide_and_single_column_entries_stay_on_runs(self):
         db = Database(enforce_budgets=False)
