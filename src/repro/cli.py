@@ -179,10 +179,6 @@ def run_datalog_file(
                 "resilience options are only supported by the RecStep engine: "
                 + ", ".join(sorted(wanted))
             )
-        if degrade or spill_dir is not None:
-            # The spill rung lives on the degradation ladder: asking for a
-            # spill directory implies arming the ladder.
-            wanted["degradation"] = True
         if fault_rate is not None:
             wanted["fault_rate"] = fault_rate
         if checkpoint_every is not None:
@@ -494,8 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--degrade",
         action="store_true",
-        help="enable the memory-pressure degradation ladder (lean dedup -> "
-        "forced TPSD -> PBME fallback) instead of failing at the OOM line",
+        help="enable the memory-pressure degradation ladder (shed join cache "
+        "-> shed partitioning -> lean dedup -> spill cold tables -> forced "
+        "TPSD) instead of failing at the OOM line",
     )
     parser.add_argument(
         "--spill-dir",
@@ -503,9 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="enable the spill-to-disk storage tier: under memory pressure "
         "the degradation ladder evicts cold table prefixes to segment files "
-        "in DIR instead of shedding work (RecStep only; implies --degrade "
-        "semantics for the spill rung; results are bit-identical to an "
-        "in-memory run)",
+        "in DIR instead of shedding work (RecStep only; arms the ladder as "
+        "--degrade does; results are bit-identical to an in-memory run)",
     )
     parser.add_argument(
         "--checkpoint-every",

@@ -274,16 +274,6 @@ def pbme_applicability(
                     reason="projected closure cannot stay resident; the "
                     "spill tier keeps the relational path safe",
                 )
-        # Degradation ladder, last rung: under critical memory pressure an
-        # eligible stratum takes the matrix path even when the density
-        # heuristic would keep it relational — the packed matrix is the
-        # lowest-footprint representation available.
-        degradation = database.resilience.degradation
-        if degradation.prefer_pbme():
-            degradation.note("prefer-pbme")
-            database.profiler.counters.inc("degradation_pbme_fallback")
-            decision.reason += " (pbme preferred under memory pressure)"
-            return decision
         # PBME pays off on *dense* graphs (Section 5.3); sparse inputs such
         # as the CSDA program graphs stay on the relational path.
         edge_count = database.table_size(decision.edge_relation)

@@ -67,9 +67,8 @@ class RecStepConfig:
     fault_seed: int | None = field(default_factory=_env_chaos_seed)
     # ^ arm deterministic fault injection (default: REPRO_CHAOS_SEED env)
     fault_rate: float = 0.02         # per-visit fault probability
-    retries: int = 4                 # retry attempts per faulting operation
     degradation: bool = False        # memory-pressure degradation ladder
-    spill_dir: str | None = None     # spill-to-disk tier (needs degradation)
+    spill_dir: str | None = None     # spill-to-disk tier (arms the ladder)
     checkpoint_dir: str | None = None  # write checkpoints here
     checkpoint_every: int = 1        # iteration checkpoint interval
     resume_from: str | None = None   # checkpoint file/dir to resume from

@@ -389,10 +389,12 @@ class RecStep:
         )
         return ResilienceContext(
             injector=injector,
-            retry=RetryPolicy(
-                max_attempts=self.config.retries, jitter_seed=jitter_seed
+            retry=RetryPolicy(jitter_seed=jitter_seed),
+            # The spill tier's rung lives on the ladder: a spill directory
+            # arms it.
+            degradation=DegradationController(
+                enabled=self.config.degradation or self.config.spill_dir is not None
             ),
-            degradation=DegradationController(enabled=self.config.degradation),
             guard=guard,
         )
 

@@ -182,10 +182,8 @@ class Database:
         the first thing given back. ``planned_bytes`` lets a caller
         about to *build* an index pre-flight that allocation."""
         degradation = self.resilience.degradation
-        if (
-            self.join_cache.enabled
-            and degradation.enabled
-            and degradation.shed_join_cache(planned_bytes)
+        if self.join_cache.enabled and degradation.engaged(
+            "shed-join-cache", planned_bytes
         ):
             degradation.note("shed-join-cache")
             evicted = self.join_cache.invalidate_all()
@@ -231,7 +229,7 @@ class Database:
         if spill is None or spill.capacity_exhausted:
             return
         degradation = self.resilience.degradation
-        if not (degradation.enabled and degradation.spill_cold_tables()):
+        if not degradation.engaged("spill-cold-tables"):
             return
         metrics = self.metrics
         if metrics.memory_budget <= 0:
@@ -274,7 +272,7 @@ class Database:
             return
         projected = self.catalog.total_memory_bytes() + self.join_cache.memory_bytes()
         planned = max(0, projected - metrics.base_bytes)
-        if not self.resilience.degradation.spill_cold_tables(planned):
+        if not self.resilience.degradation.engaged("spill-cold-tables", planned):
             return
         table.bind_spill(spill)
         if spill.spill_table(table):

@@ -387,13 +387,16 @@ class ParallelCostModel:
             and _partition_decision(self, self.partitions, stages).partitioned
         )
         degradation = self.degradation
-        if partitioned and degradation is not None and degradation.enabled:
-            # Scatter buffers are pure speed-for-memory: under pressure
-            # they are shed like the join cache.
-            if degradation.shed_partitioning(partitioned_bytes):
-                degradation.note("shed-partitioning")
-                counters.inc("partition.shed")
-                partitioned = False
+        # Scatter buffers are pure speed-for-memory: under pressure they
+        # are shed like the join cache.
+        if (
+            partitioned
+            and degradation is not None
+            and degradation.engaged("shed-partitioning", partitioned_bytes)
+        ):
+            degradation.note("shed-partitioning")
+            counters.inc("partition.shed")
+            partitioned = False
         if not partitioned:
             work = self._hold(shared_bytes)
             for stage in stages:
@@ -544,11 +547,7 @@ class ParallelCostModel:
         """
         transient = plan_transient(rows, width, self.fast_dedup, estimated_rows, packable)
         degradation = self.degradation
-        lean = (
-            degradation is not None
-            and degradation.enabled
-            and degradation.lean_dedup(transient)
-        )
+        lean = degradation is not None and degradation.engaged("lean-dedup", transient)
         if lean:
             degradation.note("lean-dedup")
             transient = plan_transient(rows, width, lean=True)
@@ -589,9 +588,9 @@ class ParallelCostModel:
         builds on the smaller side.
         """
         degradation = self.degradation
-        if degradation is None or not degradation.enabled:
+        if degradation is None:
             return False
-        forced = degradation.force_tpsd(base_rows * (8 + HASH_ENTRY_OVERHEAD))
+        forced = degradation.engaged("force-tpsd", base_rows * (8 + HASH_ENTRY_OVERHEAD))
         if forced:
             degradation.note("force-tpsd")
         return forced

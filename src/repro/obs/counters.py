@@ -70,8 +70,6 @@ KNOWN_COUNTERS = {
     "degradation_lean_dedup": "dedups rerouted to the memory-lean sort path",
     "degradation_force_tpsd": "OPSD set-differences overridden to TPSD",
     "degradation_spill_cold_tables": "cold table prefixes evicted to the disk tier",
-    "degradation_prefer_pbme": "strata steered to PBME under memory pressure",
-    "degradation_pbme_fallback": "PBME density checks bypassed under pressure",
     # -- spill-to-disk tier (repro.storage.spill) ----------------------------
     "spill.tables_spilled": "spill_table calls that moved at least one segment",
     "spill.segments_written": "spill segment files durably published",

@@ -10,7 +10,8 @@ The package that turns the paper's DNF cells into survivable events:
 * :mod:`repro.resilience.checkpoint` — snapshot/resume of semi-naive
   state at stratum/iteration boundaries;
 * :mod:`repro.resilience.degradation` — the memory-pressure ladder
-  (lean dedup → forced TPSD → PBME fallback) answering soft watermarks;
+  (shed join cache → shed partitioning → lean dedup → spill cold
+  tables → forced TPSD) answering the watermarks;
 * :mod:`repro.resilience.cancellation` — cooperative deadline tokens
   checked at phase boundaries;
 * :mod:`repro.resilience.runtime` — the per-evaluation context binding

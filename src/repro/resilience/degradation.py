@@ -28,10 +28,11 @@ Ladder (in escalation order):
 5. **force-tpsd** (critical watermark): override the DSD policy to the
    two-phase set difference, which never builds a hash table on the
    monotonically growing full relation.
-6. **prefer-pbme** (critical watermark): let eligible TC/SG strata fall
-   back to the bit-matrix engine even when the density heuristic would
-   keep them relational — the packed matrix is the lowest-footprint
-   representation we have.
+
+Every rung has a witness: a configuration that completes with the
+ladder armed and runs out of memory with that one rung refused
+(``tests/test_resilience.py::TestLadderEvidence``). A rung without one
+does not stay on the ladder.
 
 Escalation is sticky (a level never drops) so a run's plan is
 deterministic and its report can list exactly which degradations were
@@ -52,7 +53,6 @@ LADDER = (
     "lean-dedup",
     "spill-cold-tables",
     "force-tpsd",
-    "prefer-pbme",
 )
 
 #: Pressure level at which each step engages.
@@ -62,7 +62,6 @@ _STEP_LEVEL = {
     "lean-dedup": 1,
     "spill-cold-tables": 1,
     "force-tpsd": 2,
-    "prefer-pbme": 2,
 }
 
 
@@ -96,35 +95,18 @@ class DegradationController:
             return False
         return self._metrics.budget_fraction(planned_bytes) >= self._metrics.soft_watermark
 
-    def _engaged(self, step: str, planned_bytes: int) -> bool:
+    def engaged(self, step: str, planned_bytes: int = 0) -> bool:
+        """Is ladder step ``step`` in force for an operation that is about
+        to allocate ``planned_bytes``?
+
+        The step is looked up first, so a misspelt name raises even when
+        the ladder is off. A step that changes behaviour records itself
+        with :meth:`note`.
+        """
+        level = _STEP_LEVEL[step]
         if not self.enabled:
             return False
-        return self.level >= _STEP_LEVEL[step] or self._would_breach_soft(planned_bytes)
-
-    def shed_join_cache(self, planned_bytes: int = 0) -> bool:
-        """Should the persistent join indexes be evicted and disabled?"""
-        return self._engaged("shed-join-cache", planned_bytes)
-
-    def shed_partitioning(self, planned_bytes: int = 0) -> bool:
-        """Should an operator stay on the shared path instead of
-        allocating radix scatter scratch?"""
-        return self._engaged("shed-partitioning", planned_bytes)
-
-    def lean_dedup(self, planned_bytes: int = 0) -> bool:
-        """Should dedup take the memory-lean sort path?"""
-        return self._engaged("lean-dedup", planned_bytes)
-
-    def spill_cold_tables(self, planned_bytes: int = 0) -> bool:
-        """Should cold full-relation prefixes be evicted to disk?"""
-        return self._engaged("spill-cold-tables", planned_bytes)
-
-    def force_tpsd(self, planned_bytes: int = 0) -> bool:
-        """Should an OPSD set difference be overridden to TPSD?"""
-        return self._engaged("force-tpsd", planned_bytes)
-
-    def prefer_pbme(self) -> bool:
-        """Should eligible strata fall back to the bit-matrix engine?"""
-        return self.enabled and self.level >= _STEP_LEVEL["prefer-pbme"]
+        return self.level >= level or self._would_breach_soft(planned_bytes)
 
     # -- bookkeeping -------------------------------------------------------------
 

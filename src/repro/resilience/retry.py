@@ -22,24 +22,26 @@ from dataclasses import dataclass
 from repro.common.rng import derive_seed
 
 
+#: Total tries per operation (first attempt included).
+MAX_ATTEMPTS = 4
+#: Simulated seconds slept before the first retry.
+BACKOFF_BASE = 0.05
+#: Growth factor per subsequent retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Maximum fraction of a backoff the jitter may shave off (each sleep
+#: lands in ``[(1 - JITTER) x, x]``).
+JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential-backoff retry parameters for transient faults.
+    """Exponential-backoff retry schedule for transient faults.
 
     Attributes:
-        max_attempts: total tries per operation (first attempt included).
-        backoff_base: simulated seconds slept before the first retry.
-        backoff_multiplier: growth factor per subsequent retry.
-        jitter: maximum fraction of a backoff the jitter may shave off
-            (0 disables; 0.5 means each sleep lands in [0.5x, 1.0x]).
         jitter_seed: seed for the deterministic jitter stream; ``None``
-            (the default) keeps the legacy pure-exponential schedule.
+            (the default) keeps the pure-exponential schedule.
     """
 
-    max_attempts: int = 4
-    backoff_base: float = 0.05
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.5
     jitter_seed: int | None = None
 
     def backoff_seconds(self, retry_index: int, salt: str = "") -> float:
@@ -51,14 +53,14 @@ class RetryPolicy:
         """
         if retry_index < 1:
             raise ValueError(f"retry index must be >= 1, got {retry_index}")
-        base = self.backoff_base * self.backoff_multiplier ** (retry_index - 1)
-        if self.jitter_seed is None or self.jitter <= 0.0:
+        base = BACKOFF_BASE * BACKOFF_MULTIPLIER ** (retry_index - 1)
+        if self.jitter_seed is None:
             return base
         unit = (
             derive_seed(self.jitter_seed, "retry-jitter", salt, str(retry_index))
             / float(1 << 63)
         )
-        return base * (1.0 - self.jitter * unit)
+        return base * (1.0 - JITTER * unit)
 
     def total_backoff(self, retries: int, salt: str = "") -> float:
         """Simulated seconds spent if every one of ``retries`` fires."""

@@ -17,7 +17,7 @@ from repro.obs.counters import NULL_COUNTERS
 from repro.resilience.degradation import DegradationController
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guards import RuntimeGuard
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import MAX_ATTEMPTS, RetryPolicy
 
 
 @dataclass
@@ -77,7 +77,7 @@ class ResilienceContext:
             except TransientFaultError as error:
                 self._counters.inc("faults_injected")
                 retries += 1
-                if retries >= self.retry.max_attempts:
+                if retries >= MAX_ATTEMPTS:
                     raise FaultRetriesExhausted(
                         f"operation at {site!r} still failing after "
                         f"{retries} attempts",

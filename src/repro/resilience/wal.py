@@ -60,7 +60,7 @@ from repro.common.errors import (
 )
 from repro.obs.counters import NULL_COUNTERS
 from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import MAX_ATTEMPTS
 
 WAL_MAGIC = b"RWAL"
 WAL_VERSION = 1
@@ -129,7 +129,6 @@ class WriteAheadLog:
         size_bytes: int,
         counters=NULL_COUNTERS,
         injector=None,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self.path = Path(path)
         self.program = program
@@ -143,7 +142,6 @@ class WriteAheadLog:
         self._size = size_bytes
         self._counters = counters
         self._injector = injector
-        self._retry = retry or RetryPolicy()
         last = max([base_seqno] + [record.seqno for record in records])
         self.next_seqno = last + 1
 
@@ -159,16 +157,13 @@ class WriteAheadLog:
         applied_batch_ids: set[str] | None = None,
         counters=NULL_COUNTERS,
         injector=None,
-        retry: RetryPolicy | None = None,
     ) -> "WriteAheadLog":
         """Atomically publish a fresh log holding only its header."""
         path = Path(path)
         cls._publish_header(
             path, cls._header_payload(program, base_seqno, applied_batch_ids or set())
         )
-        return cls.open(
-            path, counters=counters, injector=injector, retry=retry
-        )
+        return cls.open(path, counters=counters, injector=injector)
 
     @classmethod
     def open(
@@ -177,7 +172,6 @@ class WriteAheadLog:
         *,
         counters=NULL_COUNTERS,
         injector=None,
-        retry: RetryPolicy | None = None,
     ) -> "WriteAheadLog":
         """Open an existing log, truncating any torn tail.
 
@@ -239,7 +233,6 @@ class WriteAheadLog:
             size_bytes=good_end,
             counters=counters,
             injector=injector,
-            retry=retry,
         )
 
     @staticmethod
@@ -305,7 +298,7 @@ class WriteAheadLog:
             except TransientFaultError as error:
                 self._counters.inc("wal.append_retries")
                 retries += 1
-                if retries >= self._retry.max_attempts:
+                if retries >= MAX_ATTEMPTS:
                     raise FaultRetriesExhausted(
                         f"write-ahead append to {self.path.name} still "
                         f"failing after {retries} attempts",
@@ -470,7 +463,6 @@ class ViewDurability:
         *,
         counters=NULL_COUNTERS,
         injector=None,
-        retry: RetryPolicy | None = None,
     ) -> "ViewDurability":
         """Persist a just-materialized view: base checkpoint, empty log,
         then the manifest as the atomic commit point."""
@@ -483,7 +475,6 @@ class ViewDurability:
             program=view.program,
             counters=counters,
             injector=injector,
-            retry=retry,
         )
         cls._write_manifest(directory / MANIFEST_NAME, manifest)
         counters.inc("wal.views_persisted")

@@ -26,6 +26,11 @@ from repro.obs.counters import NULL_COUNTERS
 #: Terminal evaluation statuses that indicate backend sickness.
 BACKEND_FAILURE_STATUSES = frozenset({"fault", "oom", "timeout"})
 
+#: Consecutive backend failures that open a class's breaker.
+FAILURE_THRESHOLD = 3
+#: Simulated seconds an open breaker waits before its half-open probe.
+COOLDOWN_SECONDS = 60.0
+
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
@@ -37,8 +42,8 @@ class CircuitBreaker:
     def __init__(
         self,
         klass: str,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 60.0,
+        failure_threshold: int = FAILURE_THRESHOLD,
+        cooldown_seconds: float = COOLDOWN_SECONDS,
         counters=NULL_COUNTERS,
     ) -> None:
         if failure_threshold < 1:
@@ -113,14 +118,7 @@ class CircuitBreaker:
 class BreakerBoard:
     """Lazily materialized breaker per session class."""
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 60.0,
-        counters=NULL_COUNTERS,
-    ) -> None:
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
+    def __init__(self, counters=NULL_COUNTERS) -> None:
         self.counters = counters
         self._breakers: dict[str, CircuitBreaker] = {}
 
@@ -129,8 +127,8 @@ class BreakerBoard:
         if breaker is None:
             breaker = CircuitBreaker(
                 klass,
-                failure_threshold=self.failure_threshold,
-                cooldown_seconds=self.cooldown_seconds,
+                failure_threshold=FAILURE_THRESHOLD,
+                cooldown_seconds=COOLDOWN_SECONDS,
                 counters=self.counters,
             )
             self._breakers[klass] = breaker

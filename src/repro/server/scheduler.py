@@ -39,10 +39,10 @@ from pathlib import Path
 
 from repro.common.errors import STATUS_OUTCOMES, UNKNOWN_OUTCOME, classify_failure
 from repro.common.timing import SimClock
-from repro.engine.metrics import CRITICAL_WATERMARK, DEFAULT_MEMORY_BUDGET
+from repro.engine.metrics import DEFAULT_MEMORY_BUDGET
 from repro.obs.counters import CounterRegistry
-from repro.obs.histogram import NULL_HISTOGRAMS, HistogramSet
-from repro.obs.timeline import NULL_TIMELINE, ResourceTimeline
+from repro.obs.histogram import HistogramSet
+from repro.obs.timeline import ResourceTimeline
 from repro.server.admission import (
     DEFAULT_RETRY_AFTER,
     AdmissionController,
@@ -71,12 +71,7 @@ class ServerConfig:
     max_concurrent: int = 4          # executor slots
     queue_limit: int = 8             # bounded admission queue
     memory_budget: int = DEFAULT_MEMORY_BUDGET  # service memory (bytes)
-    high_watermark: float = CRITICAL_WATERMARK  # reservation ceiling
-    breaker_failure_threshold: int = 3
-    breaker_cooldown_seconds: float = 60.0
     watchdog_stall_timeout: float | None = None  # None: watchdog off
-    drain_grace_seconds: float = 5.0  # per-query budget during drain
-    telemetry: bool = True           # latency histograms + queue timeline
     #: Root of the spill-to-disk tier; each session spills into its own
     #: ``<spill_root>/<session-id>`` directory (None: spilling off).
     spill_root: str | None = None
@@ -103,13 +98,8 @@ class Scheduler:
             queue_limit=config.queue_limit,
             memory_budget=config.memory_budget,
             max_concurrent=config.max_concurrent,
-            high_watermark=config.high_watermark,
         )
-        self.breakers = BreakerBoard(
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_seconds=config.breaker_cooldown_seconds,
-            counters=self.counters,
-        )
+        self.breakers = BreakerBoard(counters=self.counters)
         #: request kind -> ``handler(session, tokens, **extra)``: sets
         #: ``session.result`` / ``session.failure`` and returns
         #: ``(effective_start, duration, status)``. The subclass fills it.
@@ -135,14 +125,9 @@ class Scheduler:
         self.draining = False
         self._drain_checkpoint_dir: str | None = None
         # Per-class latency/queue-wait/rows distributions and the
-        # admission-queue timeline; null objects when telemetry is off so
-        # every observation site is one attribute test.
-        if config.telemetry:
-            self.histograms = HistogramSet()
-            self.queue_timeline = ResourceTimeline()
-        else:
-            self.histograms = NULL_HISTOGRAMS
-            self.queue_timeline = NULL_TIMELINE
+        # admission-queue timeline.
+        self.histograms = HistogramSet()
+        self.queue_timeline = ResourceTimeline()
 
     # -- submission --------------------------------------------------------------
 
@@ -408,8 +393,6 @@ class Scheduler:
         submit, admit, slot release), which in a discrete-event service
         is exactly the set of instants where the series can change.
         """
-        if not self.queue_timeline.enabled:
-            return
         self.queue_timeline.sample(
             self.clock.now(),
             queue_depth=len(self._queue),
@@ -420,8 +403,6 @@ class Scheduler:
 
     def _observe_session(self, session: Session, finish: float) -> None:
         """Latency/queue-wait/rows distributions, per class and overall."""
-        if not self.histograms.enabled:
-            return
         latency = max(0.0, finish - session.submitted_at)
         started = session.started_at
         queue_wait = max(0.0, started - session.submitted_at) if started is not None else 0.0
@@ -448,8 +429,9 @@ class Scheduler:
 
     #: Version stamp of the ``metrics_snapshot`` document; the golden
     #: schema test pins the key set, bump on any shape change. Version 4
-    #: added the ``wal`` durability section.
-    METRICS_SCHEMA_VERSION = 4
+    #: added the ``wal`` durability section; version 5 dropped the
+    #: ``telemetry`` switch (the service always records).
+    METRICS_SCHEMA_VERSION = 5
 
     def metrics_snapshot(self) -> dict:
         """Machine-readable telemetry export (histograms + timeline).
@@ -461,7 +443,6 @@ class Scheduler:
         return {
             "schema_version": self.METRICS_SCHEMA_VERSION,
             "now": round(self.clock.now(), 6),
-            "telemetry": self.config.telemetry,
             "histograms": self.histograms.snapshot(),
             "queue_timeline": {
                 "samples": len(self.queue_timeline),

@@ -30,7 +30,7 @@ from repro.datalog import ast as dast
 from repro.datalog.magic import filter_answers, magic_rewrite
 from repro.datalog.parser import parse_goal
 from repro.programs.library import ProgramSpec
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -58,6 +58,10 @@ from repro.server.scheduler import (
     terminal_state,
 )
 from repro.server.session import Session, SessionState
+
+#: Simulated-seconds deadline a drain gives each in-flight query before
+#: it checkpoint-cancels.
+DRAIN_GRACE_SECONDS = 5.0
 
 
 class QueryService(Scheduler):
@@ -93,7 +97,6 @@ class QueryService(Scheduler):
             if self.engine_config.fault_seed is not None
             else None
         )
-        self._wal_retry = RetryPolicy(max_attempts=self.engine_config.retries)
 
     # -- kind="query": open a view -----------------------------------------------
 
@@ -178,7 +181,6 @@ class QueryService(Scheduler):
                 manifest,
                 counters=self.counters,
                 injector=self._wal_injector,
-                retry=self._wal_retry,
             )
         except (OSError, WalError, CheckpointError):
             self.counters.inc("wal.persist_failures")
@@ -196,15 +198,13 @@ class QueryService(Scheduler):
             overrides["spill_dir"] = str(
                 Path(self.config.spill_root) / session.id
             )
-            # The spill rung lives on the degradation ladder.
-            overrides["degradation"] = True
         if self.draining and self._drain_checkpoint_dir is not None:
             # Drain contract: bound the remaining work and leave a
             # resumable snapshot if the bound fires first.
             directory = str(Path(self._drain_checkpoint_dir) / session.id)
             overrides["checkpoint_dir"] = directory
             overrides["checkpoint_every"] = 1
-            grace = self.config.drain_grace_seconds
+            grace = DRAIN_GRACE_SECONDS
             current = overrides.get("deadline")
             overrides["deadline"] = grace if current is None else min(current, grace)
             session.checkpoint_dir = directory
@@ -468,7 +468,6 @@ class QueryService(Scheduler):
                 directory / WAL_NAME,
                 counters=self.counters,
                 injector=self._wal_injector,
-                retry=self._wal_retry,
             )
         except (WalError, CheckpointError) as error:
             return self._quarantine_view(directory, f"{unread}-unreadable", error)

@@ -56,3 +56,11 @@ def reference_same_generation(edges) -> set[tuple[int, int]]:
         if not new:
             return facts
         facts |= new
+
+
+def aa_chain(n_vars: int, n_objs: int) -> dict[str, np.ndarray]:
+    """An assignment chain: pts grows by one variable per iteration."""
+    assign = np.array([(i + 1, i) for i in range(n_vars - 1)], dtype=np.int64)
+    address = np.array([(0, n_vars + j) for j in range(n_objs)], dtype=np.int64)
+    empty = np.empty((0, 2), dtype=np.int64)
+    return {"addressOf": address, "assign": assign, "load": empty, "store": empty}

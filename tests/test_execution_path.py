@@ -54,6 +54,7 @@ from repro.core.interpreter import SemiNaiveInterpreter
 from repro.core.ivm import MaintenanceRun
 from repro.programs import get_program
 from repro.programs.library import ProgramSpec
+from repro.resilience import LADDER, RetryPolicy
 from repro.server import QueryRequest, QueryService, ServerConfig, SessionState
 from repro.server.scheduler import terminal_state
 
@@ -353,8 +354,11 @@ class TestModuleSeam:
     def test_config_surface_budget(self):
         # Raising a bound is a reviewed decision: a new knob needs two
         # callers that set it differently (see the knob audit in CHANGES.md).
-        assert len(fields(RecStepConfig)) <= 25
-        assert len(fields(ServerConfig)) <= 12
+        assert len(fields(RecStepConfig)) <= 24
+        assert len(fields(ServerConfig)) <= 7
+        assert len(fields(RetryPolicy)) <= 1
+        # Every rung has a witness (tests/test_resilience.py::TestLadderEvidence).
+        assert len(LADDER) == 5
 
 
 class TestRecoveryOpensWithoutReadout:

@@ -27,6 +27,7 @@ import pytest
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.core.ivm import MaintenanceRun
 from repro.engine.database import Database
+from repro.engine.metrics import CRITICAL_WATERMARK
 from repro.obs.counters import CounterRegistry
 from repro.programs import get_program
 from repro.programs.library import ProgramSpec
@@ -451,10 +452,9 @@ class TestQueuedCancelReleasesReservation:
                 max_concurrent=1,
                 queue_limit=4,
                 memory_budget=100_000_000,
-                high_watermark=0.5,
             )
         )
-        quota = 50_000_000  # exactly the watermark: one session fits
+        quota = int(100_000_000 * CRITICAL_WATERMARK)  # exactly the watermark
         first = service.submit(self._request(quota))
         assert first["accepted"]
         assert service.admission.pending_bytes == quota

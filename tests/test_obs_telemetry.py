@@ -244,7 +244,7 @@ def test_chaos_seed_percentiles_deterministic(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Service telemetry: golden snapshot schema, determinism, off switch
+# Service telemetry: golden snapshot schema, determinism
 # ---------------------------------------------------------------------------
 
 #: The pinned metrics_snapshot() shape. Growing it is fine (add the key
@@ -252,7 +252,6 @@ def test_chaos_seed_percentiles_deterministic(monkeypatch):
 GOLDEN_SNAPSHOT_KEYS = {
     "schema_version",
     "now",
-    "telemetry",
     "histograms",
     "queue_timeline",
     "counters",
@@ -283,10 +282,8 @@ GOLDEN_HISTOGRAM_KEYS = {
 }
 
 
-def _small_service_run(telemetry: bool = True) -> QueryService:
-    service = QueryService(
-        ServerConfig(max_concurrent=2, queue_limit=8, telemetry=telemetry)
-    )
+def _small_service_run() -> QueryService:
+    service = QueryService(ServerConfig(max_concurrent=2, queue_limit=8))
     program = get_program("TC")
     for i in range(3):
         edb = prepare_edb(program, "G500", seed=i)
@@ -320,15 +317,3 @@ def test_metrics_snapshot_deterministic():
     b = _small_service_run().metrics_snapshot()
     assert a == b
 
-
-def test_telemetry_off_null_path():
-    service = _small_service_run(telemetry=False)
-    snapshot = service.metrics_snapshot()
-    assert snapshot["telemetry"] is False
-    assert snapshot["histograms"] == {}
-    assert snapshot["queue_timeline"]["samples"] == 0
-    assert snapshot["queue_timeline"]["series"] == []
-    # Telemetry must not perturb the service simulation itself.
-    with_telemetry = _small_service_run(telemetry=True)
-    assert service.metrics_snapshot()["now"] == with_telemetry.metrics_snapshot()["now"]
-    assert service.counters.snapshot() == with_telemetry.counters.snapshot()

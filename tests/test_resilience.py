@@ -20,10 +20,12 @@ from repro.common.errors import (
     RecStepError,
     TransientStorageError,
 )
+from repro.analysis.harness import prepare_edb
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.engine.metrics import MetricsRecorder
 from repro.programs import get_program
 from repro.resilience import (
+    LADDER,
     CheckpointError,
     CheckpointManager,
     CheckpointState,
@@ -34,6 +36,8 @@ from repro.resilience import (
     ResilienceContext,
     RetryPolicy,
 )
+from repro.resilience import retry, runtime
+from tests.conftest import aa_chain
 
 RELATIONAL = dict(pbme=PbmeMode.OFF)
 
@@ -110,10 +114,10 @@ class TestFaultInjector:
 
 class TestRetry:
     def test_backoff_is_exponential(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base=0.1, backoff_multiplier=2.0)
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
+        policy = RetryPolicy()
+        assert policy.backoff_seconds(1) == pytest.approx(0.05)
+        assert policy.backoff_seconds(2) == pytest.approx(0.1)
+        assert policy.backoff_seconds(3) == pytest.approx(0.2)
 
     def test_jitter_desynchronizes_colliding_retriers(self):
         # Pure exponential backoff keeps a thundering herd in lockstep:
@@ -125,9 +129,9 @@ class TestRetry:
         b = [policy.backoff_seconds(i, salt="spill_write") for i in (1, 2, 3)]
         assert a != b
         for index, (x, y) in enumerate(zip(a, b), start=1):
-            base = policy.backoff_base * policy.backoff_multiplier ** (index - 1)
+            base = retry.BACKOFF_BASE * retry.BACKOFF_MULTIPLIER ** (index - 1)
             for value in (x, y):
-                assert base * (1.0 - policy.jitter) <= value <= base
+                assert base * (1.0 - retry.JITTER) <= value <= base
 
     def test_jitter_is_deterministic_per_seed(self):
         schedule = [
@@ -150,9 +154,9 @@ class TestRetry:
     def test_no_jitter_seed_keeps_legacy_schedule(self):
         # jitter_seed defaults to None: existing chaos pins (and every
         # config that never arms a fault seed) see the exact old numbers.
-        policy = RetryPolicy(backoff_base=0.1, backoff_multiplier=2.0)
-        assert policy.backoff_seconds(3, salt="anything") == pytest.approx(0.4)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
+        policy = RetryPolicy()
+        assert policy.backoff_seconds(3, salt="anything") == pytest.approx(0.2)
+        assert policy.backoff_seconds(3) == pytest.approx(0.2)
 
     def test_context_retries_then_succeeds(self):
         context = ResilienceContext(injector=FaultInjector(5, rate=0.9))
@@ -226,9 +230,10 @@ class TestDeterminismUnderChaos:
         assert chaos.resilience["faults_injected"] > 0
         assert chaos.sim_seconds > clean.sim_seconds
 
-    def test_exhausted_retries_reported_not_raised(self, tc_edb):
+    def test_exhausted_retries_reported_not_raised(self, tc_edb, monkeypatch):
+        monkeypatch.setattr(runtime, "MAX_ATTEMPTS", 2)
         result = RecStep(
-            RecStepConfig(**RELATIONAL, fault_seed=8, fault_rate=0.97, retries=2)
+            RecStepConfig(**RELATIONAL, fault_seed=8, fault_rate=0.97)
         ).evaluate(get_program("TC"), tc_edb, dataset="chaos")
         assert result.status == "fault"
         assert result.failure["error"] == "FaultRetriesExhausted"
@@ -626,20 +631,22 @@ class TestDegradationLadder:
     def test_degradation_off_by_default(self):
         controller = DegradationController()
         controller.on_pressure(2, 0.99)
-        assert not controller.lean_dedup()
-        assert not controller.force_tpsd()
-        assert not controller.prefer_pbme()
+        assert not any(controller.engaged(step) for step in LADDER)
+
+    def test_unknown_step_raises_even_when_off(self):
+        for controller in (DegradationController(), DegradationController(enabled=True)):
+            with pytest.raises(KeyError):
+                controller.engaged("lean-dedupe")
 
     def test_ladder_escalates_sticky(self):
         controller = DegradationController(enabled=True)
         controller.on_pressure(1, 0.85)
-        assert controller.lean_dedup()
-        assert not controller.force_tpsd()
+        assert controller.engaged("lean-dedup")
+        assert not controller.engaged("force-tpsd")
         controller.on_pressure(2, 0.96)
-        assert controller.force_tpsd()
-        assert controller.prefer_pbme()
+        assert controller.engaged("force-tpsd")
         controller.on_pressure(1, 0.85)  # never de-escalates
-        assert controller.force_tpsd()
+        assert controller.engaged("force-tpsd")
 
     def test_preflight_headroom_check(self):
         metrics = MetricsRecorder(memory_budget=1000, enforce_budgets=False)
@@ -647,9 +654,9 @@ class TestDegradationLadder:
         controller = DegradationController(enabled=True)
         controller.bind(metrics, metrics.counters)
         # 500 + 400 = 90% >= the 80% soft watermark: degrade pre-flight.
-        assert controller.lean_dedup(planned_bytes=400)
+        assert controller.engaged("lean-dedup", planned_bytes=400)
         # 500 + 100 = 60%: no reason to degrade.
-        assert not controller.lean_dedup(planned_bytes=100)
+        assert not controller.engaged("lean-dedup", planned_bytes=100)
 
     def test_watermark_events_recorded(self):
         metrics = MetricsRecorder(memory_budget=1000, enforce_budgets=False)
@@ -660,6 +667,60 @@ class TestDegradationLadder:
         assert metrics.pressure_events == 2
         metrics.set_base_bytes(100)  # sticky: level stays
         assert metrics.pressure_level == 2
+
+
+def _ladder_config(name: str, tmp_path):
+    """One of the three evidence configurations: (program, edb, config)."""
+    spill = str(tmp_path / "spill")
+    if name == "A":
+        # tests/test_spill.py's AA assignment chain under a tight budget.
+        config = dict(**RELATIONAL, memory_budget=220_000, spill_dir=spill)
+        return get_program("AA"), aa_chain(400, 60), config
+    if name == "B":
+        # The tight row of SIM_CLOCK_PINS.
+        spec = get_program("AA")
+        return spec, prepare_edb(spec, "andersen-5"), dict(memory_budget=4_200_000)
+    # The long-chain benchmark's spill cell.
+    spec = get_program("TC")
+    return spec, prepare_edb(spec, "cycle-300"), dict(memory_budget=550_000, spill_dir=spill)
+
+
+class TestLadderEvidence:
+    """Every rung earns its place: refusing it alone turns a run that the
+    full ladder completes into an OOM."""
+
+    #: Ladder step -> the configuration that needs it.
+    WITNESS = {
+        "shed-join-cache": "A",
+        "shed-partitioning": "B",
+        "lean-dedup": "B",
+        "spill-cold-tables": "C",
+        "force-tpsd": "A",
+    }
+
+    @staticmethod
+    def _evaluate(name: str, tmp_path):
+        spec, edb, config = _ladder_config(name, tmp_path)
+        # fault_seed=None: like the sim-clock pins, the undisturbed model.
+        engine = RecStep(RecStepConfig(degradation=True, fault_seed=None, **config))
+        return engine.evaluate(spec, edb, dataset=f"ladder-{name}")
+
+    def test_every_step_has_a_witness(self):
+        assert set(self.WITNESS) == set(LADDER)
+
+    @pytest.mark.parametrize("name", sorted(set(WITNESS.values())))
+    def test_full_ladder_completes(self, name, tmp_path):
+        assert self._evaluate(name, tmp_path).status == "ok"
+
+    @pytest.mark.parametrize("step", sorted(WITNESS))
+    def test_refusing_the_step_runs_out_of_memory(self, step, tmp_path, monkeypatch):
+        engaged = DegradationController.engaged
+
+        def refuse(controller, name, planned_bytes=0):
+            return name != step and engaged(controller, name, planned_bytes)
+
+        monkeypatch.setattr(DegradationController, "engaged", refuse)
+        assert self._evaluate(self.WITNESS[step], tmp_path).status == "oom"
 
 
 # ---------------------------------------------------------------------------

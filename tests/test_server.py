@@ -36,6 +36,8 @@ from repro.server import (
     SessionState,
     WatchdogToken,
 )
+import repro.server.breaker as breaker_module
+import repro.server.service as service_module
 from repro.server.admission import DEFAULT_RETRY_AFTER, MIN_SESSION_QUOTA
 
 RELATIONAL = dict(pbme=PbmeMode.OFF)
@@ -329,13 +331,9 @@ class TestCircuitBreakerService:
     def _failing_request(seed: int) -> QueryRequest:
         return _tc_request(seed=seed, memory_quota=200_000)  # guaranteed OOM
 
-    def test_breaker_opens_and_recovers_via_probe(self):
-        service = _service(
-            max_concurrent=1,
-            queue_limit=8,
-            breaker_failure_threshold=3,
-            breaker_cooldown_seconds=5.0,
-        )
+    def test_breaker_opens_and_recovers_via_probe(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "COOLDOWN_SECONDS", 5.0)
+        service = _service(max_concurrent=1, queue_limit=8)
         # Three sequential failures of the "tc" class open the breaker.
         for seed in (1, 2, 3):
             response = service.submit(self._failing_request(seed))
@@ -363,8 +361,9 @@ class TestCircuitBreakerService:
         assert counters["server.breaker_closed"] == 1
         assert service.status(probe["session_id"])["state"] == "done"
 
-    def test_client_scoped_failures_do_not_open_breaker(self):
-        service = _service(max_concurrent=1, queue_limit=8, breaker_failure_threshold=2)
+    def test_client_scoped_failures_do_not_open_breaker(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 2)
+        service = _service(max_concurrent=1, queue_limit=8)
         for seed in (1, 2, 3):
             response = service.submit(_tc_request(seed=seed, max_iterations=1))
             assert response["accepted"]
@@ -495,12 +494,13 @@ class TestDrain:
                 assert failure["error"] == "SessionShed"
         assert service.counters.snapshot()["server.shed"] >= 1
 
-    def test_drain_checkpoints_in_flight_work(self, tmp_path):
+    def test_drain_checkpoints_in_flight_work(self, tmp_path, monkeypatch):
         # A tight drain grace forces the queued query to stop at its
         # deadline mid-fixpoint — but under per-iteration checkpointing,
         # so its partial state survives the shutdown.
+        monkeypatch.setattr(service_module, "DRAIN_GRACE_SECONDS", 0.15)
         service = QueryService(
-            ServerConfig(max_concurrent=1, queue_limit=4, drain_grace_seconds=0.15),
+            ServerConfig(max_concurrent=1, queue_limit=4),
             engine_config=RecStepConfig(**RELATIONAL),
         )
         response = service.submit(_tc_request(seed=42))
@@ -684,14 +684,15 @@ class TestServiceSpill:
         assert metrics["histograms"]["spill_bytes.TC"]["count"] == 1
         assert service.report()["spilled_bytes_total"] == doc["spilled_bytes"]
 
-    def test_drain_cancels_spilled_session_resume_identical(self, tmp_path):
+    def test_drain_cancels_spilled_session_resume_identical(self, tmp_path, monkeypatch):
         # Drain grace lands mid-fixpoint, *after* blocks went to disk:
         # the session checkpoint-cancels with spilled bytes on the books,
         # the spill root is swept, and the checkpoint resumes (with its
         # own spill tier) to the exact reference fixpoint.
         # 10s grace: past spill onset (~7.5s under per-iteration
         # checkpoint overhead), well before the ~14s completion.
-        service = self._service(tmp_path, drain_grace_seconds=10.0)
+        monkeypatch.setattr(service_module, "DRAIN_GRACE_SECONDS", 10.0)
+        service = self._service(tmp_path)
         response = service.submit(self._cycle_request())
         assert response["accepted"]
         report = service.drain(checkpoint_dir=str(tmp_path / "ckpt"))

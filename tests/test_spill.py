@@ -25,6 +25,7 @@ from repro.programs import get_program
 from repro.resilience import DegradationController, FaultInjector, ResilienceContext
 from repro.storage.spill import SPILL_SEGMENT_ROWS, SpillManager
 from repro.storage.table import make_table
+from tests.conftest import aa_chain
 
 RELATIONAL = dict(pbme=PbmeMode.OFF)
 
@@ -56,14 +57,6 @@ def sg_caterpillar(m: int, n: int) -> dict[str, np.ndarray]:
             node += 1
         heads = grown
     return {"arc": np.array(edges, dtype=np.int64)}
-
-
-def aa_chain(n_vars: int, n_objs: int) -> dict[str, np.ndarray]:
-    """An assignment chain: pts grows by one variable per iteration."""
-    assign = np.array([(i + 1, i) for i in range(n_vars - 1)], dtype=np.int64)
-    address = np.array([(0, n_vars + j) for j in range(n_objs)], dtype=np.int64)
-    empty = np.empty((0, 2), dtype=np.int64)
-    return {"addressOf": address, "assign": assign, "load": empty, "store": empty}
 
 
 def _run(program, data, **overrides):
@@ -282,6 +275,16 @@ class TestSpillRung:
         recap = result.resilience["spill"]
         assert recap["tables_spilled"] > 0
         assert recap["segments_written"] == counters["spill.segments_written"]
+
+    def test_spill_dir_alone_arms_the_ladder(self, tc_data, tc_reference, tmp_path):
+        # The spill rung lives on the degradation ladder, so binding a
+        # spill tier without asking for degradation must still reach it.
+        result = _run(
+            "TC", tc_data, memory_budget=TC_BUDGET, spill_dir=str(tmp_path / "spill")
+        )
+        assert result.status == "ok"
+        assert result.tuples == tc_reference.tuples
+        assert result.resilience["spill"]["peak_spilled_bytes"] > 0
 
     def test_spill_directory_cleaned_after_run(self, tc_spilled):
         _, spill_dir = tc_spilled

@@ -30,8 +30,8 @@ import pytest
 from repro.common.errors import FaultRetriesExhausted
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.programs import get_program
+from repro.resilience import wal as wal_module
 from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
 from repro.resilience.wal import (
     WAL_NAME,
     ViewDurability,
@@ -199,7 +199,8 @@ class TestWriteAheadLog:
         assert reopened.next_seqno == 5  # seqnos stay monotonic across compaction
         assert reopened.applied_batch_ids == {"b0", "b1", "b2", "b3"}
 
-    def test_injected_torn_appends_repair_and_retry(self, tmp_path):
+    def test_injected_torn_appends_repair_and_retry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "MAX_ATTEMPTS", 50)
         path = tmp_path / WAL_NAME
         counters = CounterRegistry()
         injector = FaultInjector(7, rate=0.45)
@@ -208,7 +209,6 @@ class TestWriteAheadLog:
             program="TC",
             counters=counters,
             injector=injector,
-            retry=RetryPolicy(max_attempts=50),
         )
         for i in range(30):
             wal.append({"arc": np.array([[i, i + 1]])}, None)
