@@ -159,8 +159,6 @@ class LogHistogram:
 class HistogramSet:
     """A named bag of histograms (the counter registry's distribution twin)."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._histograms: dict[str, LogHistogram] = {}
 
@@ -193,8 +191,6 @@ class HistogramSet:
 
 class NullHistogramSet(HistogramSet):
     """Disabled path: observations vanish, snapshots are empty."""
-
-    enabled = False
 
     def observe(self, name: str, value: float) -> None:
         pass

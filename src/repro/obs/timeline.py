@@ -39,8 +39,6 @@ class TimelineSample:
 class ResourceTimeline:
     """An append-only series of resource samples on one simulated clock."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self.samples: list[TimelineSample] = []
 
@@ -74,8 +72,6 @@ class ResourceTimeline:
 
 class NullResourceTimeline(ResourceTimeline):
     """Disabled path: samples vanish; reads see an empty series."""
-
-    enabled = False
 
     def __init__(self) -> None:
         super().__init__()
