@@ -279,7 +279,7 @@ def _run_via_service(
     """Route one evaluation through :class:`QueryService`.
 
     The query runs as a single-slot service session — same admission,
-    watchdog, and drain machinery as a busy server. ``--serve-trace``
+    deadline, and drain machinery as a busy server. ``--serve-trace``
     writes the full shutdown report (session lifecycle, admission state,
     breaker board, server counters); ``--metrics-out`` writes just the
     telemetry export (``metrics_snapshot``: per-class latency histograms
@@ -553,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         default=None,
         help="route the evaluation through the concurrent query service "
-        "(admission, watchdog, drain) and write the machine-readable "
+        "(admission, deadline, drain) and write the machine-readable "
         "service report to FILE as JSON (RecStep only)",
     )
     parser.add_argument(

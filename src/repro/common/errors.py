@@ -125,10 +125,6 @@ class TransientFaultError(RecStepError):
     """
 
 
-class TransientWorkerError(TransientFaultError):
-    """A simulated per-task worker failure inside a parallel phase."""
-
-
 class TransientStorageError(TransientFaultError):
     """A simulated transient storage/allocation error in a Database op."""
 

@@ -9,7 +9,7 @@ always computed exactly; only time is modeled. See DESIGN.md, Substitutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -35,21 +35,3 @@ class SimClock:
     def reset(self) -> None:
         self._now = 0.0
 
-
-@dataclass
-class Stopwatch:
-    """Accumulates named simulated-time buckets (per-operator accounting)."""
-
-    buckets: dict[str, float] = field(default_factory=dict)
-
-    def charge(self, bucket: str, delta: float) -> None:
-        self.buckets[bucket] = self.buckets.get(bucket, 0.0) + delta
-
-    def total(self) -> float:
-        return sum(self.buckets.values())
-
-    def merged(self, other: "Stopwatch") -> "Stopwatch":
-        merged = Stopwatch(dict(self.buckets))
-        for bucket, delta in other.buckets.items():
-            merged.charge(bucket, delta)
-        return merged

@@ -74,7 +74,7 @@ class RecStepConfig:
     resume_from: str | None = None   # checkpoint file/dir to resume from
     deadline: float | None = None    # cooperative deadline (simulated s)
     # Runtime divergence guard (repro.resilience.guards): budgets on the
-    # live semi-naive loop, complementing the static convergence checker.
+    # live semi-naive loop for programs that may not converge.
     max_iterations: int | None = None  # productive-iteration budget
     max_total_rows: int | None = None  # cumulative delta-row budget
 

@@ -57,9 +57,9 @@ class RecStep:
     Args:
         config: evaluation knobs (see :class:`RecStepConfig`).
         token_factory: optional hook for embedding layers (the query
-            service's watchdog): called with the evaluation's simulated
-            clock, it returns an extra cancellation token polled at
-            iteration boundaries alongside any configured deadline.
+            service's progress heartbeats): called with the evaluation's
+            simulated clock, it returns an extra cancellation token polled
+            at iteration boundaries alongside any configured deadline.
     """
 
     name = "RecStep"
@@ -480,7 +480,7 @@ class MaterializedFixpoint:
         ``token`` (a duck-typed cancellation token) is installed on the
         view's resilience context for the duration of the batch, so a
         stuck rederivation heartbeats and cancels exactly like ``run()``
-        — the watchdog covers maintenance, not just cold starts.
+        — a request deadline covers maintenance, not just cold starts.
         """
         result = MaintenanceResult(
             engine=self.engine_name, program=self.program, dataset=self.dataset
@@ -550,33 +550,6 @@ class MaterializedFixpoint:
             return
         self.status = "released"
         self.database.release_spill()
-
-
-def explain_program(program: ProgramSpec | AnalyzedProgram | str) -> str:
-    """Render the SQL RecStep generates for every stratum of a program.
-
-    The textual counterpart of Figure 4, for any program: per IDB, the
-    init query and (for recursive strata) the UIE delta query.
-    """
-    from repro.core.compiler import QueryGenerator, mdelta_table, render_uie_sql
-
-    analyzed, name, _ = _resolve_program(program)
-    lines = [f"program {name}: {len(analyzed.strata)} strata"]
-    for compiled in QueryGenerator(analyzed).compile():
-        stratum = compiled.stratum
-        kind = "recursive" if stratum.recursive else "non-recursive"
-        lines.append("")
-        lines.append(
-            f"stratum {stratum.index} ({kind}): "
-            f"{', '.join(sorted(stratum.predicates))}"
-        )
-        for predicate in compiled.predicates:
-            init = predicate.init_query()
-            if init is not None:
-                lines.append(f"  init:  INSERT INTO {mdelta_table(predicate.predicate)} {init};")
-            if stratum.recursive and predicate.delta_subqueries:
-                lines.append(f"  delta: {render_uie_sql(predicate)}")
-    return "\n".join(lines)
 
 
 def _resolve_program(

@@ -6,7 +6,6 @@ of the paper's Section 3.
 """
 
 from repro.datalog.analyzer import AnalyzedProgram, ProgramFeatures, analyze_program
-from repro.datalog.convergence import ConvergenceIssue, check_convergence
 from repro.datalog.ast import (
     AggTerm,
     Atom,
@@ -33,6 +32,4 @@ __all__ = [
     "analyze_program",
     "AnalyzedProgram",
     "ProgramFeatures",
-    "check_convergence",
-    "ConvergenceIssue",
 ]

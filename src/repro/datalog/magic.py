@@ -282,19 +282,9 @@ def filter_answers(
     return {tuple(row) for row in rows if matches_goal(tuple(row), goal)}
 
 
-def answer_identity(
-    rewritten_rows: Iterable[tuple[int, ...]],
-    full_rows: Iterable[tuple[int, ...]],
-    goal: ast.Atom,
-) -> bool:
-    """Check the correctness bar: rewritten answers == post-filtered full."""
-    return filter_answers(rewritten_rows, goal) == filter_answers(full_rows, goal)
-
-
 __all__ = [
     "MagicRewrite",
     "adorned_name",
-    "answer_identity",
     "filter_answers",
     "goal_adornment",
     "magic_name",

@@ -40,6 +40,3 @@ def realworld_graph(name: str, seed: int = 0) -> np.ndarray:
         ) from None
     return rmat_graph(n, edge_factor=edge_factor, seed=derive_seed(seed, name))
 
-
-def realworld_names() -> list[str]:
-    return list(REALWORLD_SPECS)

@@ -43,10 +43,6 @@ class Frame:
             return int(index.shape[0])
         return 0
 
-    @property
-    def aliases(self) -> set[str]:
-        return set(self.indices)
-
     def column(self, alias: str, column_name: str) -> np.ndarray:
         """Gather one column of the frame as a flat int64 array."""
         if alias not in self.indices:

@@ -178,17 +178,3 @@ class MetricsRecorder:
         if self.memory_budget <= 0:
             return 0.0
         return (self.base_bytes + self.transient_bytes + extra_bytes) / self.memory_budget
-
-    def memory_percent_trace(self) -> list[tuple[float, float]]:
-        """Memory trace as a percentage of the budget (paper's y-axis).
-
-        A non-positive budget (budget enforcement off, or an unlimited
-        probe run) has no meaningful percentage axis; report 0% rather
-        than dividing by zero.
-        """
-        if self.memory_budget <= 0:
-            return [(time, 0.0) for time in self.memory_trace.times]
-        return [
-            (time, 100.0 * value / self.memory_budget)
-            for time, value in self.memory_trace.as_tuples()
-        ]

@@ -114,7 +114,6 @@ KNOWN_COUNTERS = {
     "server.breaker_open": "circuit-breaker trips to the open state",
     "server.breaker_half_open": "circuit-breaker transitions to half-open probing",
     "server.breaker_closed": "circuit-breaker recoveries to the closed state",
-    "server.watchdog_cancels": "sessions cancelled by the stuck-fixpoint watchdog",
     "server.checkpointed_on_drain": "in-flight sessions checkpointed during drain",
     "server.spill_released_bytes": "reservation bytes returned early because sessions spilled to disk",
     "server.spill_dirs_cleaned": "per-session spill directories removed at finalize/drain",

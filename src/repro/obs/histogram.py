@@ -136,10 +136,6 @@ class LogHistogram:
 
     # -- export ------------------------------------------------------------------
 
-    def buckets(self) -> dict[int, int]:
-        """Sorted copy of the sparse bucket counts."""
-        return dict(sorted(self._buckets.items()))
-
     def to_dict(self) -> dict:
         """Schema-stable JSON record (the ``metrics_snapshot`` entry shape)."""
         empty = self.count == 0
@@ -168,25 +164,9 @@ class HistogramSet:
             histogram = self._histograms[name] = LogHistogram()
         histogram.observe(value)
 
-    def get(self, name: str) -> LogHistogram | None:
-        return self._histograms.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._histograms)
-
     def snapshot(self) -> dict[str, dict]:
         """Sorted ``name -> to_dict()`` of every histogram."""
         return {name: self._histograms[name].to_dict() for name in sorted(self._histograms)}
-
-    def merge_from(self, other: "HistogramSet") -> None:
-        for name, histogram in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = LogHistogram()
-            mine.merge(histogram)
-
-    def clear(self) -> None:
-        self._histograms.clear()
 
 
 class NullHistogramSet(HistogramSet):

@@ -88,9 +88,6 @@ class ProfileReport:
             table[key].add(span)
         return sorted(table.values(), key=lambda r: r.self_time, reverse=True)
 
-    def per_operator(self) -> dict[str, SpanRollup]:
-        return {r.name: r for r in self.rollups() if r.category == "operator"}
-
     def per_rule(self) -> dict[str, SpanRollup]:
         """Statement time grouped by the predicate of the target table."""
         table: dict[str, SpanRollup] = {}

@@ -49,9 +49,6 @@ class ResourceTimeline:
         """Record one sample at a simulated timestamp."""
         self.samples.append(TimelineSample(time=float(time), values=values))
 
-    def last(self) -> TimelineSample | None:
-        return self.samples[-1] if self.samples else None
-
     def series(self, key: str) -> list[tuple[float, float]]:
         """The ``(time, value)`` series of one sampled key (missing skipped)."""
         return [

@@ -132,14 +132,6 @@ class SpanTracer:
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
 
-    def all_spans(self) -> Iterator[Span]:
-        for root in self.roots:
-            yield from root.walk()
-
-    def total_traced(self) -> float:
-        """Simulated seconds covered by root spans (non-overlapping)."""
-        return sum(root.duration for root in self.roots)
-
 
 class _NullSpan(Span):
     """Shared inert span: attribute writes are discarded."""
@@ -169,18 +161,8 @@ class NullTracer:
     enabled = False
     roots: list[Span] = []
 
-    @property
-    def current(self) -> Span | None:
-        return None
-
     def span(self, name: str, category: str = CATEGORY_OPERATOR, **attrs) -> _NullSpanContext:
         return _NULL_CONTEXT
-
-    def all_spans(self) -> Iterator[Span]:
-        return iter(())
-
-    def total_traced(self) -> float:
-        return 0.0
 
 
 NULL_SPAN = _NullSpan()

@@ -41,7 +41,7 @@ class CancellationToken:
 
 
 class CompositeToken(CancellationToken):
-    """Fans one poll out to several tokens (deadline + watchdog + manual).
+    """Fans one poll out to several tokens (deadline + session heartbeat).
 
     The first child whose ``check`` raises wins; ``cancelled`` reports
     True if any child (or the composite itself) has fired. Cancelling

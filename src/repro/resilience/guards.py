@@ -1,10 +1,9 @@
 """Runtime divergence guards: iteration and row budgets on the live loop.
 
-The static checker (:mod:`repro.datalog.convergence`) proves termination
-for programs whose rules cannot invent new constants; anything with
-arithmetic, wide domains, or adversarial input is outside its reach. The
-runtime guard is the complementary defense: it watches the semi-naive
-loop *as it runs* and trips when the evaluation blows through an
+The paper assumes every input program converges (Section 3.3). Programs
+with arithmetic, wide domains, or adversarial input may not; the runtime
+guard is the defense against them: it watches the semi-naive loop *as it
+runs* and trips when the evaluation blows through an
 iteration budget (``max_iterations``) or a cumulative derived-row budget
 (``max_total_rows``) without reaching a fixpoint. A trip raises
 :class:`~repro.common.errors.DivergenceGuardTripped` at an iteration

@@ -61,7 +61,3 @@ class RetryPolicy:
             / float(1 << 63)
         )
         return base * (1.0 - JITTER * unit)
-
-    def total_backoff(self, retries: int, salt: str = "") -> float:
-        """Simulated seconds spent if every one of ``retries`` fires."""
-        return sum(self.backoff_seconds(i, salt) for i in range(1, retries + 1))

@@ -3,8 +3,8 @@
 A multi-query front door over the RecStep engine, on the simulated
 clock: session lifecycle management with isolated failure domains,
 admission control with bounded queueing and memory-reservation
-backpressure, per-class circuit breakers, a stuck-fixpoint watchdog,
-and graceful drain with crash-safe checkpoints. See DESIGN.md,
+backpressure, per-class circuit breakers, per-request deadlines, and
+graceful drain with crash-safe checkpoints. See DESIGN.md,
 "Concurrent query service".
 
 Quickstart::
@@ -31,7 +31,6 @@ from repro.server.session import (
     SessionManager,
     SessionState,
 )
-from repro.server.watchdog import WatchdogToken
 
 __all__ = [
     "AdmissionController",
@@ -45,5 +44,4 @@ __all__ = [
     "SessionError",
     "SessionManager",
     "SessionState",
-    "WatchdogToken",
 ]

@@ -61,10 +61,13 @@ class QueryRequest:
         memory_quota: bytes reserved against the service budget and
             enforced as the query's own memory budget (None: the
             service's default per-slot quota).
-        deadline: per-query cooperative deadline (simulated seconds on
-            the query's own clock).
+        deadline: per-request cooperative deadline (simulated seconds on
+            the request's own clock); an update batch counts from the
+            moment it starts on its view.
         max_iterations / max_total_rows: per-query divergence budgets
-            (see :mod:`repro.resilience.guards`).
+            (see :mod:`repro.resilience.guards`) for ``"query"`` and
+            ``"point"`` only: an update batch runs under its view's own
+            guard, so ``kind="update"`` rejects them.
         kind: ``"query"`` (evaluate to fixpoint), ``"update"`` (apply
             an EDB delta batch to a materialized session's warm
             fixpoint), or ``"point"`` (answer a single goal atom through
@@ -113,6 +116,13 @@ class QueryRequest:
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.kind == "point" and self.goal is None:
             raise ValueError('kind="point" requires a goal')
+        if self.kind == "update" and (
+            self.max_iterations is not None or self.max_total_rows is not None
+        ):
+            raise ValueError(
+                'kind="update" runs under its view\'s guard; '
+                "max_iterations / max_total_rows apply to queries only"
+            )
 
     def delta_rows(self) -> int:
         """Total churned tuples across both sides of an update batch."""

@@ -14,7 +14,7 @@ simulated clock:
   admitted as a probe; success closes the breaker, failure re-opens it
   for another cooldown.
 
-Client-scoped outcomes (deadline, watchdog cancel, divergence guard) do
+Client-scoped outcomes (deadline, divergence guard) do
 NOT count as backend failures: they say something about the query, not
 about the backend's health.
 """

@@ -24,9 +24,7 @@ The stability disciplines, in the order a submission meets them:
    failure domain: whatever it raises becomes a structured document on
    the session (:func:`repro.common.errors.classify_failure`), never an
    exception to a neighbor.
-5. **watchdog** — iteration heartbeats feed a stall detector that
-   cancels stuck fixpoints cooperatively.
-6. **graceful drain** — stop admitting, finish or checkpoint in-flight
+5. **graceful drain** — stop admitting, finish or checkpoint in-flight
    work, emit a machine-readable shutdown report.
 """
 
@@ -56,7 +54,6 @@ from repro.server.session import (
     SessionManager,
     SessionState,
 )
-from repro.server.watchdog import WatchdogToken
 
 
 def terminal_state(status: str) -> SessionState:
@@ -71,7 +68,6 @@ class ServerConfig:
     max_concurrent: int = 4          # executor slots
     queue_limit: int = 8             # bounded admission queue
     memory_budget: int = DEFAULT_MEMORY_BUDGET  # service memory (bytes)
-    watchdog_stall_timeout: float | None = None  # None: watchdog off
     #: Root of the spill-to-disk tier; each session spills into its own
     #: ``<spill_root>/<session-id>`` directory (None: spilling off).
     spill_root: str | None = None
@@ -326,7 +322,7 @@ class Scheduler:
         unforeseen is ``fault``/``internal``) and is billed the
         simulated time its evaluation had consumed.
         """
-        tokens = SessionTokens(session, self.config.watchdog_stall_timeout)
+        tokens = SessionTokens(session)
         try:
             return handler(session, tokens, **extra)
         except Exception as error:  # the isolation boundary: never propagate
@@ -362,8 +358,6 @@ class Scheduler:
         self._settle(session, terminal_state(status), finish)
         self.breakers.observe(session.klass, status, finish)
         self._observe_session(session, finish)
-        if (session.failure or {}).get("kind") == "watchdog":
-            self.counters.inc("server.watchdog_cancels")
         recap = getattr(session.result, "resilience", None) or {}
         if session.checkpoint_dir is not None and recap.get("checkpoints_written"):
             self.counters.inc("server.checkpointed_on_drain")
@@ -579,38 +573,30 @@ class Scheduler:
 class SessionTokens:
     """One session's cancellation-token factory (``RecStep.token_factory``).
 
-    Called with an evaluation's simulated clock, it returns the token
-    that mirrors iteration heartbeats onto the session: a
-    :class:`WatchdogToken` under a stall timeout, else itself — a
-    passive token that never cancels. It keeps the clock, so a handler
-    that raised can be billed the time its evaluation had consumed.
+    Called with an evaluation's simulated clock, it returns itself: a
+    passive token that never cancels and mirrors iteration heartbeats
+    onto the session. It keeps the clock, so a handler that raised can
+    be billed the time its evaluation had consumed.
     """
 
     cancelled = False
 
-    def __init__(self, session: Session, stall_timeout: float | None) -> None:
+    def __init__(self, session: Session) -> None:
         self._session = session
-        self._stall_timeout = stall_timeout
         self._clock = None
         self._opened_at = 0.0
 
     def __call__(self, clock):
         self._clock, self._opened_at = clock, clock.now()
-        if self._stall_timeout is None:
-            return self
-        return WatchdogToken(clock, self._stall_timeout, on_heartbeat=self._heartbeat)
+        return self
 
     def check(self, **context) -> None:
-        self._heartbeat(None, context)
+        session = self._session
+        session.heartbeats += 1
+        session.last_position = {
+            key: context[key] for key in ("stratum", "iteration") if key in context
+        }
 
     def elapsed(self) -> float:
         """Simulated seconds since the last evaluation clock was opened."""
         return 0.0 if self._clock is None else self._clock.now() - self._opened_at
-
-    def _heartbeat(self, now: float | None, context: dict) -> None:
-        session = self._session
-        session.heartbeats += 1
-        session.last_heartbeat = now
-        session.last_position = {
-            key: context[key] for key in ("stratum", "iteration") if key in context
-        }

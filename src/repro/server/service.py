@@ -1,7 +1,7 @@
 """The concurrent query service: many Datalog programs, one stable engine.
 
-*When* a request runs — queueing, slots, reservations, breakers, the
-watchdog, drain — is the :class:`~repro.server.scheduler.Scheduler`
+*When* a request runs — queueing, slots, reservations, breakers,
+drain — is the :class:`~repro.server.scheduler.Scheduler`
 that :class:`QueryService` extends. This module is *what* a request
 does: one handler per ``kind`` (``query`` opens a view, ``update``
 maintains one, ``point`` answers a goal), each returning
@@ -30,7 +30,7 @@ from repro.datalog import ast as dast
 from repro.datalog.magic import filter_answers, magic_rewrite
 from repro.datalog.parser import parse_goal
 from repro.programs.library import ProgramSpec
-from repro.resilience import FaultInjector
+from repro.resilience import CompositeToken, DeadlineToken, FaultInjector
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -273,11 +273,15 @@ class QueryService(Scheduler):
                 _, session.failure, _ = classify_failure(error)
                 session.failure["kind"] = "wal-append"
                 return start, 0.0, "fault"
-        result = view.maintain(
-            request.inserts,
-            request.deletes,
-            token=tokens(view.database.metrics.clock),
-        )
+        clock = view.database.metrics.clock
+        token = tokens(clock)
+        if request.deadline is not None:
+            # The view's clock runs on from its materialization, so the
+            # batch's deadline is relative to where that clock stands now.
+            token = CompositeToken(
+                [DeadlineToken(clock, clock.now() + request.deadline), token]
+            )
+        result = view.maintain(request.inserts, request.deletes, token=token)
         self._view_busy_until[target] = start + result.sim_seconds
         if result.status == "ok":
             self.counters.inc("server.updates_applied")
@@ -529,7 +533,7 @@ class QueryService(Scheduler):
             self.admission.release(quota)
             self._settle(session, terminal_state(status), now)
             if session.state is SessionState.CANCELLED:
-                # A cancelled rebuild (watchdog stall, deadline) is
+                # A cancelled rebuild (a deadline fired) is
                 # transient, not corruption: quarantining would discard
                 # durable state a later, calmer recover() could rebuild —
                 # leave the directory in place.
@@ -543,7 +547,7 @@ class QueryService(Scheduler):
                 "rebuild-failed",
                 session.failure or {"error": "RebuildFailed"},
             )
-        tokens = SessionTokens(session, self.config.watchdog_stall_timeout)
+        tokens = SessionTokens(session)
         replayed = skipped = 0
         replay_sim = 0.0
         last_applied = state.wal_seqno

@@ -11,7 +11,7 @@ monotonically assigned id and a state machine::
 
 ``DONE`` is a clean fixpoint; ``FAILED`` is a structured backend failure
 (OOM, timeout, exhausted retries, divergence guard); ``CANCELLED`` is a
-cooperative stop (client deadline, watchdog, drain grace) that may leave
+cooperative stop (client deadline, drain grace) that may leave
 a resumable checkpoint behind; ``SHED`` is load shedding — the session
 was accepted but dropped before its evaluation ran (drain without a
 checkpoint directory, or a circuit breaker opening while it queued).
@@ -103,10 +103,9 @@ class Session:
     result: object | None = None
     #: Structured failure document for FAILED/CANCELLED/SHED sessions.
     failure: dict | None = None
-    #: Watchdog-observed progress: heartbeats seen, last heartbeat time
-    #: (on the session's own evaluation clock), last loop position.
+    #: Evaluation progress: heartbeats seen (token polls at stratum and
+    #: iteration boundaries) and the last loop position.
     heartbeats: int = 0
-    last_heartbeat: float | None = None
     last_position: dict = field(default_factory=dict)
     #: Where drain checkpointed this session's partial state, if it did.
     checkpoint_dir: str | None = None

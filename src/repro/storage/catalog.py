@@ -44,19 +44,6 @@ class Catalog:
         )
         return table
 
-    def adopt_table(self, table: Table) -> Table:
-        """Register an externally built table (dataset loaders use this)."""
-        if table.name in self._tables:
-            raise CatalogError(f"table {table.name!r} already exists")
-        self._tables[table.name] = table
-        self._stats[table.name] = TableStats(
-            num_rows=table.num_rows,
-            tuple_bytes=table.tuple_bytes(),
-            table_version=table.version,
-            table_epoch=table.epoch,
-        )
-        return table
-
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"cannot drop unknown table {name!r}")
@@ -112,10 +99,6 @@ class Catalog:
         )
         per_table[column] = domain
         return domain
-
-    def column_domain(self, name: str, column: str) -> ColumnDomain | None:
-        """The registered stable domain of a column, if any."""
-        return self._domains.get(name, {}).get(column)
 
     def total_memory_bytes(self) -> int:
         """Modeled bytes resident across all tables (memory traces)."""

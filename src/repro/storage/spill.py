@@ -105,9 +105,6 @@ class SpillManager:
     def segments(self, table_name: str) -> tuple[SpillSegment, ...]:
         return tuple(self._segments.get(table_name, ()))
 
-    def spilled_tables(self) -> tuple[str, ...]:
-        return tuple(name for name, segs in self._segments.items() if segs)
-
     def spilled_bytes(self) -> int:
         """Modeled (logical) bytes currently on disk across all tables."""
         return sum(

@@ -95,9 +95,6 @@ class TableStats:
     columns_table_version: int = -1
     columns_table_epoch: int = -1
 
-    def estimated_bytes(self) -> int:
-        return self.num_rows * self.tuple_bytes
-
 
 def collect_stats(table: Table, mode: StatsMode, previous: TableStats | None = None) -> tuple[TableStats, float]:
     """Collect statistics for ``table`` under ``mode``.

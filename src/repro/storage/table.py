@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.common.errors import CatalogError
 from repro.common.records import rows_to_set
-from repro.storage.block import BLOCK_ROWS, block_count, iter_blocks
 from repro.storage.column import ColumnSchema, ColumnType
 
 _INITIAL_CAPACITY = 64
@@ -139,12 +138,6 @@ class Table:
     def to_set(self) -> set[tuple[int, ...]]:
         """Rows as a Python set of tuples (tests and small results only)."""
         return rows_to_set(self.data())
-
-    def blocks(self, block_rows: int = BLOCK_ROWS):
-        return iter_blocks(self.data(), block_rows)
-
-    def num_blocks(self, block_rows: int = BLOCK_ROWS) -> int:
-        return block_count(self._count, block_rows)
 
     def memory_bytes(self) -> int:
         """Modeled resident size: logical tuple width times resident rows."""

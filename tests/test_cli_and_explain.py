@@ -239,22 +239,6 @@ class TestCliProfiling:
 
 
 class TestExplainProgram:
-    def test_explain_program_covers_all_strata(self):
-        from repro.core.recstep import explain_program
-        from repro.programs import get_program
-
-        text = explain_program(get_program("CC"))
-        assert "3 strata" in text
-        assert "stratum 0 (recursive)" in text
-        assert "cc3_delta" in text  # semi-naive delta table appears
-
-    def test_explain_program_from_source(self):
-        from repro.core.recstep import explain_program
-
-        text = explain_program("p(x) :- e(x, y).")
-        assert "non-recursive" in text
-        assert "INSERT INTO p_mdelta" in text
-
     def test_database_explain_method(self):
         import numpy as np
         from repro.engine.database import Database

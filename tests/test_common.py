@@ -6,7 +6,7 @@ import pytest
 from repro.common import records
 from repro.common.records import EvaluationResult, Trace, TraceSample, rows_to_set
 from repro.common.rng import derive_seed, make_rng
-from repro.common.timing import SimClock, Stopwatch
+from repro.common.timing import SimClock
 
 
 class TestSimClock:
@@ -28,23 +28,6 @@ class TestSimClock:
         clock.advance(3.0)
         clock.reset()
         assert clock.now() == 0.0
-
-
-class TestStopwatch:
-    def test_charge_buckets(self):
-        watch = Stopwatch()
-        watch.charge("join", 1.0)
-        watch.charge("join", 0.5)
-        watch.charge("dedup", 2.0)
-        assert watch.buckets["join"] == pytest.approx(1.5)
-        assert watch.total() == pytest.approx(3.5)
-
-    def test_merged_does_not_mutate(self):
-        a = Stopwatch({"x": 1.0})
-        b = Stopwatch({"x": 2.0, "y": 3.0})
-        merged = a.merged(b)
-        assert merged.buckets == {"x": 3.0, "y": 3.0}
-        assert a.buckets == {"x": 1.0}
 
 
 class TestTrace:

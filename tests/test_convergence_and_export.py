@@ -1,4 +1,4 @@
-"""Tests for the convergence checker and the CSV export utilities."""
+"""Tests for the CSV export utilities."""
 
 import numpy as np
 import pytest
@@ -6,67 +6,6 @@ import pytest
 from repro.analysis.export import results_to_csv, trace_to_csv, write_results_csv
 from repro.analysis.harness import run_workload
 from repro.common.records import EvaluationResult, Trace
-from repro.datalog.analyzer import analyze_program
-from repro.datalog.convergence import check_convergence
-from repro.datalog.parser import parse_program
-from repro.programs import get_program
-
-
-def issues_for(source: str):
-    return check_convergence(analyze_program(parse_program(source)))
-
-
-class TestConvergence:
-    def test_paper_programs_provably_converge(self):
-        for name in ("CC", "SSSP"):
-            analyzed = get_program(name).parse()
-            assert check_convergence(analyzed) == [], name
-
-    def test_plain_value_propagation_converges(self):
-        assert issues_for(
-            "m(x, MIN(v)) :- s(x, v). m(y, MIN(v)) :- m(x, v), e(x, y)."
-        ) == []
-
-    def test_positive_additive_converges(self):
-        assert issues_for(
-            "d(x, MIN(0)) :- s(x). d(y, MIN(v + w)) :- d(x, v), e(x, y, w)."
-        ) == []
-
-    def test_negative_constant_flagged(self):
-        issues = issues_for(
-            "d(x, MIN(0)) :- s(x). d(y, MIN(v + -1)) :- d(x, v), e(x, y)."
-        )
-        assert issues
-        assert "negative constant" in issues[0].reason
-
-    def test_subtraction_of_value_flagged(self):
-        issues = issues_for(
-            "d(x, MIN(0)) :- s(x). d(y, MIN(v - w)) :- d(x, v), e(x, y, w)."
-        )
-        assert issues
-        assert "subtraction" in issues[0].reason
-
-    def test_multiplication_of_value_flagged(self):
-        issues = issues_for(
-            "d(x, MAX(1)) :- s(x). d(y, MAX(v * w)) :- d(x, v), e(x, y, w)."
-        )
-        assert issues
-
-    def test_max_with_positive_constant_flagged(self):
-        issues = issues_for(
-            "d(x, MAX(0)) :- s(x). d(y, MAX(v + 1)) :- d(x, v), e(x, y)."
-        )
-        assert issues
-        assert "positive constant" in issues[0].reason
-
-    def test_max_with_negative_increment_converges(self):
-        assert issues_for(
-            "d(x, MAX(0)) :- s(x). d(y, MAX(v + -2)) :- d(x, v), e(x, y)."
-        ) == []
-
-    def test_base_rules_never_flagged(self):
-        # Aggregation only in non-recursive rules: nothing to check.
-        assert issues_for("g(x, COUNT(y)) :- e(x, y).") == []
 
 
 class TestExport:

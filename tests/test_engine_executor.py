@@ -237,11 +237,6 @@ class TestMetricsRecorder:
         assert trace[0][1] == 10.0
         assert trace[-1] == (1.0, 20.0)
 
-    def test_memory_percent_trace(self):
-        metrics = MetricsRecorder(memory_budget=1000, enforce_budgets=False)
-        metrics.set_base_bytes(250)
-        assert metrics.memory_percent_trace()[-1][1] == pytest.approx(25.0)
-
     def test_cpu_trace_spans_advance(self):
         metrics = MetricsRecorder(enforce_budgets=False)
         metrics.advance(2.0, utilization=0.75)

@@ -355,7 +355,7 @@ class TestModuleSeam:
         # Raising a bound is a reviewed decision: a new knob needs two
         # callers that set it differently (see the knob audit in CHANGES.md).
         assert len(fields(RecStepConfig)) <= 24
-        assert len(fields(ServerConfig)) <= 7
+        assert len(fields(ServerConfig)) <= 6
         assert len(fields(RetryPolicy)) <= 1
         # Every rung has a witness (tests/test_resilience.py::TestLadderEvidence).
         assert len(LADDER) == 5

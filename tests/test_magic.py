@@ -22,7 +22,6 @@ from repro.datalog.analyzer import (
 )
 from repro.datalog.magic import (
     adorned_name,
-    answer_identity,
     filter_answers,
     magic_name,
     magic_rewrite,
@@ -242,13 +241,6 @@ class TestMatchesGoal:
         goal = parse_goal("p(_, _)")
         assert matches_goal((1, 2), goal)
         assert matches_goal((2, 2), goal)
-
-    def test_answer_identity_helper(self):
-        goal = parse_goal("p(1, x)")
-        # Rows failing the goal filter are ignored on both sides ...
-        assert answer_identity([(1, 2), (2, 3)], [(1, 2), (3, 9)], goal) is True
-        # ... but a matching row present on only one side breaks identity.
-        assert answer_identity([(1, 2)], [(1, 2), (1, 3)], goal) is False
 
 
 # ---------------------------------------------------------------------------

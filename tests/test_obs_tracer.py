@@ -103,8 +103,6 @@ class TestDisabledMode:
         assert span is NULL_SPAN
         assert span.attrs == {}
         assert tracer.roots == []
-        assert list(tracer.all_spans()) == []
-        assert tracer.total_traced() == 0.0
         assert not tracer.enabled
 
     def test_null_profiler_is_inert(self):
@@ -119,7 +117,7 @@ class TestDisabledMode:
         assert not db.profiler.enabled
         db.load_table("e", ["a", "b"], TC_EDGES)
         db.execute("SELECT e.a AS a FROM e")
-        assert list(db.profiler.tracer.all_spans()) == []
+        assert db.profiler.tracer.roots == []
 
     def test_unprofiled_run_has_no_report(self):
         program = get_program("TC")

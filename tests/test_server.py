@@ -10,8 +10,8 @@ The serving acceptance set:
   after the cooldown and recovers on a successful probe;
 * graceful drain checkpoints in-flight work so it resumes to the same
   fixpoint, and sheds queued work with structured failure documents;
-* the watchdog cancels a stuck fixpoint cooperatively with
-  ``failure["kind"] == "watchdog"``.
+* a request deadline cancels an update batch cooperatively, and
+  poisons the view it struck mid-batch.
 """
 
 from dataclasses import replace
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import EvaluationCancelled
-from repro.common.timing import SimClock
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.datalog.magic import filter_answers
 from repro.datalog.parser import parse_goal
@@ -34,7 +33,6 @@ from repro.server import (
     SessionError,
     SessionManager,
     SessionState,
-    WatchdogToken,
 )
 import repro.server.breaker as breaker_module
 import repro.server.service as service_module
@@ -375,87 +373,65 @@ class TestCircuitBreakerService:
 
 
 # ---------------------------------------------------------------------------
-# Watchdog
+# Progress heartbeats and per-request deadlines
 # ---------------------------------------------------------------------------
 
 
-class TestWatchdog:
-    def test_token_trips_on_heartbeat_gap(self):
-        clock = SimClock()
-        token = WatchdogToken(clock, stall_timeout=1.0)
-        token.check(stratum=0, iteration=0)
-        clock.advance(0.5)
-        token.check(stratum=0, iteration=1)
-        clock.advance(5.0)
-        with pytest.raises(EvaluationCancelled) as info:
-            token.check(stratum=0, iteration=2)
-        assert info.value.context["kind"] == "watchdog"
-        assert info.value.context["gap_seconds"] == pytest.approx(5.0)
-        assert token.cancelled
-
-    def test_service_watchdog_cancels_stuck_fixpoint(self):
-        # A stall timeout below any iteration's cost: the first heartbeat
-        # gap trips, standing in for a genuinely wedged fixpoint.
-        service = QueryService(
-            ServerConfig(max_concurrent=1, queue_limit=2, watchdog_stall_timeout=1e-9),
-            engine_config=RecStepConfig(**RELATIONAL),
+class TestProgressAndDeadlines:
+    def _update(self, view_id, row, **kwargs) -> QueryRequest:
+        return QueryRequest(
+            program=get_program("TC"),
+            edb_data={},
+            kind="update",
+            target_session=view_id,
+            inserts={"arc": np.array([row])},
+            **kwargs,
         )
-        response = service.submit(_tc_request(seed=6))
-        assert response["accepted"]
-        service.pump()
-        service.drain()
-        doc = service.status(response["session_id"])
-        assert doc["state"] == "cancelled"
-        assert doc["failure"]["kind"] == "watchdog"
-        assert doc["failure"]["stall_timeout"] == 1e-9
-        assert service.counters.snapshot()["server.watchdog_cancels"] == 1
 
-    def test_poisoned_maintenance_batch_trips_watchdog(self):
-        # Maintenance runs under the same deadline/watchdog tokens as
-        # queries: a wedged update batch is cancelled cooperatively, not
-        # left spinning while it holds the view's write lock.
+    def test_update_deadline_cancels_batch(self):
+        # Maintenance runs under the request's deadline like a query: a
+        # batch past it is cancelled cooperatively, not left spinning
+        # while it holds the view's write lock.
         service = _service(max_concurrent=1, queue_limit=4)
         response = service.submit(_tc_request(seed=6, materialize=True))
         assert response["accepted"]
         service.pump()
         service.flush()
         view_id = response["session_id"]
-        assert service._views[view_id].status == "ready"
-        # Arm a stall bound no real batch can meet — the stand-in for a
+        view = service._views[view_id]
+        assert view.status == "ready"
+        # The deadline counts from the batch's start, not from the view's
+        # materialization: one as long as the view's history so far
+        # (several times this batch's cost) lets the batch finish.
+        elapsed = view.database.metrics.clock.now()
+        fits = service.submit(self._update(view_id, [0, 61], deadline=elapsed))
+        service.pump()
+        service.flush()
+        assert service.status(fits["session_id"])["state"] == "done"
+        # A deadline no real batch can meet — the stand-in for a
         # genuinely stuck maintenance fixpoint.
-        service.config = replace(service.config, watchdog_stall_timeout=1e-9)
-        update = service.submit(
-            QueryRequest(
-                program=get_program("TC"),
-                edb_data={},
-                kind="update",
-                target_session=view_id,
-                inserts={"arc": np.array([[0, 60]])},
-            )
-        )
+        update = service.submit(self._update(view_id, [0, 60], deadline=1e-9))
         assert update["accepted"]
         service.pump()
         service.flush()
         doc = service.status(update["session_id"])
         assert doc["state"] == "cancelled"
-        assert doc["failure"]["kind"] == "watchdog"
-        assert service.counters.snapshot()["server.watchdog_cancels"] == 1
-        # The tripped batch poisoned the view; later updates fail fast
+        assert doc["failure"]["reason"] == "deadline"
+        # The cancelled batch poisoned the view; later updates fail fast
         # instead of mutating a half-maintained fixpoint.
-        assert service._views[view_id].status == "poisoned"
-        late = service.submit(
-            QueryRequest(
-                program=get_program("TC"),
-                edb_data={},
-                kind="update",
-                target_session=view_id,
-                inserts={"arc": np.array([[1, 61]])},
-            )
-        )
+        assert view.status == "poisoned"
+        late = service.submit(self._update(view_id, [1, 61]))
         assert late["accepted"]
         service.pump()
         service.flush()
         assert service.status(late["session_id"])["failure"]["kind"] == "no-such-view"
+
+    def test_update_rejects_guard_overrides(self):
+        # An update batch runs under its view's own divergence guard; a
+        # per-batch budget it would silently drop is rejected instead.
+        for knob in ("max_iterations", "max_total_rows"):
+            with pytest.raises(ValueError, match=knob):
+                self._update("s1", [0, 60], **{knob: 1})
 
     def test_progress_heartbeats_reach_session_record(self):
         service = QueryService(
@@ -865,7 +841,7 @@ class TestFailureClassification:
     """Escaped control exceptions keep their structured taxonomy.
 
     The ``except Exception`` isolation boundaries in the service must not
-    collapse cancellation/deadline/watchdog/guard exceptions into a
+    collapse cancellation/deadline/guard exceptions into a
     generic FAILED/internal document — each maps to the same status the
     interpreter itself would have reported.
     """
@@ -881,15 +857,6 @@ class TestFailureClassification:
         service.pump()
         service.flush()
         return service, service.sessions.get(response["session_id"])
-
-    def test_watchdog_cancel_maps_to_cancelled(self, monkeypatch):
-        error = EvaluationCancelled(
-            "no heartbeat", reason="watchdog", kind="watchdog", gap_seconds=9.0
-        )
-        service, session = self._run_with_raising_evaluate(monkeypatch, error)
-        assert session.state is SessionState.CANCELLED
-        assert session.failure["kind"] == "watchdog"
-        assert service.counters.snapshot()["server.watchdog_cancels"] == 1
 
     def test_deadline_cancel_maps_to_cancelled_deadline(self, monkeypatch):
         error = EvaluationCancelled("past deadline", reason="deadline")
