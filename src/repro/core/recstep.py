@@ -480,7 +480,7 @@ class MaterializedFixpoint:
         ``token`` (a duck-typed cancellation token) is installed on the
         view's resilience context for the duration of the batch, so a
         stuck rederivation heartbeats and cancels exactly like ``run()``
-        — a request deadline covers maintenance, not just cold starts.
+        — a caller's token covers maintenance, not just cold starts.
         """
         result = MaintenanceResult(
             engine=self.engine_name, program=self.program, dataset=self.dataset

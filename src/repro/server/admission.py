@@ -61,13 +61,15 @@ class QueryRequest:
         memory_quota: bytes reserved against the service budget and
             enforced as the query's own memory budget (None: the
             service's default per-slot quota).
-        deadline: per-request cooperative deadline (simulated seconds on
-            the request's own clock); an update batch counts from the
-            moment it starts on its view.
+        deadline: per-query cooperative deadline (simulated seconds on
+            the query's own clock).
         max_iterations / max_total_rows: per-query divergence budgets
-            (see :mod:`repro.resilience.guards`) for ``"query"`` and
-            ``"point"`` only: an update batch runs under its view's own
-            guard, so ``kind="update"`` rejects them.
+            (see :mod:`repro.resilience.guards`).
+
+            All three are for ``"query"`` and ``"point"`` only: an
+            update batch runs under its view's own guard, so
+            ``kind="update"`` rejects them — a per-request bound that
+            cut a batch short would poison a view other clients share.
         kind: ``"query"`` (evaluate to fixpoint), ``"update"`` (apply
             an EDB delta batch to a materialized session's warm
             fixpoint), or ``"point"`` (answer a single goal atom through
@@ -117,10 +119,12 @@ class QueryRequest:
         if self.kind == "point" and self.goal is None:
             raise ValueError('kind="point" requires a goal')
         if self.kind == "update" and (
-            self.max_iterations is not None or self.max_total_rows is not None
+            self.deadline is not None
+            or self.max_iterations is not None
+            or self.max_total_rows is not None
         ):
             raise ValueError(
-                'kind="update" runs under its view\'s guard; '
+                'kind="update" runs under its view\'s guard; deadline / '
                 "max_iterations / max_total_rows apply to queries only"
             )
 

@@ -30,7 +30,7 @@ from repro.datalog import ast as dast
 from repro.datalog.magic import filter_answers, magic_rewrite
 from repro.datalog.parser import parse_goal
 from repro.programs.library import ProgramSpec
-from repro.resilience import CompositeToken, DeadlineToken, FaultInjector
+from repro.resilience import FaultInjector
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -273,15 +273,11 @@ class QueryService(Scheduler):
                 _, session.failure, _ = classify_failure(error)
                 session.failure["kind"] = "wal-append"
                 return start, 0.0, "fault"
-        clock = view.database.metrics.clock
-        token = tokens(clock)
-        if request.deadline is not None:
-            # The view's clock runs on from its materialization, so the
-            # batch's deadline is relative to where that clock stands now.
-            token = CompositeToken(
-                [DeadlineToken(clock, clock.now() + request.deadline), token]
-            )
-        result = view.maintain(request.inserts, request.deletes, token=token)
+        result = view.maintain(
+            request.inserts,
+            request.deletes,
+            token=tokens(view.database.metrics.clock),
+        )
         self._view_busy_until[target] = start + result.sim_seconds
         if result.status == "ok":
             self.counters.inc("server.updates_applied")

@@ -10,8 +10,8 @@ The serving acceptance set:
   after the cooldown and recovers on a successful probe;
 * graceful drain checkpoints in-flight work so it resumes to the same
   fixpoint, and sheds queued work with structured failure documents;
-* a request deadline cancels an update batch cooperatively, and
-  poisons the view it struck mid-batch.
+* an update batch that trips its view's guard poisons the view, and
+  an update request carrying its own deadline or budget is rejected.
 """
 
 from dataclasses import replace
@@ -377,7 +377,7 @@ class TestCircuitBreakerService:
 # ---------------------------------------------------------------------------
 
 
-class TestProgressAndDeadlines:
+class TestProgressAndBounds:
     def _update(self, view_id, row, **kwargs) -> QueryRequest:
         return QueryRequest(
             program=get_program("TC"),
@@ -388,36 +388,47 @@ class TestProgressAndDeadlines:
             **kwargs,
         )
 
-    def test_update_deadline_cancels_batch(self):
-        # Maintenance runs under the request's deadline like a query: a
-        # batch past it is cancelled cooperatively, not left spinning
-        # while it holds the view's write lock.
+    def test_guard_tripped_update_poisons_view(self):
+        # A batch answers to its view's own divergence guard: one that
+        # blows through the budget is stopped at an iteration boundary,
+        # not left spinning while it holds the view's write lock.
         service = _service(max_concurrent=1, queue_limit=4)
-        response = service.submit(_tc_request(seed=6, materialize=True))
+        # TC over a 10-node path charges 9 iterations to materialize.
+        path = np.array([[n, n + 1] for n in range(9)], dtype=np.int64)
+        response = service.submit(
+            QueryRequest(
+                program=get_program("TC"),
+                edb_data={"arc": path},
+                dataset="path-10",
+                memory_quota=QUOTA,
+                max_iterations=10,
+                materialize=True,
+            )
+        )
         assert response["accepted"]
         service.pump()
         service.flush()
         view_id = response["session_id"]
         view = service._views[view_id]
         assert view.status == "ready"
-        # The deadline counts from the batch's start, not from the view's
-        # materialization: one as long as the view's history so far
-        # (several times this batch's cost) lets the batch finish.
-        elapsed = view.database.metrics.clock.now()
-        fits = service.submit(self._update(view_id, [0, 61], deadline=elapsed))
-        service.pump()
-        service.flush()
-        assert service.status(fits["session_id"])["state"] == "done"
-        # A deadline no real batch can meet — the stand-in for a
-        # genuinely stuck maintenance fixpoint.
-        update = service.submit(self._update(view_id, [0, 60], deadline=1e-9))
+        # Twelve more path edges: the closure crawls one hop per iteration.
+        tail = np.array([[n, n + 1] for n in range(9, 21)], dtype=np.int64)
+        update = service.submit(
+            QueryRequest(
+                program=get_program("TC"),
+                edb_data={},
+                kind="update",
+                target_session=view_id,
+                inserts={"arc": tail},
+            )
+        )
         assert update["accepted"]
         service.pump()
         service.flush()
         doc = service.status(update["session_id"])
-        assert doc["state"] == "cancelled"
-        assert doc["failure"]["reason"] == "deadline"
-        # The cancelled batch poisoned the view; later updates fail fast
+        assert doc["state"] == "failed"
+        assert doc["failure"]["kind"] == "max_iterations"
+        # The tripped batch poisoned the view; later updates fail fast
         # instead of mutating a half-maintained fixpoint.
         assert view.status == "poisoned"
         late = service.submit(self._update(view_id, [1, 61]))
@@ -427,11 +438,17 @@ class TestProgressAndDeadlines:
         assert service.status(late["session_id"])["failure"]["kind"] == "no-such-view"
 
     def test_update_rejects_guard_overrides(self):
-        # An update batch runs under its view's own divergence guard; a
-        # per-batch budget it would silently drop is rejected instead.
-        for knob in ("max_iterations", "max_total_rows"):
+        # An update batch runs under its view's own divergence guard, the
+        # only bound on a batch: a per-request deadline that cut it short
+        # would poison a view other clients share, and a per-batch budget
+        # would be silently dropped. All three are rejected instead.
+        for knob, value in (
+            ("deadline", 1e-9),
+            ("max_iterations", 1),
+            ("max_total_rows", 1),
+        ):
             with pytest.raises(ValueError, match=knob):
-                self._update("s1", [0, 60], **{knob: 1})
+                self._update("s1", [0, 60], **{knob: value})
 
     def test_progress_heartbeats_reach_session_record(self):
         service = QueryService(
