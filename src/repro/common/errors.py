@@ -94,7 +94,7 @@ class EvaluationTimeout(RecStepError):
 
 
 class EvaluationCancelled(RecStepError):
-    """A cooperative cancellation/deadline token fired at a phase boundary.
+    """The runtime guard's deadline fired at a phase boundary.
 
     Unlike :class:`EvaluationTimeout` (the hard budget tripping mid-
     operation), this is raised only at stratum/iteration boundaries, so
@@ -169,7 +169,7 @@ class UnsupportedFeatureError(ReproError):
 _FAILURES: tuple[tuple[type[Exception], str, bool], ...] = (
     (OutOfMemoryError, "oom", True),
     (EvaluationTimeout, "timeout", True),
-    (EvaluationCancelled, "cancelled", True),  # "deadline" when the token says so
+    (EvaluationCancelled, "cancelled", True),  # "deadline" for reason="deadline"
     (DivergenceGuardTripped, "guard", True),
     (FaultRetriesExhausted, "fault", True),
     (SpillError, "storage", True),
@@ -201,7 +201,7 @@ def classify_failure(error: Exception, **position) -> tuple[str, dict, bool]:
 
     ``position`` (``stratum=``, ``iteration=``) joins the context of
     errors that carry one. The document always has a ``kind``: one set
-    at the raise site (the guard's budget name, a token's ``reason``)
+    at the raise site (the guard's budget name, the deadline's ``reason``)
     wins over the status; the unforeseen is a ``fault``/``internal``.
     """
     if isinstance(error, RecStepError):

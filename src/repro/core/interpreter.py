@@ -127,7 +127,7 @@ class SemiNaiveInterpreter:
                 continue
             self.current_stratum = stratum.index
             self.current_iteration = -1
-            self._db.resilience.check_cancelled(stratum=stratum.index)
+            self._db.resilience.check_deadline(stratum=stratum.index)
             with self._db.profiler.span(
                 f"stratum {stratum.index}",
                 CATEGORY_STRATUM,
@@ -228,7 +228,6 @@ class SemiNaiveInterpreter:
             self._db.note_iteration(stratum.index, iteration, delta_rows, span.duration)
             if seeds is None and not delta_rows:
                 break  # the converging iteration is not charged to the guard
-            self._db.resilience.check_cancelled(stratum=stratum.index, iteration=iteration)
             self._db.resilience.check_guard(stratum.index, iteration, delta_rows)
             self._maybe_checkpoint(stratum.index, iteration, predicates, len(records))
             more = stratum.recursive and delta_rows > 0

@@ -26,11 +26,12 @@ topological order and each is maintained by one of three classes:
   seeded exactly as evaluation seeds it.
 
 Everything runs through the ``Database`` primitives and the one fixpoint
-loop, so maintenance is metered, spill-aware, fault-injectable,
-cancellable and held to the divergence guard's budgets (per batch)
-exactly like a cold evaluation; the join-state cache is kept warm
-across maintenance (appends extend indexes incrementally, deletions
-evict via the unconditional epoch bump).
+loop, so maintenance is metered, spill-aware, fault-injectable and
+held to the divergence guard's budgets (per batch; the opening's
+deadline does not carry over) exactly like a cold evaluation; the
+join-state cache is kept warm across maintenance (appends extend
+indexes incrementally, deletions evict via the unconditional epoch
+bump).
 
 Batch semantics: insertions and deletions are sets; a tuple listed in
 both is a no-op if already present and an insertion if absent.
@@ -202,7 +203,7 @@ class MaintenanceRun:
         checkpoints, self._interp._checkpoints = self._interp._checkpoints, None
         # Per-batch traces and divergence budgets: nothing reads a finished
         # batch's samples, and a view serving batches forever must neither
-        # accumulate them nor trip on its own history.
+        # accumulate them nor trip on its own history or opening deadline.
         self._db.metrics.take_traces()
         if self._db.resilience.guard is not None:
             self._db.resilience.guard.reset()
@@ -236,7 +237,6 @@ class MaintenanceRun:
                     self.report.strata[index] = CLASS_SKIP
                     counters.inc("ivm.strata_skipped")
                     continue
-                self._db.resilience.check_cancelled(stratum=index)
                 cls = self._classes[index]
                 self.report.strata[index] = cls
                 self._snapshot_before(cs, compiled)
@@ -485,12 +485,7 @@ class MaintenanceRun:
             if table not in self._db.catalog:  # one per batch, shared by strata
                 existing = self._db.catalog.get_table(name).data()
                 self._make_work_table(table, kernels.rows_difference(existing, self._net[name][0]))
-        round_index = 0
         while frontier:
-            round_index += 1
-            self._db.resilience.check_cancelled(
-                stratum=stratum.index, iteration=round_index
-            )
             # Candidates: the heads of every old-state derivation through a
             # tuple of a frontier table.
             candidates = {name: [own.rows[:0]] for name, own in index.items()}

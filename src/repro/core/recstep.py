@@ -41,8 +41,6 @@ from repro.resilience.checkpoint import CheckpointState, edb_fingerprint
 from repro.resilience import (
     CheckpointError,
     CheckpointManager,
-    CompositeToken,
-    DeadlineToken,
     DegradationController,
     FaultInjector,
     ResilienceContext,
@@ -55,22 +53,15 @@ class RecStep:
     """General-purpose parallel in-memory Datalog engine (the paper's system).
 
     Args:
-        config: evaluation knobs (see :class:`RecStepConfig`).
-        token_factory: optional hook for embedding layers (the query
-            service's progress heartbeats): called with the evaluation's
-            simulated clock, it returns an extra cancellation token polled
-            at iteration boundaries alongside any configured deadline.
+        config: evaluation knobs (see :class:`RecStepConfig`). Its
+            ``deadline`` and divergence budgets are one
+            :class:`RuntimeGuard`, polled at loop boundaries.
     """
 
     name = "RecStep"
 
-    def __init__(
-        self,
-        config: RecStepConfig | None = None,
-        token_factory=None,
-    ) -> None:
+    def __init__(self, config: RecStepConfig | None = None) -> None:
         self.config = config or RecStepConfig()
-        self.token_factory = token_factory
         self.last_database: Database | None = None
         self.last_report = None
 
@@ -154,17 +145,6 @@ class RecStep:
             partitioned_exec=self.config.partitioned_exec,
             spill_dir=self.config.spill_dir,
         )
-        tokens = []
-        if self.config.deadline is not None:
-            tokens.append(
-                DeadlineToken(database.metrics.clock, self.config.deadline)
-            )
-        if self.token_factory is not None:
-            extra = self.token_factory(database.metrics.clock)
-            if extra is not None:
-                tokens.append(extra)
-        if tokens:
-            resilience.token = tokens[0] if len(tokens) == 1 else CompositeToken(tokens)
         checkpoints = None
         if self.config.checkpoint_dir is not None:
             checkpoints = CheckpointManager(
@@ -374,10 +354,12 @@ class RecStep:
         if (
             self.config.max_iterations is not None
             or self.config.max_total_rows is not None
+            or self.config.deadline is not None
         ):
             guard = RuntimeGuard(
                 max_iterations=self.config.max_iterations,
                 max_total_rows=self.config.max_total_rows,
+                deadline=self.config.deadline,
             )
         # Jitter only engages under fault injection (where concurrent
         # retriers exist to desynchronize); it shares the fault seed so
@@ -470,17 +452,15 @@ class MaterializedFixpoint:
         self,
         inserts: dict[str, np.ndarray] | None = None,
         deletes: dict[str, np.ndarray] | None = None,
-        token=None,
     ) -> MaintenanceResult:
         """Apply one EDB update batch and re-establish the fixpoint.
 
         Bit-identical to a recompute from the mutated EDB, via DRed for
         monotone strata and per-stratum recompute (see ``core.ivm``).
 
-        ``token`` (a duck-typed cancellation token) is installed on the
-        view's resilience context for the duration of the batch, so a
-        stuck rederivation heartbeats and cancels exactly like ``run()``
-        — a caller's token covers maintenance, not just cold starts.
+        The batch answers to the view's divergence budgets, started over
+        for it; the view's deadline bounded its opening only, so a batch
+        has the same bounds whoever calls this.
         """
         result = MaintenanceResult(
             engine=self.engine_name, program=self.program, dataset=self.dataset
@@ -496,9 +476,6 @@ class MaterializedFixpoint:
         database = self.database
         sim_start = database.sim_seconds
         wall_start = time.perf_counter()
-        previous_token = database.resilience.token
-        if token is not None:
-            database.resilience.token = token
         poison = False
         try:
             report = MaintenanceRun(
@@ -516,7 +493,6 @@ class MaterializedFixpoint:
             result.applied = report.applied
             result.idb_deltas = report.idb_deltas
             result.delta_rows = report.delta_rows()
-        database.resilience.token = previous_token
         if poison:
             self.status = "poisoned"
         result.sim_seconds = database.sim_seconds - sim_start

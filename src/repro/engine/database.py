@@ -79,7 +79,7 @@ class Database:
         profile: enable the span tracer + counter registry (repro.obs);
             off by default, at zero instrumentation cost.
         resilience: the evaluation's resilience context (fault injector,
-            retry policy, degradation ladder, cancellation token). The
+            retry policy, degradation ladder, runtime guard). The
             default context is inert: every hook is one ``is None`` test.
         spill_dir: directory for the spill-to-disk tier. ``None`` (the
             default) disables spilling entirely; with a directory and the

@@ -1,27 +1,18 @@
-"""Mergeable fixed-bucket latency/size histograms with deterministic percentiles.
+"""Fixed-bucket latency/size histograms with deterministic percentiles.
 
 The trajectory harness and the query service both need distributions,
 not just totals: a p99 latency regression is invisible in a mean. A
 :class:`LogHistogram` buckets positive values into fixed base-2
-geometric buckets (bucket ``e`` covers ``[2^e, 2^{e+1})``), so:
-
-* **merging is exact and associative** — bucket boundaries are absolute,
-  independent of what either histogram has seen, so merging is integer
-  bucket-count addition (the property the per-class server histograms
-  and any future sharded collection rely on);
-* **percentiles are deterministic** — p50/p95/p99 depend only on the
-  integer bucket counts and the exact min/max, never on insertion order
-  or timing, so two runs with the same simulated history report
-  bit-identical quantiles (the regression gate's requirement).
+geometric buckets (bucket ``e`` covers ``[2^e, 2^{e+1})``), so
+percentiles are deterministic: p50/p95/p99 depend only on the integer
+bucket counts and the exact min/max, never on insertion order or
+timing, so two runs with the same simulated history report
+bit-identical quantiles (the regression gate's requirement).
 
 Values are simulated seconds or row/byte counts; anything ``<= 0`` (or
 smaller than the first bucket) lands in the underflow bucket starting
 at 0. Like the rest of ``repro.obs``, the disabled path is a shared
 null object (:data:`NULL_HISTOGRAMS`) whose ``observe`` discards.
-
-Note on merged ``sum``: bucket counts, count, min, and max merge
-exactly; the value sum is a float accumulation, exact for integer-valued
-observations but subject to rounding for arbitrary floats.
 """
 
 from __future__ import annotations
@@ -84,24 +75,6 @@ class LogHistogram:
             self.max = value
         exponent = bucket_exponent(value)
         self._buckets[exponent] = self._buckets.get(exponent, 0) + 1
-
-    # -- merging -----------------------------------------------------------------
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram into this one (exact on buckets)."""
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        for exponent, count in other._buckets.items():
-            self._buckets[exponent] = self._buckets.get(exponent, 0) + count
-
-    def merged(self, other: "LogHistogram") -> "LogHistogram":
-        """A new histogram combining self and other (neither mutated)."""
-        result = LogHistogram()
-        result.merge(self)
-        result.merge(other)
-        return result
 
     # -- quantiles ---------------------------------------------------------------
 

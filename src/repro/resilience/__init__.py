@@ -12,19 +12,14 @@ The package that turns the paper's DNF cells into survivable events:
 * :mod:`repro.resilience.degradation` — the memory-pressure ladder
   (shed join cache → shed partitioning → lean dedup → spill cold
   tables → forced TPSD) answering the watermarks;
-* :mod:`repro.resilience.cancellation` — cooperative deadline tokens
-  checked at phase boundaries;
+* :mod:`repro.resilience.guards` — the runtime guard: a deadline and
+  divergence budgets polled at loop boundaries;
 * :mod:`repro.resilience.runtime` — the per-evaluation context binding
   all of the above to a Database;
 * :mod:`repro.resilience.wal` — append-only write-ahead logging of
   update batches for durable materialized views.
 """
 
-from repro.resilience.cancellation import (
-    CancellationToken,
-    CompositeToken,
-    DeadlineToken,
-)
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -38,13 +33,10 @@ from repro.resilience.runtime import ResilienceContext
 from repro.resilience.wal import ViewDurability, WalError, WriteAheadLog
 
 __all__ = [
-    "CancellationToken",
     "CheckpointError",
     "CheckpointManager",
     "CheckpointState",
-    "CompositeToken",
     "DEFAULT_FAULT_RATE",
-    "DeadlineToken",
     "DegradationController",
     "FAULT_SITES",
     "FaultInjector",

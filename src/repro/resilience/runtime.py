@@ -2,10 +2,10 @@
 
 A :class:`ResilienceContext` is what the :class:`~repro.engine.database.
 Database` actually holds: the fault injector (or None), the retry
-policy, the degradation controller, and an optional cancellation/
-deadline token. The default context is inert — every hook is a single
-``is None`` branch — so evaluations without resilience features pay
-nothing, mirroring how ``repro.obs`` ships null objects.
+policy, the degradation controller, and the runtime guard (deadline
+and divergence budgets). The default context is inert — every hook is
+a single ``is None`` branch — so evaluations without resilience
+features pay nothing, mirroring how ``repro.obs`` ships null objects.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ class ResilienceContext:
     degradation: DegradationController = field(
         default_factory=DegradationController
     )
-    token: object | None = None  # CancellationToken, duck-typed
-    guard: RuntimeGuard | None = None  # runtime divergence guard
+    guard: RuntimeGuard | None = None  # deadline + divergence budgets
     _metrics: object | None = field(default=None, repr=False)
     _counters: object = field(default=NULL_COUNTERS, repr=False)
 
@@ -44,7 +43,7 @@ class ResilienceContext:
         self._counters = counters
         self.degradation.bind(metrics, counters)
         if self.guard is not None:
-            self.guard.bind(self.degradation, counters)
+            self.guard.bind(self.degradation, counters, metrics.clock)
         if self.degradation.enabled:
             metrics.pressure_listener = self.degradation.on_pressure
 
@@ -54,8 +53,7 @@ class ResilienceContext:
         return (
             self.injector is not None
             or self.degradation.enabled
-            or self.token is not None
-            or (self.guard is not None and self.guard.enabled)
+            or self.guard is not None
         )
 
     # -- fault injection + retry ---------------------------------------------------
@@ -115,17 +113,15 @@ class ResilienceContext:
         metrics.allocate_transient(spike)
         metrics.release_transient(spike)
 
-    # -- cancellation ---------------------------------------------------------------
+    # -- runtime guard -------------------------------------------------------------
 
-    def check_cancelled(self, **context) -> None:
-        """Poll the cancellation/deadline token at a phase boundary."""
-        if self.token is not None:
-            self.token.check(**context)
-
-    # -- divergence guard -----------------------------------------------------------
+    def check_deadline(self, **position) -> None:
+        """Poll the deadline at a stratum start."""
+        if self.guard is not None:
+            self.guard.check_deadline(**position)
 
     def check_guard(self, stratum: int, iteration: int, delta_rows: int) -> None:
-        """Account a productive iteration against the divergence budgets."""
+        """Poll the deadline, then account a productive iteration."""
         if self.guard is not None:
             self.guard.observe_iteration(stratum, iteration, delta_rows)
 
@@ -148,8 +144,8 @@ class ResilienceContext:
         if self.degradation.enabled:
             recap["pressure_level"] = self.degradation.level
             recap["degradations_taken"] = list(self.degradation.taken)
-        if self.token is not None:
-            recap["cancelled"] = bool(getattr(self.token, "cancelled", False))
-        if self.guard is not None and self.guard.enabled:
+        if self.guard is not None and self.guard.deadline is not None:
+            recap["cancelled"] = self.guard.cancelled
+        if self.guard is not None and self.guard.budgeted:
             recap["guard"] = self.guard.summary()
         return recap

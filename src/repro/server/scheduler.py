@@ -96,7 +96,7 @@ class Scheduler:
             max_concurrent=config.max_concurrent,
         )
         self.breakers = BreakerBoard(counters=self.counters)
-        #: request kind -> ``handler(session, tokens, **extra)``: sets
+        #: request kind -> ``handler(session, **extra)``: sets
         #: ``session.result`` / ``session.failure`` and returns
         #: ``(effective_start, duration, status)``. The subclass fills it.
         self._handlers: dict = {}
@@ -319,15 +319,14 @@ class Scheduler:
 
         Nothing it raises propagates: an escaped exception gets the
         status the engine's own guarded loop would have reported (the
-        unforeseen is ``fault``/``internal``) and is billed the
-        simulated time its evaluation had consumed.
+        unforeseen is ``fault``/``internal``) and is billed 0 s, since
+        the engine reports its time only in a result it returns.
         """
-        tokens = SessionTokens(session)
         try:
-            return handler(session, tokens, **extra)
+            return handler(session, **extra)
         except Exception as error:  # the isolation boundary: never propagate
             status, session.failure, _ = classify_failure(error)
-            return session.started_at, tokens.elapsed(), status
+            return session.started_at, 0.0, status
 
     def _note_spill(self, session: Session) -> None:
         """Account a finished evaluation's spill tier against admission.
@@ -514,7 +513,8 @@ class Scheduler:
         self.breakers.observe(session.klass, "shed", self.clock.now())
 
     def cancel(self, session_id: str) -> dict:
-        """Cancel a queued session (running ones settle at their boundary)."""
+        """Cancel a queued session; any other is returned unchanged (a
+        session runs to its result when it is admitted)."""
         session = self.sessions.get(session_id)
         if session.state is SessionState.QUEUED:
             self._queue.remove(session)
@@ -568,35 +568,3 @@ class Scheduler:
             "counters": self.counters.snapshot(),
             "metrics": self.metrics_snapshot(),
         }
-
-
-class SessionTokens:
-    """One session's cancellation-token factory (``RecStep.token_factory``).
-
-    Called with an evaluation's simulated clock, it returns itself: a
-    passive token that never cancels and mirrors iteration heartbeats
-    onto the session. It keeps the clock, so a handler that raised can
-    be billed the time its evaluation had consumed.
-    """
-
-    cancelled = False
-
-    def __init__(self, session: Session) -> None:
-        self._session = session
-        self._clock = None
-        self._opened_at = 0.0
-
-    def __call__(self, clock):
-        self._clock, self._opened_at = clock, clock.now()
-        return self
-
-    def check(self, **context) -> None:
-        session = self._session
-        session.heartbeats += 1
-        session.last_position = {
-            key: context[key] for key in ("stratum", "iteration") if key in context
-        }
-
-    def elapsed(self) -> float:
-        """Simulated seconds since the last evaluation clock was opened."""
-        return 0.0 if self._clock is None else self._clock.now() - self._opened_at

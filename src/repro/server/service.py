@@ -54,7 +54,6 @@ from repro.server.admission import (
 from repro.server.scheduler import (
     Scheduler,
     ServerConfig,
-    SessionTokens,
     terminal_state,
 )
 from repro.server.session import Session, SessionState
@@ -103,7 +102,6 @@ class QueryService(Scheduler):
     def _open_view(
         self,
         session: Session,
-        tokens,
         resume_state: CheckpointState | None = None,
     ) -> tuple[float, float, str]:
         """Evaluate the request's program; keep the view if it asks.
@@ -114,7 +112,7 @@ class QueryService(Scheduler):
         """
         request: QueryRequest = session.request
         program, edb, dataset = request.program, request.edb_data, request.dataset
-        engine = RecStep(self._session_config(session), token_factory=tokens)
+        engine = RecStep(self._session_config(session))
         if not request.materialize:
             return self._served(session, engine.evaluate(program, edb, dataset=dataset))
         view = engine.materialize(
@@ -212,7 +210,7 @@ class QueryService(Scheduler):
 
     # -- kind="update": maintain a view ------------------------------------------
 
-    def _maintain_view(self, session: Session, tokens) -> tuple[float, float, str]:
+    def _maintain_view(self, session: Session) -> tuple[float, float, str]:
         """Maintain a materialized fixpoint from one EDB delta batch.
 
         The update serves head-of-line against its view: it cannot start
@@ -273,11 +271,7 @@ class QueryService(Scheduler):
                 _, session.failure, _ = classify_failure(error)
                 session.failure["kind"] = "wal-append"
                 return start, 0.0, "fault"
-        result = view.maintain(
-            request.inserts,
-            request.deletes,
-            token=tokens(view.database.metrics.clock),
-        )
+        result = view.maintain(request.inserts, request.deletes)
         self._view_busy_until[target] = start + result.sim_seconds
         if result.status == "ok":
             self.counters.inc("server.updates_applied")
@@ -366,7 +360,7 @@ class QueryService(Scheduler):
         }
         return None
 
-    def _answer_point(self, session: Session, tokens) -> tuple[float, float, str]:
+    def _answer_point(self, session: Session) -> tuple[float, float, str]:
         """Answer one point goal, serving repeats from the demand cache.
 
         The cache holds the demand-restricted answer relation filtered by
@@ -391,7 +385,7 @@ class QueryService(Scheduler):
             result.detail.update(cached["detail"], point_cache_hit=1.0)
         else:
             self.counters.inc("server.point_cache_misses")
-            engine = RecStep(self._session_config(session), token_factory=tokens)
+            engine = RecStep(self._session_config(session))
             result = engine.answer(
                 plan["analyzed"],
                 plan["canonical"],
@@ -543,7 +537,6 @@ class QueryService(Scheduler):
                 "rebuild-failed",
                 session.failure or {"error": "RebuildFailed"},
             )
-        tokens = SessionTokens(session)
         replayed = skipped = 0
         replay_sim = 0.0
         last_applied = state.wal_seqno
@@ -554,11 +547,7 @@ class QueryService(Scheduler):
                 skipped += 1
                 self.counters.inc("recovery.batches_skipped")
                 continue
-            result = view.maintain(
-                record.inserts,
-                record.deletes,
-                token=tokens(view.database.metrics.clock),
-            )
+            result = view.maintain(record.inserts, record.deletes)
             if result.status == "ok":
                 replayed += 1
                 replay_sim += result.sim_seconds

@@ -26,7 +26,7 @@ corrupt a neighbor's fixpoint or take the service down.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ReproError
 
@@ -103,10 +103,6 @@ class Session:
     result: object | None = None
     #: Structured failure document for FAILED/CANCELLED/SHED sessions.
     failure: dict | None = None
-    #: Evaluation progress: heartbeats seen (token polls at stratum and
-    #: iteration boundaries) and the last loop position.
-    heartbeats: int = 0
-    last_position: dict = field(default_factory=dict)
     #: Where drain checkpointed this session's partial state, if it did.
     checkpoint_dir: str | None = None
     #: Durable-view bookkeeping: the WAL seqno assigned to this update
@@ -142,9 +138,6 @@ class Session:
             doc["sizes"] = self.result.sizes()
         if self.failure is not None:
             doc["failure"] = dict(self.failure)
-        if self.heartbeats:
-            doc["heartbeats"] = self.heartbeats
-            doc["last_position"] = dict(self.last_position)
         if self.checkpoint_dir is not None:
             doc["checkpoint_dir"] = self.checkpoint_dir
         if self.wal_seqno is not None:

@@ -7,7 +7,7 @@ exercise every maintenance class (DRed for monotone strata, recursive
 or not, recompute for negation/aggregates), with the spill tier on,
 under chaos, and after a checkpoint resume. An insert-only batch takes
 no old-state snapshot. A batch answers to the divergence guard, with
-budgets that start over at each batch.
+budgets that start over at each batch, and not to the view's deadline.
 
 The satellite staleness fixes ride along:
 
@@ -389,6 +389,73 @@ class TestMaintenanceGuard:
             )
         finally:
             view.release()
+
+
+
+class TestOpeningDeadline:
+    """A view's deadline bounds its opening only: a batch that runs after
+    the view's clock has passed it is not cut short, whoever calls."""
+
+    BATCH = {"arc": np.array([[0, 60], [60, 61], [61, 1]], dtype=np.int64)}
+
+    @staticmethod
+    def _deadline(arc) -> float:
+        opened = RecStep(RecStepConfig(**RELATIONAL)).evaluate(get_program("TC"), {"arc": arc})
+        return 1.05 * opened.sim_seconds
+
+    def test_direct_maintain_ignores_opening_deadline(self):
+        arc = random_graph(5, 60, 90)
+        deadline = self._deadline(arc)
+        view = RecStep(RecStepConfig(**RELATIONAL, deadline=deadline)).materialize(
+            get_program("TC"), {"arc": arc}, dataset="deadline"
+        )
+        try:
+            assert view.status == "ready", view.result.failure
+            result = view.maintain(self.BATCH, None)
+            assert view.database.sim_seconds > deadline
+            assert result.status == "ok", result.failure
+            assert view.status == "ready"
+            assert view.fixpoint() == recompute_fixpoint(
+                get_program("TC"), {"arc": np.vstack([arc, self.BATCH["arc"]])}
+            )
+        finally:
+            view.release()
+
+    def test_service_update_ignores_opening_deadline(self):
+        arc = random_graph(5, 60, 90)
+        deadline = self._deadline(arc)
+        service = QueryService(
+            ServerConfig(max_concurrent=1, queue_limit=4),
+            engine_config=RecStepConfig(**RELATIONAL),
+        )
+        opened = service.submit(
+            QueryRequest(
+                program=get_program("TC"),
+                edb_data={"arc": arc},
+                deadline=deadline,
+                materialize=True,
+            )
+        )
+        service.pump()
+        service.flush()
+        view_id = opened["session_id"]
+        assert service.status(view_id)["state"] == "done"
+        update = service.submit(
+            QueryRequest(
+                program=get_program("TC"),
+                edb_data={},
+                kind="update",
+                target_session=view_id,
+                inserts=self.BATCH,
+            )
+        )
+        service.pump()
+        service.flush()
+        view = service._views[view_id]
+        assert view.database.sim_seconds > deadline
+        doc = service.status(update["session_id"])
+        assert doc["state"] == "done", doc.get("failure")
+        assert view.status == "ready"
 
 
 class TestJoinCacheInPlaceRewrite:

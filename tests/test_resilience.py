@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import (
-    EvaluationCancelled,
     FaultRetriesExhausted,
     OutOfMemoryError,
     RecStepError,
@@ -29,8 +28,6 @@ from repro.resilience import (
     CheckpointError,
     CheckpointManager,
     CheckpointState,
-    CancellationToken,
-    DeadlineToken,
     DegradationController,
     FaultInjector,
     ResilienceContext,
@@ -591,6 +588,8 @@ class TestDivergenceGuard:
             RuntimeGuard(max_iterations=0)
         with pytest.raises(ValueError):
             RuntimeGuard(max_total_rows=-5)
+        with pytest.raises(ValueError):
+            RuntimeGuard(deadline=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -743,26 +742,6 @@ class TestCancellation:
             RecStepConfig(**RELATIONAL, deadline=1e6)
         ).evaluate(get_program("TC"), tc_edb, dataset="dl")
         assert result.status == "ok"
-
-    def test_manual_token(self):
-        token = CancellationToken()
-        token.check()  # not cancelled: no raise
-        token.cancel("user abort")
-        with pytest.raises(EvaluationCancelled) as info:
-            token.check(stratum=3)
-        assert info.value.context["reason"] == "user abort"
-        assert info.value.context["stratum"] == 3
-
-    def test_deadline_token_unit(self):
-        from repro.common.timing import SimClock
-
-        clock = SimClock()
-        token = DeadlineToken(clock, 1.0)
-        token.check()
-        clock.advance(2.0)
-        with pytest.raises(EvaluationCancelled):
-            token.check()
-        assert token.cancelled
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def _tc_request(seed: int = 42, **kwargs) -> QueryRequest:
 
 def _service(**overrides) -> QueryService:
     # The relational path: iteration-structured evaluation, so memory
-    # quotas, heartbeats, and checkpoints all have boundaries to bite at.
+    # quotas, deadlines, and checkpoints all have boundaries to bite at.
     config = dict(max_concurrent=2, queue_limit=3)
     config.update(overrides)
     return QueryService(
@@ -373,7 +373,7 @@ class TestCircuitBreakerService:
 
 
 # ---------------------------------------------------------------------------
-# Progress heartbeats and per-request deadlines
+# Per-request deadlines and view guards
 # ---------------------------------------------------------------------------
 
 
@@ -449,19 +449,6 @@ class TestProgressAndBounds:
         ):
             with pytest.raises(ValueError, match=knob):
                 self._update("s1", [0, 60], **{knob: value})
-
-    def test_progress_heartbeats_reach_session_record(self):
-        service = QueryService(
-            ServerConfig(max_concurrent=1, queue_limit=2),
-            engine_config=RecStepConfig(**RELATIONAL),
-        )
-        response = service.submit(_tc_request(seed=7))
-        service.pump()
-        service.drain()
-        doc = service.status(response["session_id"])
-        assert doc["state"] == "done"
-        assert doc["heartbeats"] > 0
-        assert "iteration" in doc["last_position"]
 
 
 # ---------------------------------------------------------------------------
