@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.analysis.harness import make_engine
 from repro.common.errors import STATUS_OUTCOMES, UNKNOWN_OUTCOME, DatalogError
+from repro.common.records import Relation
 from repro.datalog.analyzer import analyze_program
 from repro.datalog.parser import parse_goal, parse_program
 from repro.datasets.io import load_relation, save_relation
@@ -208,7 +209,7 @@ def run_datalog_file(
                 "options (--serve-trace/--metrics-out/--serve-updates/"
                 "--wal-root/--serve-recover)"
             )
-        return _answer_goals(engine, spec, goals, edb_data, datalog_file, analyzed, path)
+        return _answer_goals(engine, spec, goals, edb_data, datalog_file, path)
     if serve_recover and wal_root is None:
         raise DatalogError("--serve-recover requires --wal-root")
     if (
@@ -238,13 +239,15 @@ def run_datalog_file(
 
     if result.status == "ok":
         for name, file_path in datalog_file.outputs.items():
-            rows = np.asarray(sorted(result.tuples[name]), dtype=np.int64)
-            rows = rows.reshape(-1, analyzed.arities[name])
-            save_relation(file_path, rows)
+            rows = result.tuples[name]
+            if not isinstance(rows, Relation):  # a baseline's set of tuples
+                arity = analyzed.arities[name]
+                rows = Relation(np.array(list(rows), dtype=np.int64).reshape(-1, arity))
+            save_relation(file_path, rows.sorted_rows())
     return result
 
 
-def _answer_goals(engine, spec, goals, edb_data, datalog_file, analyzed, path):
+def _answer_goals(engine, spec, goals, edb_data, datalog_file, path):
     """Answer each point goal through the magic-set demand rewrite.
 
     Goals run in file order; the first non-ok result stops the run and is
@@ -257,11 +260,11 @@ def _answer_goals(engine, spec, goals, edb_data, datalog_file, analyzed, path):
         result = engine.answer(spec, goal, edb_data, dataset=Path(path).stem)
         if result.status != "ok":
             return result
-        answers = result.tuples[goal.predicate]
         if goal.predicate in datalog_file.outputs:
-            rows = np.asarray(sorted(answers), dtype=np.int64)
-            rows = rows.reshape(-1, analyzed.arities[goal.predicate])
-            save_relation(datalog_file.outputs[goal.predicate], rows)
+            save_relation(
+                datalog_file.outputs[goal.predicate],
+                result.tuples[goal.predicate].sorted_rows(),
+            )
     return result
 
 
@@ -671,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
     if "answer_rows" in result.detail and result.status == "ok":
         # Point-goal run: the tuples ARE the answer set; show it (capped).
         for name, answers in sorted(result.tuples.items()):
-            shown = sorted(answers)[:_ANSWER_PREVIEW_ROWS]
+            shown = answers.sorted_rows()[:_ANSWER_PREVIEW_ROWS].tolist()
             for row in shown:
                 print(f"  {name}{tuple(row)}")
             if len(answers) > len(shown):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Set
 from dataclasses import dataclass, field
+
+import numpy as np
 
 #: Rows converted per step of :func:`rows_to_set`: bounds the boxed-int
 #: lists alive at once, so reading out a large fixpoint does not lift the
@@ -10,20 +14,74 @@ from dataclasses import dataclass, field
 _READOUT_CHUNK_ROWS = 1 << 16
 
 
-def rows_to_set(rows) -> set[tuple[int, ...]]:
-    """A 2-D integer array as a set of tuples of plain ``int``.
+def _boxed_chunks(rows):
+    """Tuples of plain ``int``, one iterator per bounded row chunk.
 
     Column-wise ``tolist()`` + ``zip`` — about half the time of a
-    per-element ``int()`` — over bounded row chunks.
+    per-element ``int()``.
     """
     count, width = rows.shape
     if width == 0:
-        return {()} if count else set()
-    result: set[tuple[int, ...]] = set()
+        yield [()] if count else []
+        return
     for start in range(0, count, _READOUT_CHUNK_ROWS):
         chunk = rows[start : start + _READOUT_CHUNK_ROWS]
-        result.update(zip(*(chunk[:, column].tolist() for column in range(width))))
+        yield zip(*(chunk[:, column].tolist() for column in range(width)))
+
+
+def rows_to_set(rows) -> set[tuple[int, ...]]:
+    """A 2-D integer array as a set of tuples of plain ``int``."""
+    result: set[tuple[int, ...]] = set()
+    for chunk in _boxed_chunks(rows):
+        result.update(chunk)
     return result
+
+
+class Relation(Set):
+    """A relation's unique rows, an ``(n, arity)`` int64 array, as a set.
+
+    The rows keep the engine's order. Iteration boxes them chunk by
+    chunk; ``==`` against a set and the ``<=`` / ``|`` family come from
+    ``collections.abc.Set``, and ``_from_iterable`` makes the operators
+    build a plain ``set``. Two relations compare their lexicographically
+    sorted rows without boxing.
+    """
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self._sorted: np.ndarray | None = None
+        self._boxed: set[tuple[int, ...]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(_boxed_chunks(self.rows))
+
+    def __contains__(self, row) -> bool:
+        if self._boxed is None:
+            self._boxed = rows_to_set(self.rows)
+        return row in self._boxed
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Relation):
+            return super().__eq__(other)
+        if not len(self) or not len(other):
+            return len(self) == len(other)
+        return np.array_equal(self.sorted_rows(), other.sorted_rows())
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> set:
+        return set(iterable)
+
+    def sorted_rows(self) -> np.ndarray:
+        """The rows in lexicographic order (computed once)."""
+        if self._sorted is None:
+            rows = self.rows
+            if rows.shape[1]:
+                rows = rows[np.lexsort(rows.T[::-1])]
+            self._sorted = rows
+        return self._sorted
 
 
 @dataclass(frozen=True)
@@ -78,8 +136,9 @@ class EvaluationResult:
         engine: engine display name ("RecStep", "Souffle", ...).
         program: program name ("TC", "CSPA", ...).
         dataset: dataset label ("G1K", "httpd", ...).
-        relations: fixpoint contents, relation name -> sorted tuple set size
-            is available via ``sizes``; full contents under ``tuples``.
+        tuples: fixpoint contents, relation name -> a :class:`Relation`
+            (RecStep) or a set of tuples (the baselines); sizes via
+            ``sizes``.
         sim_seconds: simulated elapsed time (see common.timing).
         iterations: number of semi-naive iterations across all strata.
         peak_memory_bytes: peak of the modeled memory footprint.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import CONTROL_ERRORS, DatalogError, classify_failure
-from repro.common.records import EvaluationResult, rows_to_set
+from repro.common.records import EvaluationResult, Relation
 from repro.core.config import RecStepConfig
 from repro.core.interpreter import SemiNaiveInterpreter
 from repro.core.ivm import MaintenanceRun
@@ -33,6 +33,7 @@ from repro.datalog.analyzer import AnalyzedProgram, analyze_program
 from repro.datalog.magic import MagicRewrite, filter_answers, magic_rewrite
 from repro.datalog.parser import parse_goal, parse_program
 from repro.engine.database import Database
+from repro.engine.kernels import unique_rows
 from repro.obs import CATEGORY_PROGRAM, ProfileReport
 from repro.programs.library import ProgramSpec
 from repro.common.rng import derive_seed
@@ -316,7 +317,7 @@ class RecStep:
                 engine=self.name, program=program_name, dataset=dataset
             )
             result.tuples[goal_atom.predicate] = filter_answers(
-                (tuple(row) for row in rows.tolist()), goal_atom
+                Relation(unique_rows(rows)), goal_atom
             )
             result.detail["magic_rewritten"] = 0.0
             result.detail["answer_rows"] = float(
@@ -339,7 +340,7 @@ class RecStep:
         result.detail["magic_cone_predicates"] = float(len(rewrite.cone))
         if result.status == "ok":
             answers = filter_answers(
-                result.tuples.get(rewrite.answer_predicate, ()), goal_atom
+                result.tuples[rewrite.answer_predicate], goal_atom
             )
             result.tuples = {goal_atom.predicate: answers}
             result.detail["answer_rows"] = float(len(answers))
@@ -441,10 +442,10 @@ class MaterializedFixpoint:
             for name in sorted(self.analyzed.idb)
         }
 
-    def fixpoint(self) -> dict[str, set[tuple[int, ...]]]:
-        """The current maintained fixpoint as sets of tuples."""
+    def fixpoint(self) -> dict[str, Relation]:
+        """The current maintained fixpoint, one copied :class:`Relation` each."""
         return {
-            name: rows_to_set(self.database.table_snapshot(name))
+            name: Relation(self.database.table_snapshot(name))
             for name in sorted(self.analyzed.idb)
         }
 

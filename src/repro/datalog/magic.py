@@ -22,10 +22,12 @@ a full materialization of the original program by the same pattern.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.errors import DatalogError
+from repro.common.records import Relation
 from repro.datalog import ast
 from repro.datalog.analyzer import (
     AdornedRule,
@@ -249,37 +251,26 @@ def _rewrite_rule(
 # --------------------------------------------------------------------------
 
 
-def matches_goal(row: tuple[int, ...], goal: ast.Atom) -> bool:
-    """Does ``row`` satisfy the goal pattern?
+def filter_answers(answers: Relation, goal: ast.Atom) -> Relation:
+    """The goal's answers: the rows of its relation matching the pattern.
 
-    Constants must match positionally; repeated variables must carry
-    equal values; wildcards and first-occurrence variables match
-    anything.
-    """
-    seen: dict[str, int] = {}
-    for value, term in zip(row, goal.terms):
-        if isinstance(term, ast.Constant):
-            if value != term.value:
-                return False
-        elif isinstance(term, ast.Variable):
-            if term.name in seen:
-                if seen[term.name] != value:
-                    return False
-            else:
-                seen[term.name] = value
-    return True
-
-
-def filter_answers(
-    rows: Iterable[tuple[int, ...]], goal: ast.Atom
-) -> set[tuple[int, ...]]:
-    """The goal's answer set: tuples of its relation matching the pattern.
-
-    Applied to the adorned goal relation of a rewritten evaluation and to
-    the goal relation of a full materialization alike — the two must be
+    One column mask per constant and per repeated variable; wildcards
+    and first-occurrence variables match anything. Applied to the
+    adorned goal relation of a rewritten evaluation and to the goal
+    relation of a full materialization alike — the two must be
     tuple-identical (the rewrite's correctness bar).
     """
-    return {tuple(row) for row in rows if matches_goal(tuple(row), goal)}
+    rows = answers.rows
+    keep = np.ones(len(rows), dtype=bool)
+    first: dict[str, int] = {}
+    for column, term in enumerate(goal.terms):
+        if isinstance(term, ast.Constant):
+            keep &= rows[:, column] == term.value
+        elif isinstance(term, ast.Variable):
+            seen = first.setdefault(term.name, column)
+            if seen != column:
+                keep &= rows[:, column] == rows[:, seen]
+    return Relation(rows[keep])
 
 
 __all__ = [
@@ -289,5 +280,4 @@ __all__ = [
     "goal_adornment",
     "magic_name",
     "magic_rewrite",
-    "matches_goal",
 ]

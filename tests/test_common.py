@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.common import records
-from repro.common.records import EvaluationResult, Trace, TraceSample, rows_to_set
+from repro.common.records import (
+    EvaluationResult,
+    Relation,
+    Trace,
+    TraceSample,
+    rows_to_set,
+)
 from repro.common.rng import derive_seed, make_rng
 from repro.common.timing import SimClock
 
@@ -61,6 +67,44 @@ class TestEvaluationResult:
     def test_sizes(self):
         result = EvaluationResult("E", "P", "D", tuples={"r": {(1,), (2,)}})
         assert result.sizes() == {"r": 2}
+
+
+class TestRelation:
+    ROWS = np.array([[3, 1], [1, 2], [2, 2]], dtype=np.int64)
+    BOXED = {(1, 2), (2, 2), (3, 1)}
+
+    def test_equals_a_set_in_both_operand_orders(self):
+        relation = Relation(self.ROWS)
+        assert relation == self.BOXED and self.BOXED == relation
+        assert not (relation != self.BOXED) and not (self.BOXED != relation)
+        assert relation != {(1, 2)} and {(1, 2)} != relation
+
+    def test_relations_compare_their_sorted_rows(self):
+        assert Relation(self.ROWS) == Relation(self.ROWS[::-1].copy())
+        assert Relation(self.ROWS) != Relation(self.ROWS[:2])
+        assert Relation(self.ROWS[:2]) != Relation(self.ROWS[1:])
+
+    def test_len_membership_and_order(self):
+        relation = Relation(self.ROWS)
+        assert len(relation) == 3
+        assert (2, 2) in relation and (2, 3) not in relation
+        assert relation <= self.BOXED | {(9, 9)} and relation >= {(3, 1)}
+        assert relation.isdisjoint({(9, 9)}) and not relation.isdisjoint({(1, 2)})
+
+    def test_set_operators_build_builtin_sets(self):
+        # ``_from_iterable`` makes the abc.Set operators return a set.
+        union = Relation(self.ROWS) | {(9, 9)}
+        assert type(union) is set and union == self.BOXED | {(9, 9)}
+        assert type({(9, 9)} | Relation(self.ROWS)) is set
+        assert Relation(self.ROWS) - {(1, 2)} == {(2, 2), (3, 1)}
+
+    def test_empty_and_nullary(self):
+        empty = Relation(np.empty((0, 2), dtype=np.int64))
+        assert empty == set() and len(empty) == 0 and list(empty) == []
+        assert empty == Relation(np.empty((0, 3), dtype=np.int64))
+        nullary = Relation(np.empty((1, 0), dtype=np.int64))
+        assert nullary == {()} and () in nullary and list(nullary) == [()]
+        assert nullary != empty
 
 
 class TestRowsToSet:

@@ -18,8 +18,10 @@ between the scheduler and the Datalog-aware handlers.
 * evaluation, DRed rederivation and recompute share one semi-naive loop,
   which alone charges the divergence guard;
 * a kept view's traces are per run, not per recorder lifetime;
-* recovery opens its view without a tuple-set read-out and reports the
-  post-replay sizes;
+* recovery opens its view without reading its fixpoint out and reports
+  the post-replay sizes;
+* evaluation and magic answers reach the caller as column relations,
+  never boxed into sets of tuples;
 * a point request resolves its program once, and the EDB is only
   fingerprinted where the digest is stamped.
 """
@@ -52,11 +54,13 @@ from repro.common.errors import (
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.core.interpreter import SemiNaiveInterpreter
 from repro.core.ivm import MaintenanceRun
+from repro.datasets import load_dataset
 from repro.programs import get_program
 from repro.programs.library import ProgramSpec
 from repro.resilience import LADDER, RetryPolicy
 from repro.server import QueryRequest, QueryService, ServerConfig, SessionState
 from repro.server.scheduler import terminal_state
+from tests.conftest import reference_closure
 
 RELATIONAL = dict(pbme=PbmeMode.OFF)
 TC = get_program("TC")
@@ -387,12 +391,14 @@ class TestRecoveryOpensWithoutReadout:
         live.flush()
         live.drain()
 
-        def no_readout(rows):
-            raise AssertionError("recovery read the fixpoint out as tuple sets")
+        def no_readout(view):
+            raise AssertionError("recovery read the fixpoint out")
 
         recovered = service()
         with monkeypatch.context() as patch:
-            patch.setattr("repro.core.recstep.rows_to_set", no_readout)
+            patch.setattr(
+                "repro.core.recstep.MaterializedFixpoint.fixpoint", no_readout
+            )
             report = recovered.recover()
         (doc,) = report["recovered"].values()
         assert doc["records_replayed"] == 1
@@ -405,6 +411,64 @@ class TestRecoveryOpensWithoutReadout:
         assert session.to_dict()["sizes"] != base_sizes
         assert session.result.tuples == {}
         assert view.fixpoint() == expected.tuples
+
+
+class TestAnswersStayColumnar:
+    @pytest.fixture(autouse=True)
+    def no_boxing(self, monkeypatch):
+        def boxed(rows):
+            raise AssertionError("an answer was boxed into a set of tuples")
+
+        monkeypatch.setattr("repro.common.records.rows_to_set", boxed)
+
+    @staticmethod
+    def arcs() -> np.ndarray:
+        rng = np.random.default_rng(7)
+        edges = np.unique(rng.integers(0, 30, size=(60, 2)), axis=0)
+        return edges[edges[:, 0] != edges[:, 1]]
+
+    @pytest.mark.parametrize("pbme", [PbmeMode.ON, PbmeMode.OFF])
+    def test_evaluate_matches_reference(self, pbme):
+        arc = self.arcs()
+        result = RecStep(RecStepConfig(enforce_budgets=False, pbme=pbme)).evaluate(
+            get_program("TC"), {"arc": arc}
+        )
+        assert result.tuples["tc"] == reference_closure(arc)
+
+    def test_g500_pbme_on_and_off_agree(self):
+        # The brute-force reference is quadratic in the closure (248,003
+        # tuples here), so the bit-matrix and relational fixpoints check
+        # each other: (row, col) order against append order, unboxed.
+        arc = load_dataset("G500")["arc"]
+        on, off = (
+            RecStep(RecStepConfig(enforce_budgets=False, pbme=mode))
+            .evaluate(get_program("TC"), {"arc": arc})
+            .tuples["tc"]
+            for mode in (PbmeMode.ON, PbmeMode.OFF)
+        )
+        assert len(on) == 248003
+        assert on == off
+
+    def test_magic_answer_matches_reference(self):
+        arc = self.arcs()
+        engine = RecStep(RecStepConfig(enforce_budgets=False, pbme=PbmeMode.OFF))
+        source = int(arc[0, 0])
+        answered = engine.answer(get_program("TC"), f"tc({source}, x)", {"arc": arc})
+        expected = {row for row in reference_closure(arc) if row[0] == source}
+        assert answered.tuples["tc"] == expected
+        edb = engine.answer(get_program("TC"), f"arc({source}, x)", {"arc": arc})
+        assert edb.tuples["arc"] == {
+            (a, b) for a, b in arc.tolist() if a == source
+        }
+
+    def test_no_answer_path_module_holds_rows_to_set(self):
+        # A module that imported the name itself would slip past the patch.
+        from repro.core import recstep
+        from repro.datalog import magic
+        from repro.server import service
+
+        for module in (recstep, magic, service):
+            assert not hasattr(module, "rows_to_set"), module.__name__
 
 
 class TestKeptViewTraces:

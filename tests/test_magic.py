@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import DatalogError
+from repro.common.records import Relation
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.datalog import ast
 from repro.datalog.analyzer import (
@@ -25,7 +26,6 @@ from repro.datalog.magic import (
     filter_answers,
     magic_name,
     magic_rewrite,
-    matches_goal,
 )
 from repro.datalog.parser import parse_goal, parse_program
 from repro.programs import get_program
@@ -230,17 +230,16 @@ class TestRewrite:
         assert rewrite.pinned == {"tc": "negation"}
 
 
-class TestMatchesGoal:
+class TestFilterAnswers:
     def test_constants_and_repeats(self):
-        goal = parse_goal("p(5, x, x)")
-        assert matches_goal((5, 2, 2), goal)
-        assert not matches_goal((5, 2, 3), goal)
-        assert not matches_goal((4, 2, 2), goal)
+        rows = Relation(np.array([(5, 2, 2), (5, 2, 3), (4, 2, 2)]))
+        answers = filter_answers(rows, parse_goal("p(5, x, x)"))
+        assert isinstance(answers, Relation)
+        assert answers == {(5, 2, 2)}
 
     def test_wildcards_are_independent(self):
-        goal = parse_goal("p(_, _)")
-        assert matches_goal((1, 2), goal)
-        assert matches_goal((2, 2), goal)
+        rows = Relation(np.array([(1, 2), (2, 2)]))
+        assert filter_answers(rows, parse_goal("p(_, _)")) == {(1, 2), (2, 2)}
 
 
 # ---------------------------------------------------------------------------
