@@ -266,6 +266,8 @@ PBME_SIM_CLOCK_PINS = [
     ("SG", "G700", dict(threads=20, sg_coordination=True), (0.07598553236842107, 4, 3959832, 24825911, 490000)),
     ("SG", "G700", dict(threads=7, sg_coordination=True), (0.11585035248120301, 4, 3959832, 24825911, 490000)),
     ("TC", "G500", dict(threads=20), (0.16873039999999992, 8, 2004480, 126977536, 248003)),
+    ("TC", "G500", dict(threads=7), (0.46772560000000063, 8, 2004480, 126977536, 248003)),
+    ("TC", "G1K", dict(threads=20), (1.2947540866666667, 5, 8080904, 1024000000, 1000000)),
 ]
 
 
