@@ -11,6 +11,9 @@ intermediate materialization). We implement the matrix as packed
   generated work shows up as idle threads (Figure 7, SG);
 * **coordination** (SG-PBME-COORD): oversized deltas are repacked into a
   global work pool, trading communication overhead for load balance.
+
+TC's rows advance in lockstep, one BFS level over the transposed matrix
+at a time. Each TC level and each SG Δ is written as one rank run.
 """
 
 from __future__ import annotations
@@ -69,18 +72,6 @@ class PackedBitMatrix:
 
     def count(self) -> int:
         return int(np.sum(np.bitwise_count(self.bits)))
-
-    def row_bits(self, row_vector: np.ndarray) -> np.ndarray:
-        """Column indices of set bits in one packed row vector."""
-        unpacked = np.unpackbits(row_vector.view(np.uint8), bitorder="little")
-        return np.flatnonzero(unpacked[: self.n])
-
-    def extract_pairs(self) -> np.ndarray:
-        """All (row, col) set bits as an (m, 2) int64 matrix."""
-        unpacked = np.unpackbits(self.bits.view(np.uint8), bitorder="little")
-        unpacked = unpacked.reshape(self.n, self.words * 64)[:, : self.n]
-        rows, cols = np.nonzero(unpacked)
-        return np.column_stack((rows, cols)).astype(np.int64, copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -312,13 +303,11 @@ def run_pbme_stratum(
 
         if decision.shape == "TC":
             base_rows = database.table_array(decision.base_relation)
-            matrix, per_thread_cost, depth = _run_tc(
-                base_rows, edge_rows, n, config.threads, database
-            )
+            levels, per_thread_cost = _run_tc(base_rows, edge_rows, n, config.threads, database)
             makespan, utilization = _zero_coordination_schedule(per_thread_cost)
-            iterations = depth
+            iterations = len(levels)
         else:
-            matrix, per_thread_cost, iterations, rebalances = _run_sg(
+            levels, per_thread_cost, iterations, rebalances = _run_sg(
                 edge_rows, n, config.threads, config.sg_coordination, database
             )
             if config.sg_coordination:
@@ -333,8 +322,8 @@ def run_pbme_stratum(
         bit_ops = int(round(float(per_thread_cost.sum()) / COST_PER_BIT_VISIT))
         profiler.counters.inc("pbme_strata")
         profiler.counters.inc("pbme_bit_ops", bit_ops)
-        pairs = matrix.extract_pairs()
-        database.replace_rows(compiler.full_table(decision.idb), pairs)
+        pairs, runs = _stack_levels(levels)
+        database.replace_rows(compiler.full_table(decision.idb), pairs, runs)
         database.analyze(compiler.full_table(decision.idb))
         span.set(
             rows_out=int(pairs.shape[0]),
@@ -374,46 +363,55 @@ def _zero_coordination_schedule(per_thread_cost: np.ndarray) -> tuple[float, flo
     return makespan, utilization
 
 
+def _stack_levels(levels: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
+    """All levels' ``(x, y)`` pairs as rows, and each non-empty level's size."""
+    rows = np.empty((sum(xs.size for xs, _ in levels), 2), dtype=np.int64)
+    for column, parts in enumerate(zip(*levels)):
+        np.concatenate(parts, out=rows[:, column])
+    return rows, [xs.size for xs, _ in levels if xs.size]
+
+
 def _run_tc(
     base_rows: np.ndarray,
     edge_rows: np.ndarray,
     n: int,
     threads: int,
     database: Database,
-) -> tuple[PackedBitMatrix, np.ndarray, int]:
-    """Algorithm 2: per-row frontier expansion, rows partitioned round-robin."""
-    edge_matrix = PackedBitMatrix(n)
-    if edge_rows.shape[0]:
-        edge_matrix.set_pairs(edge_rows[:, 0], edge_rows[:, 1])
-    result = PackedBitMatrix(n)
-    if base_rows.shape[0]:
-        result.set_pairs(base_rows[:, 0], base_rows[:, 1])
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Algorithm 2: per-row frontier expansion, rows partitioned round-robin.
 
-    transient = edge_matrix.memory_bytes() + result.memory_bytes()
-    database.metrics.allocate_transient(transient)
-
-    per_thread_cost = np.zeros(max(1, threads), dtype=np.float64)
-    max_depth = 0
-    words = result.words
-    for row in range(n):
-        current = result.bits[row].copy()
-        frontier = result.row_bits(current)
-        cost = 0.0
-        depth = 0
-        while frontier.size:
-            depth += 1
-            reached = np.bitwise_or.reduce(edge_matrix.bits[frontier], axis=0)
-            cost += frontier.size * words * 64 * COST_PER_BIT_VISIT
-            added = reached & ~current
-            current |= reached
-            frontier = result.row_bits(added)
-        result.bits[row] = current
-        per_thread_cost[row % max(1, threads)] += cost
-        max_depth = max(max_depth, depth)
-
-    database.metrics.release_transient(transient - result.memory_bytes())
-    database.metrics.release_transient(result.memory_bytes())
-    return result, per_thread_cost, max_depth
+    The host runs the rows' BFS in lockstep over the transposed closure,
+    bit ``(y, x)`` being ``tc(x, y)``. Returns each depth's new ``(x, y)``
+    pairs and the per-thread cost of the rows' own frontiers.
+    """
+    closure = PackedBitMatrix(n)
+    closure.set_pairs(base_rows[:, 1], base_rows[:, 0])
+    database.metrics.allocate_transient(2 * closure.memory_bytes())  # edges + result
+    # Arcs by target, gathered 8n rows at a time: no more than a level unpacks.
+    order = np.argsort(edge_rows[:, 1], kind="stable")
+    sources, targets = edge_rows[order, 0], edge_rows[order, 1]
+    bits_per_row = closure.words * 64
+    row_costs = np.zeros(n, dtype=np.float64)
+    levels = []
+    frontier = closure.bits.copy()
+    while frontier.any():
+        unpacked = np.unpackbits(frontier.view(np.uint8), axis=1, bitorder="little")
+        ys, xs = np.divmod(np.flatnonzero(unpacked.view(bool)), bits_per_row)
+        levels.append((xs, ys))
+        row_costs += (np.bincount(xs, minlength=n) * bits_per_row) * COST_PER_BIT_VISIT
+        reached = np.zeros_like(frontier)
+        for start in range(0, sources.size, 8 * n):
+            chunk = slice(start, start + 8 * n)
+            heads = np.flatnonzero(np.diff(targets[chunk], prepend=-1))
+            reached[targets[chunk][heads]] |= np.bitwise_or.reduceat(
+                frontier[sources[chunk]], heads, axis=0
+            )
+        frontier = reached & ~closure.bits
+        closure.bits |= frontier
+    database.metrics.release_transient(closure.memory_bytes())
+    database.metrics.release_transient(closure.memory_bytes())
+    k = max(1, threads)
+    return levels, np.bincount(np.arange(n) % k, weights=row_costs, minlength=k)
 
 
 def _chunk_boundaries(weights: np.ndarray, limit: int) -> list[tuple[int, int]]:
@@ -459,14 +457,14 @@ def _run_sg(
     threads: int,
     coordination: bool,
     database: Database,
-) -> tuple[PackedBitMatrix, np.ndarray, int, int]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, int, int]:
     """Algorithm 3: pair worklist over the bit matrix with a child index.
 
     Work is attributed to the thread owning the originating matrix row;
     generated pairs inherit their producer's thread (the thread-local
     delta of Algorithm 3), which is what makes skew possible. A pair
     reached by several delta rows of one batch belongs to the producer
-    at the lowest delta position.
+    at the lowest delta position. Returns the seeds and each Δ as levels.
     """
     k = max(1, threads)
     matrix = PackedBitMatrix(n)
@@ -514,6 +512,7 @@ def _run_sg(
     delta_x, delta_y, delta_owner = admit(
         seed_x * n + seed_y, np.arange(seed_x.size), seed_owner
     )
+    levels = [(delta_x, delta_y)]
 
     iterations = 0
     while delta_x.size:
@@ -543,6 +542,7 @@ def _run_sg(
         delta_x, delta_y, delta_owner = (
             np.concatenate(columns) for columns in zip(*fresh)
         )
+        levels.append((delta_x, delta_y))
 
     database.metrics.release_transient(transient)
-    return matrix, per_thread_cost, iterations, rebalances
+    return levels, per_thread_cost, iterations, rebalances

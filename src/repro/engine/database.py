@@ -117,7 +117,8 @@ class Database:
         # bits, so the count must be a power of two; round up quietly.
         self.partitions = 1 << (partitions - 1).bit_length() if partitions > 1 else 1
         self.queries_executed = 0
-        #: Bumped once per ``append_rows``: the rank of the rows it appends.
+        #: Bumped once per ``append_rows`` and per ranked ``replace_rows``
+        #: run: the rank of the rows it writes.
         self._appends = 0
         self.resilience = resilience if resilience is not None else ResilienceContext()
         #: The modeled machine: everything below reports its work here.
@@ -791,14 +792,19 @@ class Database:
             span.set(rows_out=int(removed.shape[0]))
         return removed
 
-    def replace_rows(self, name: str, rows: np.ndarray) -> None:
-        """Swap a table's contents (the ∆-table update each iteration)."""
+    def replace_rows(self, name: str, rows: np.ndarray, runs: Sequence[int] = ()) -> None:
+        """Swap a table's contents (the ∆-table update each iteration).
+
+        ``runs`` counts the rows of consecutive runs, each of a fresh rank
+        above the last; without it the rows are rank 0.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         with self._statement_span("REPLACE", table=name, rows_out=int(rows.shape[0])):
             self._dispatch()
             self._touch(name)
             table = self.catalog.get_table(name)
-            table.replace_contents(rows)
+            table.replace_contents(rows, runs=runs, rank=self._appends + 1)
+            self._appends += len(runs)
             self._note_table_rewrite(name)
             self._after_mutation(table, table.memory_bytes())
 

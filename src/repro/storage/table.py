@@ -10,6 +10,7 @@ UNION ALL and dedup is a separate call.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class Table:
         #: other mutation. Lets set-difference skip its own sort-unique.
         self.distinct = False
         #: Append ranks as runs: rows ``[start_i, start_{i+1})`` rank
-        #: ``rank_i``, rows before the first run 0; bulk writes clear them.
+        #: ``rank_i``, rows before the first run 0; bulk writes reset them.
         self._rank_starts: list[int] = []
         self._rank_values: list[int] = []
 
@@ -186,21 +187,29 @@ class Table:
         self.append_array(np.asarray(materialized, dtype=np.int64).reshape(len(materialized), self.arity))
 
     def replace_contents(
-        self, rows: np.ndarray, distinct: bool = False, kept: np.ndarray | None = None
+        self,
+        rows: np.ndarray,
+        distinct: bool = False,
+        kept: np.ndarray | None = None,
+        runs: Sequence[int] = (),
+        rank: int = 0,
     ) -> None:
         """Overwrite the table's rows (used by dedup and delta swaps).
 
         ``distinct`` is the caller's promise that ``rows`` holds no
         duplicate tuple (only dedup makes it). ``rows`` are rank 0 unless
-        ``kept`` masks the old rows they are (a delete's survivors).
+        ``kept`` masks the old rows they are (a delete's survivors) or
+        ``runs`` counts the rows of consecutive runs ranked ``rank``,
+        ``rank + 1``, ...
         """
-        if rows.ndim != 2 or rows.shape[1] != self.arity:
+        if rows.ndim != 2 or rows.shape[1] != self.arity or (runs and sum(runs) != len(rows)):
             raise CatalogError(
-                f"cannot load shape {rows.shape} into table {self.name!r} "
-                f"of arity {self.arity}"
+                f"cannot load shape {rows.shape} in runs {list(runs)} into "
+                f"table {self.name!r} of arity {self.arity}"
             )
         if kept is None:
-            self._rank_starts, self._rank_values = [], []
+            self._rank_starts = list(accumulate([0, *runs]))[:-1]
+            self._rank_values = list(range(rank, rank + len(runs)))
         elif self._rank_starts:
             # A run now starts after as many rows as survived before it.
             survivors_before = np.concatenate([[0], np.cumsum(kept)])

@@ -61,19 +61,6 @@ class TestPackedBitMatrix:
         matrix.set_pairs(np.array([0, 0, 9]), np.array([0, 0, 9]))
         assert matrix.count() == 2  # duplicate set is idempotent
 
-    def test_extract_pairs_roundtrip(self):
-        matrix = PackedBitMatrix(130)
-        rows = np.array([0, 63, 64, 129])
-        cols = np.array([129, 64, 63, 0])
-        matrix.set_pairs(rows, cols)
-        extracted = {tuple(r) for r in matrix.extract_pairs().tolist()}
-        assert extracted == {(0, 129), (63, 64), (64, 63), (129, 0)}
-
-    def test_row_bits(self):
-        matrix = PackedBitMatrix(70)
-        matrix.set_pairs(np.array([3, 3]), np.array([0, 69]))
-        assert matrix.row_bits(matrix.bits[3]).tolist() == [0, 69]
-
     def test_memory_bytes(self):
         matrix = PackedBitMatrix(128)
         assert matrix.memory_bytes() == 128 * 2 * 8  # 2 words per row
@@ -90,7 +77,9 @@ class TestPackedBitMatrix:
             rows = np.array([p[0] for p in pairs])
             cols = np.array([p[1] for p in pairs])
             matrix.set_pairs(rows, cols)
-        assert {tuple(r) for r in matrix.extract_pairs().tolist()} == set(pairs)
+        rows, cols = (grid.ravel() for grid in np.indices((71, 71)))
+        hits = matrix.test_pairs(rows, cols)
+        assert set(zip(rows[hits].tolist(), cols[hits].tolist())) == set(pairs)
         assert matrix.count() == len(set(pairs))
 
 

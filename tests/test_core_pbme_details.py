@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PbmeMode, RecStep, RecStepConfig
 from repro.core import bitmatrix
@@ -18,6 +20,7 @@ from repro.core.bitmatrix import (
 from repro.datalog.analyzer import analyze_program
 from repro.datalog.parser import parse_program
 from repro.datasets import load_dataset
+from repro.engine.database import Database
 from repro.programs import get_program
 from tests.conftest import reference_same_generation
 
@@ -206,18 +209,87 @@ class TestSgChunking:
         assert result.tuples["sg"] == expected
 
 
-class TestExtraction:
-    def test_large_matrix_extraction_roundtrip(self):
-        matrix = PackedBitMatrix(300)
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, 300, size=5000)
-        cols = rng.integers(0, 300, size=5000)
-        matrix.set_pairs(rows, cols)
-        pairs = matrix.extract_pairs()
-        assert {tuple(p) for p in pairs.tolist()} == set(
-            zip(rows.tolist(), cols.tolist())
+def _reference_run_tc(base_rows, edge_rows, n, threads):
+    """Algorithm 2 one row and one level at a time, as ``_run_tc`` ran it
+    before the rows went lockstep: (pair -> BFS depth, per-thread cost)."""
+    edge_matrix = PackedBitMatrix(n)
+    edge_matrix.set_pairs(edge_rows[:, 0], edge_rows[:, 1])
+    result = PackedBitMatrix(n)
+    result.set_pairs(base_rows[:, 0], base_rows[:, 1])
+
+    def row_bits(vector):
+        return np.flatnonzero(np.unpackbits(vector.view(np.uint8), bitorder="little")[:n])
+
+    per_thread_cost = np.zeros(max(1, threads), dtype=np.float64)
+    depths = {}
+    for row in range(n):
+        current = result.bits[row].copy()
+        frontier = row_bits(current)
+        cost = 0.0
+        depth = 0
+        while frontier.size:
+            depths.update(((row, int(y)), depth) for y in frontier)
+            depth += 1
+            reached = np.bitwise_or.reduce(edge_matrix.bits[frontier], axis=0)
+            cost += frontier.size * result.words * 64 * bitmatrix.COST_PER_BIT_VISIT
+            added = reached & ~current
+            current |= reached
+            frontier = row_bits(added)
+        per_thread_cost[row % max(1, threads)] += cost
+    return depths, per_thread_cost
+
+
+@st.composite
+def tc_inputs(draw):
+    """(base, arcs, n, threads): distinct base and edge relations. Bulk arcs
+    enter only even vertices, so odd ones may have no in-arc, and outnumber
+    8n, so a level gathers them in more than one chunk."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    vertex = st.integers(0, n - 1)
+    base = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+    loops = draw(st.lists(vertex, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bulk = draw(st.sampled_from([0, 3 * n, 20 * n]))
+    sources = rng.integers(0, n, bulk)
+    targets = rng.integers(0, (n + 1) // 2, bulk) * 2
+    edge_rows = np.vstack(
+        [
+            np.array(arcs, dtype=np.int64).reshape(-1, 2),
+            np.column_stack([loops, loops]).astype(np.int64).reshape(-1, 2),
+            np.column_stack([sources, targets]).astype(np.int64).reshape(-1, 2),
+        ]
+    )
+    base_rows = np.array(base, dtype=np.int64).reshape(-1, 2)
+    return base_rows, edge_rows, n, draw(st.sampled_from([1, 7, 20, 200]))
+
+
+class TestLockstepTc:
+    @given(tc_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_bfs(self, case):
+        base_rows, edge_rows, n, threads = case
+        database = Database(enforce_budgets=False)
+        levels, per_thread_cost = bitmatrix._run_tc(
+            base_rows, edge_rows, n, threads, database
         )
-        assert matrix.count() == pairs.shape[0]
+        depths, expected_cost = _reference_run_tc(base_rows, edge_rows, n, threads)
+        rows, runs = bitmatrix._stack_levels(levels)
+        assert sorted(map(tuple, rows.tolist())) == sorted(depths)
+        assert np.array_equal(per_thread_cost, expected_cost)
+        assert len(levels) == max(depths.values(), default=-1) + 1
+        assert runs == [
+            sum(1 for depth in depths.values() if depth == level)
+            for level in range(len(levels))
+        ]
+        assert {
+            (x, y): level
+            for level, (xs, ys) in enumerate(levels)
+            for x, y in zip(xs.tolist(), ys.tolist())
+        } == depths
+        words = (n + 63) // 64
+        assert database.metrics.peak_transient_bytes == 2 * n * words * 8
+        assert database.metrics.transient_bytes == 0
 
 
 class TestPbmeComposesWithSqlStrata:

@@ -11,8 +11,9 @@ spill), the cycle trap, churn identity plus the invariant over TC on
 cyclic graphs, non-linear TC, SG, AA and CSPA, churn identity through
 non-recursive strata (below, above and beside a closure, one holding a
 fact; NTC's, beside a recomputed negation), the over-deletion bound on
-a dense graph, and views mixing rank-0 and ranked rows (PBME-built,
-checkpoint-resumed, spilled).
+a dense graph (relational and PBME-built), the rank runs PBME writes,
+and views written in bulk and then maintained (PBME-built,
+checkpoint-resumed with rank 0 rows, spilled).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import operator
 from collections import defaultdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import CatalogError
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.datalog import ast as dast
 from repro.datasets.gnp import gnp_graph
@@ -239,6 +242,13 @@ class TestAppendRanks:
         assert 0 < first < second
         db.replace_rows("r", np.array([[9], [8]], dtype=np.int64))
         assert table.ranks().tolist() == [0, 0]
+        # Runs get fresh ranks, rising run by run, above every append.
+        db.replace_rows("r", np.array([[1], [2], [3]], dtype=np.int64), runs=[1, 2])
+        third, fourth = table.ranks()[0], table.ranks()[1]
+        assert table.ranks().tolist() == [third, fourth, fourth]
+        assert second < third < fourth
+        with pytest.raises(CatalogError):
+            db.replace_rows("r", np.array([[1], [2]], dtype=np.int64), runs=[1])
 
     def test_delete_keeps_survivor_ranks(self):
         db = Database(enforce_budgets=False)
@@ -287,7 +297,7 @@ class TestCircularSupport:
         return {y for x, y in view.fixpoint()["tc"] if x == 0}
 
     def test_cycle_fed_by_one_arc_dies_with_it(self):
-        for config in (RELATIONAL, {}):  # semi-naive ranks, PBME's rank 0
+        for config in (RELATIONAL, {}):  # semi-naive ranks, PBME's depth runs
             view = RecStep(RecStepConfig(**config)).materialize(
                 get_program("TC"), {"arc": self.CYCLE}, dataset="cycle"
             )
@@ -432,8 +442,46 @@ class TestOverDeletionIsLocal:
             view.release()
 
 
+    def test_first_delete_on_a_pbme_built_view(self):
+        """PBME writes one rank run per BFS depth, so a delete is rank
+        restricted: it used to over-delete the whole closure."""
+        arcs = gnp_graph(500, 0.01, seed=7)
+        view = RecStep(RecStepConfig(profile=True, fault_seed=None)).materialize(
+            get_program("TC"), {"arc": arcs}, dataset="G500"
+        )
+        try:
+            assert view.result.detail["pbme_strata"] == 1
+            size = len(view.fixpoint()["tc"])
+            result = view.maintain(deletes={"arc": arcs[:1]})
+            assert result.status == "ok", result.failure
+            overdeleted = view.database.profiler.counters.get("ivm.overdeleted_rows")
+            assert overdeleted <= size // 100
+            expected = RecStep(RecStepConfig()).evaluate(
+                get_program("TC"), {"arc": arcs[1:]}, dataset="G500"
+            )
+            assert view.fixpoint()["tc"] == expected.tuples["tc"]
+        finally:
+            view.release()
+
+
+class TestPbmeWritesRankRuns:
+    @pytest.mark.parametrize("program", ["TC", "SG"])
+    def test_ranks_are_well_founded_after_materialize(self, program):
+        spec = get_program(program)
+        view = RecStep(RecStepConfig(pbme=PbmeMode.ON)).materialize(
+            spec, {"arc": gnp_graph(40, 0.06, seed=11)}, dataset="pbme-ranks"
+        )
+        try:
+            assert view.result.detail["pbme_strata"] == 1
+            ranks = set(_ranks(view, program.lower()).values())
+            assert 0 not in ranks and len(ranks) > 2
+            assert_ranks_well_founded(view, spec)
+        finally:
+            view.release()
+
+
 # --------------------------------------------------------------------------
-# Views that mix rank-0 and ranked rows
+# Views written in bulk, then maintained
 # --------------------------------------------------------------------------
 
 
@@ -458,8 +506,8 @@ class TestMixedRankViews:
                 view, spec, self.GRAPH, self.BATCHES,
                 before_batch=lambda: seen.append(set(_ranks(view, "tc").values())),
             )  # fmt: skip
-            # All rank 0 at first, then the insert adds ranked rows beside them.
-            assert seen[0] == {0} and {0} < seen[1]
+            # One rank per BFS depth, none 0; the insert adds ranks beside them.
+            assert 0 not in seen[0] and seen[0] < seen[1]
         finally:
             view.release()
 
@@ -506,6 +554,6 @@ class TestMixedRankViews:
 
         try:
             _apply_churn(view, spec, self.GRAPH, self.BATCHES, before_batch=spill_half)
-            assert {0} < seen[1]
+            assert 0 not in seen[0] and seen[0] < seen[1]
         finally:
             view.release()
