@@ -303,11 +303,11 @@ def run_pbme_stratum(
 
         if decision.shape == "TC":
             base_rows = database.table_array(decision.base_relation)
-            levels, per_thread_cost = _run_tc(base_rows, edge_rows, n, config.threads, database)
+            pairs, runs, per_thread_cost = _run_tc(base_rows, edge_rows, n, config.threads, database)
             makespan, utilization = _zero_coordination_schedule(per_thread_cost)
-            iterations = len(levels)
+            iterations = len(runs)
         else:
-            levels, per_thread_cost, iterations, rebalances = _run_sg(
+            pairs, runs, per_thread_cost, iterations, rebalances = _run_sg(
                 edge_rows, n, config.threads, config.sg_coordination, database
             )
             if config.sg_coordination:
@@ -322,7 +322,6 @@ def run_pbme_stratum(
         bit_ops = int(round(float(per_thread_cost.sum()) / COST_PER_BIT_VISIT))
         profiler.counters.inc("pbme_strata")
         profiler.counters.inc("pbme_bit_ops", bit_ops)
-        pairs, runs = _stack_levels(levels)
         database.replace_rows(compiler.full_table(decision.idb), pairs, runs)
         database.analyze(compiler.full_table(decision.idb))
         span.set(
@@ -363,12 +362,13 @@ def _zero_coordination_schedule(per_thread_cost: np.ndarray) -> tuple[float, flo
     return makespan, utilization
 
 
-def _stack_levels(levels: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, list[int]]:
-    """All levels' ``(x, y)`` pairs as rows, and each non-empty level's size."""
-    rows = np.empty((sum(xs.size for xs, _ in levels), 2), dtype=np.int64)
-    for column, parts in enumerate(zip(*levels)):
-        np.concatenate(parts, out=rows[:, column])
-    return rows, [xs.size for xs, _ in levels if xs.size]
+def _stack_levels(levels: list[np.ndarray], width: int) -> tuple[np.ndarray, list[int]]:
+    """``(x, y)`` rows of all levels' pair keys ``y * width + x``, and each
+    non-empty level's size: one rank run per level."""
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *levels])
+    rows = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, width, out=(rows[:, 1], rows[:, 0]))
+    return rows, [level.size for level in levels if level.size]
 
 
 def _run_tc(
@@ -377,12 +377,12 @@ def _run_tc(
     n: int,
     threads: int,
     database: Database,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Algorithm 2: per-row frontier expansion, rows partitioned round-robin.
 
     The host runs the rows' BFS in lockstep over the transposed closure,
-    bit ``(y, x)`` being ``tc(x, y)``. Returns each depth's new ``(x, y)``
-    pairs and the per-thread cost of the rows' own frontiers.
+    bit ``(y, x)`` being ``tc(x, y)``. Returns the pairs, one rank run per
+    depth, and the per-thread cost of the rows' own frontiers.
     """
     closure = PackedBitMatrix(n)
     closure.set_pairs(base_rows[:, 1], base_rows[:, 0])
@@ -390,15 +390,14 @@ def _run_tc(
     # Arcs by target, gathered 8n rows at a time: no more than a level unpacks.
     order = np.argsort(edge_rows[:, 1], kind="stable")
     sources, targets = edge_rows[order, 0], edge_rows[order, 1]
-    bits_per_row = closure.words * 64
+    width = closure.words * 64
     row_costs = np.zeros(n, dtype=np.float64)
     levels = []
     frontier = closure.bits.copy()
     while frontier.any():
         unpacked = np.unpackbits(frontier.view(np.uint8), axis=1, bitorder="little")
-        ys, xs = np.divmod(np.flatnonzero(unpacked.view(bool)), bits_per_row)
-        levels.append((xs, ys))
-        row_costs += (np.bincount(xs, minlength=n) * bits_per_row) * COST_PER_BIT_VISIT
+        levels.append(np.flatnonzero(unpacked.view(bool)))
+        row_costs += np.bincount(levels[-1] % width, minlength=n) * width * COST_PER_BIT_VISIT
         reached = np.zeros_like(frontier)
         for start in range(0, sources.size, 8 * n):
             chunk = slice(start, start + 8 * n)
@@ -411,7 +410,8 @@ def _run_tc(
     database.metrics.release_transient(closure.memory_bytes())
     database.metrics.release_transient(closure.memory_bytes())
     k = max(1, threads)
-    return levels, np.bincount(np.arange(n) % k, weights=row_costs, minlength=k)
+    per_thread_cost = np.bincount(np.arange(n) % k, weights=row_costs, minlength=k)
+    return *_stack_levels(levels, width), per_thread_cost
 
 
 def _chunk_boundaries(weights: np.ndarray, limit: int) -> list[tuple[int, int]]:
@@ -457,14 +457,14 @@ def _run_sg(
     threads: int,
     coordination: bool,
     database: Database,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, int, int]:
+) -> tuple[np.ndarray, list[int], np.ndarray, int, int]:
     """Algorithm 3: pair worklist over the bit matrix with a child index.
 
     Work is attributed to the thread owning the originating matrix row;
     generated pairs inherit their producer's thread (the thread-local
     delta of Algorithm 3), which is what makes skew possible. A pair
     reached by several delta rows of one batch belongs to the producer
-    at the lowest delta position. Returns the seeds and each Δ as levels.
+    at the lowest delta position. The seeds and each Δ are one rank run.
     """
     k = max(1, threads)
     matrix = PackedBitMatrix(n)
@@ -512,7 +512,7 @@ def _run_sg(
     delta_x, delta_y, delta_owner = admit(
         seed_x * n + seed_y, np.arange(seed_x.size), seed_owner
     )
-    levels = [(delta_x, delta_y)]
+    levels = [delta_y * n + delta_x]
 
     iterations = 0
     while delta_x.size:
@@ -542,7 +542,7 @@ def _run_sg(
         delta_x, delta_y, delta_owner = (
             np.concatenate(columns) for columns in zip(*fresh)
         )
-        levels.append((delta_x, delta_y))
+        levels.append(delta_y * n + delta_x)
 
     database.metrics.release_transient(transient)
-    return levels, per_thread_cost, iterations, rebalances
+    return *_stack_levels(levels, n), per_thread_cost, iterations, rebalances

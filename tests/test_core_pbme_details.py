@@ -240,11 +240,10 @@ def _reference_run_tc(base_rows, edge_rows, n, threads):
 
 
 @st.composite
-def tc_inputs(draw):
-    """(base, arcs, n, threads): distinct base and edge relations. Bulk arcs
-    enter only even vertices, so odd ones may have no in-arc, and outnumber
-    8n, so a level gathers them in more than one chunk."""
-    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+def tc_inputs(draw, n):
+    """(base, arcs, threads): distinct base and edge relations. Bulk arcs
+    enter only even vertices, so odd ones may have no in-arc, and can
+    outnumber 8n, so a level gathers them in more than one chunk."""
     vertex = st.integers(0, n - 1)
     base = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
     arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
@@ -261,31 +260,31 @@ def tc_inputs(draw):
         ]
     )
     base_rows = np.array(base, dtype=np.int64).reshape(-1, 2)
-    return base_rows, edge_rows, n, draw(st.sampled_from([1, 7, 20, 200]))
+    return base_rows, edge_rows, draw(st.sampled_from([1, 7, 20, 200]))
 
 
 class TestLockstepTc:
-    @given(tc_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_per_row_bfs(self, case):
-        base_rows, edge_rows, n, threads = case
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_row_bfs(self, n, data):
+        base_rows, edge_rows, threads = data.draw(tc_inputs(n))
         database = Database(enforce_budgets=False)
-        levels, per_thread_cost = bitmatrix._run_tc(
+        rows, runs, per_thread_cost = bitmatrix._run_tc(
             base_rows, edge_rows, n, threads, database
         )
         depths, expected_cost = _reference_run_tc(base_rows, edge_rows, n, threads)
-        rows, runs = bitmatrix._stack_levels(levels)
         assert sorted(map(tuple, rows.tolist())) == sorted(depths)
         assert np.array_equal(per_thread_cost, expected_cost)
-        assert len(levels) == max(depths.values(), default=-1) + 1
+        assert len(runs) == max(depths.values(), default=-1) + 1
         assert runs == [
             sum(1 for depth in depths.values() if depth == level)
-            for level in range(len(levels))
+            for level in range(len(runs))
         ]
         assert {
-            (x, y): level
-            for level, (xs, ys) in enumerate(levels)
-            for x, y in zip(xs.tolist(), ys.tolist())
+            tuple(pair): level
+            for level, run in enumerate(np.split(rows, np.cumsum(runs)[:-1]))
+            for pair in run.tolist()
         } == depths
         words = (n + 63) // 64
         assert database.metrics.peak_transient_bytes == 2 * n * words * 8

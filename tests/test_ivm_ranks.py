@@ -441,7 +441,6 @@ class TestOverDeletionIsLocal:
         finally:
             view.release()
 
-
     def test_first_delete_on_a_pbme_built_view(self):
         """PBME writes one rank run per BFS depth, so a delete is rank
         restricted: it used to over-delete the whole closure."""
