@@ -395,9 +395,9 @@ def _run_tc(
     levels = []
     frontier = closure.bits.copy()
     while frontier.any():
-        unpacked = np.unpackbits(frontier.view(np.uint8), axis=1, bitorder="little")
-        levels.append(np.flatnonzero(unpacked.view(bool)))
-        row_costs += np.bincount(levels[-1] % width, minlength=n) * width * COST_PER_BIT_VISIT
+        bits = np.unpackbits(frontier.view(np.uint8), axis=1, bitorder="little").view(bool)
+        levels.append(np.flatnonzero(bits))
+        row_costs += np.count_nonzero(bits, axis=0)[:n] * width * COST_PER_BIT_VISIT
         reached = np.zeros_like(frontier)
         for start in range(0, sources.size, 8 * n):
             chunk = slice(start, start + 8 * n)
