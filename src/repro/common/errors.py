@@ -72,12 +72,11 @@ class RecStepError(EngineError):
 
 
 class KeyPackingError(EngineError):
-    """Packed join keys were used in a way that makes codes incomparable.
+    """A stable codec was asked for a code it cannot give.
 
-    Raised when a compact concatenated key packed with one call's local
-    offsets is compared against a key packed by a *different* call (their
-    codes live in unrelated coordinate systems), or when a value falls
-    outside the explicit domain a stable codec was built with.
+    Raised when a value falls outside the explicit domain a
+    :class:`~repro.engine.kernels.KeyCodec` was built with, or when its
+    key needs more than the 63 bits of a compact concatenated key.
     """
 
 

@@ -88,10 +88,11 @@ def classify_stratum(compiled: CompiledStratum) -> str:
 
 class _RankIndex:
     """Row → (append rank, deleted?) over one relation's pre-batch rows, by
-    packed key (row-dictionary code if the row is too wide to pack)."""
+    packed key (the row's record if it is too wide to pack)."""
 
     def __init__(self, rows: np.ndarray, ranks: np.ndarray) -> None:
-        columns = [rows[:, i] for i in range(rows.shape[1])]
+        self.rows, self.rank = rows.copy(), ranks
+        columns = [self.rows[:, i] for i in range(rows.shape[1])]
         codec = kernels.KeyCodec.observed(columns)
         if codec.packable:
             self._keys_of = lambda probe: codec.pack_probe(
@@ -99,10 +100,8 @@ class _RankIndex:
             )
             keys = codec.encode(columns)
         else:
-            dictionary = kernels.RowDictionary(rows.shape[1])
-            keys = dictionary.encode(rows, extend=True)
-            self._keys_of = dictionary.encode
-        self.rows, self.rank = rows.copy(), ranks
+            self._keys_of = kernels.row_records
+            keys = kernels.row_records(self.rows)
         self.deleted = np.zeros(rows.shape[0], dtype=bool)
         # A dense key space is one lookup per probe (TC/G500: 2^18 codes for
         # 246 k rows); a sparse one is sorted once and binary-searched.
@@ -129,7 +128,11 @@ class _RankIndex:
 
     def live(self, rows: np.ndarray) -> np.ndarray:
         """The distinct slots of ``rows`` present and not deleted."""
-        slots = self._find(kernels.sorted_distinct(self._keys_of(rows)))
+        keys = self._keys_of(rows)
+        if keys.dtype.names is None:
+            slots = self._find(kernels.sorted_distinct(keys))
+        else:  # records have no ordering ufunc: deduplicate their slots
+            slots = kernels.sorted_distinct(self._find(keys))
         slots = slots[slots >= 0]
         return slots[~self.deleted[slots]]
 

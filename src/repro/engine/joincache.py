@@ -3,10 +3,11 @@
 Semi-naive evaluation re-joins Δ against the *full* relations every
 iteration, and full tables only ever grow (append-only) between the
 iterations of a stratum. This module exploits that: the packed-key index
-over a full-side join input — stable CCK codes (or a
-:class:`~repro.engine.kernels.RowDictionary` when the key is too wide to
-pack) kept sorted alongside the originating row positions — is built
-once, then *extended* with each iteration's Δ slice instead of rebuilt.
+over a full-side join input — stable CCK codes (or the key rows
+themselves, as :func:`~repro.engine.kernels.row_records`, when the key is
+too wide to pack) kept sorted alongside the originating row positions —
+is built once, then *extended* with each iteration's Δ slice instead of
+rebuilt.
 Per-iteration build cost becomes proportional to |Δ|, not |full|; the
 whole-row index ``Δ = R_Δ - R`` anti-probes keeps each Δ as a sorted run,
 or one bit per code once R fills enough of its codec's code space.
@@ -53,10 +54,9 @@ class JoinIndexEntry:
 
     table: str
     key_columns: tuple[str, ...]
-    #: Exactly one of codec/dictionary is set: packable keys use the
-    #: domain-stable CCK codec, wide keys the incremental row dictionary.
+    #: The domain-stable CCK codec; ``None`` when the key is too wide to
+    #: pack, and the codes below are then the key rows' records.
     codec: kernels.KeyCodec | None
-    dictionary: kernels.RowDictionary | None
     #: Ascending code arrays whose union is the indexed keys: one, aligned
     #: with ``sorted_positions``, for a join key; for a whole-row entry (the
     #: index cached OPSD anti-probes) one immutable run per size tier of
@@ -99,25 +99,17 @@ class JoinIndexEntry:
         return self.runs[0], self.sorted_positions
 
     def memory_bytes(self) -> int:
-        total = index_bytes(self.rows_indexed)
-        if self.dictionary is not None:
-            total += self.dictionary.memory_bytes()
-        return total
+        return index_bytes(self.rows_indexed)
 
     def probe_codes(self, columns: list[np.ndarray]) -> np.ndarray:
         """Encode probe-side key columns into this index's code space.
 
         Probe values the index has never seen map to codes that match
-        nothing (CCK: out-of-domain → -1; dictionary: transient codes
-        beyond every stored one), so probing is always safe.
+        nothing (CCK: out-of-domain → -1; records: the row itself), so
+        probing is always safe.
         """
-        if self.dictionary is not None:
-            matrix = (
-                np.column_stack(columns)
-                if columns[0].shape[0]
-                else np.empty((0, len(columns)), dtype=np.int64)
-            )
-            return self.dictionary.encode(matrix, extend=False)
+        if self.codec is None:
+            return kernels.row_records(np.column_stack(columns))
         return self.codec.pack_probe(columns)
 
 
@@ -251,13 +243,10 @@ class JoinStateCache:
         n = table.num_rows
         ctx.model.index_build(n)
         codec = self._codec_for(ctx, table, columns, key_columns)
-        dictionary = None
         if codec.packable:
             codes = codec.pack(columns)
         else:
-            codec = None
-            dictionary = kernels.RowDictionary(len(key_columns))
-            codes = dictionary.encode(columns_matrix, extend=True)
+            codec, codes = None, kernels.row_records(columns_matrix)
         whole_row = key_columns == table.column_names
         bitmap = runs = order = None
         if whole_row and _is_dense(codec, n):
@@ -271,7 +260,6 @@ class JoinStateCache:
             table=table.name,
             key_columns=key_columns,
             codec=codec,
-            dictionary=dictionary,
             runs=runs,
             sorted_positions=order,
             rows_indexed=n,
@@ -305,7 +293,7 @@ class JoinStateCache:
         if entry.codec is not None:
             codes = entry.codec.encode(columns)
         else:
-            codes = entry.dictionary.encode(tail_matrix, extend=True)
+            codes = kernels.row_records(tail_matrix)
         bitmap = entry.bitmap
         if bitmap is not None:
             # Setting bits is idempotent, so doing it in place keeps a
@@ -342,8 +330,7 @@ def _is_dense(codec: kernels.KeyCodec | None, rows: int) -> bool:
     """True when a whole-row entry over ``rows`` rows should be a bitmap.
 
     Only multi-column packed codes are bounded by the codec's space (a
-    single-column code is the raw value, a dictionary's codes are not
-    positional).
+    single-column code is the raw value, a wide key is a record).
     """
     return (
         codec is not None

@@ -3,27 +3,20 @@
 These are the NumPy equivalents of QuickStep's operator implementations:
 key packing (the compact concatenated key of Figure 5), hash-equivalent
 equi-joins, anti-joins, row deduplication, and sorted group-by reduction.
-All kernels are pure: they never mutate their inputs — except
-:class:`RowDictionary`, whose whole point is to carry factorization state
-across calls.
+All kernels are pure: they never mutate their inputs.
 
-Key packing comes in two flavours:
-
-* **Domain-stable** (:class:`KeyCodec`, ``pack_columns(..., domains=...)``):
-  offsets and widths come from explicit :class:`~repro.storage.stats.
-  ColumnDomain` values, so the same tuple packs to the same code in every
-  call. This is what the iteration-persistent join-state cache relies on.
-* **Call-local** (legacy ``pack_columns(columns)``): offsets derive from
-  each call's observed min/max. Codes from two different calls live in
-  unrelated coordinate systems; comparing them silently produced garbage
-  matches. Such keys are now tagged with a per-call token and the join
-  kernels raise :class:`~repro.common.errors.KeyPackingError` on
-  cross-call reuse.
+A multi-column row becomes one int64 CCK code when it fits 63 bits.
+:class:`KeyCodec` fixes each column's offset and width: built from
+explicit :class:`~repro.storage.stats.ColumnDomain` values it gives the
+same tuple the same code in every call, which is what the
+iteration-persistent join-state cache relies on; built from one call's
+observed min/max (:meth:`KeyCodec.observed`) its codes only compare
+within that call. A row too wide to pack is either factorized per call
+(:func:`factorize_rows`: joins, semi-joins, set operations) or, in an
+index kept across calls, keyed by the row itself (:func:`row_records`).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -37,71 +30,21 @@ MAX_PACK_BITS = 63
 # Key packing (compact concatenated key, Figure 5)
 # --------------------------------------------------------------------------
 
-_pack_call_tokens = itertools.count(1)
 
-
-class _LocalPackedKey(np.ndarray):
-    """An int64 key column packed with one call's local offsets.
-
-    The ``_pack_token`` identifies the packing call; keys carrying
-    different tokens are incomparable (their codes use different
-    per-column offsets). The token survives slicing and masking via
-    ``__array_finalize__``.
-    """
-
-    _pack_token: int | None = None
-
-    def __array_finalize__(self, obj) -> None:
-        if obj is not None:
-            self._pack_token = getattr(obj, "_pack_token", None)
-
-
-def _tag_local(key: np.ndarray) -> np.ndarray:
-    tagged = key.view(_LocalPackedKey)
-    tagged._pack_token = next(_pack_call_tokens)
-    return tagged
-
-
-def _check_comparable(left_keys: np.ndarray, right_keys: np.ndarray) -> None:
-    """Reject comparisons between keys packed by different local calls."""
-    left_token = getattr(left_keys, "_pack_token", None)
-    right_token = getattr(right_keys, "_pack_token", None)
-    if left_token is not None and right_token is not None and left_token != right_token:
-        raise KeyPackingError(
-            "packed keys from different pack_columns calls are incomparable: "
-            "each call derives offsets from its own min/max; pack both sides "
-            "in one call (make_join_keys) or use a domain-stable KeyCodec"
-        )
-
-
-def pack_columns(
-    columns: list[np.ndarray], domains: list[ColumnDomain] | None = None
-) -> np.ndarray | None:
-    """Pack several int64 columns into one int64 key column, if they fit.
+def pack_columns(columns: list[np.ndarray], domains: list[ColumnDomain]) -> np.ndarray | None:
+    """Pack several int64 columns into one stable int64 key, if they fit.
 
     Mirrors the paper's CCK: the concatenation of fixed-width attribute
     encodings *is* the key (and its own hash). Returns ``None`` when the
-    combined bit width exceeds 63 bits; callers then fall back to
-    factorization.
-
-    With explicit ``domains`` the encoding is *stable*: codes are
-    comparable across calls (values outside their domain raise
-    :class:`KeyPackingError`). Without domains the offsets are the call's
-    observed minima and the result is tagged call-local — comparing it
-    against another call's key raises in the join kernels.
+    combined bit width exceeds 63 bits; values outside their domain raise
+    :class:`KeyPackingError`.
     """
     if not columns:
         raise ValueError("pack_columns requires at least one column")
-    if domains is not None and len(domains) != len(columns):
+    if len(domains) != len(columns):
         raise ValueError("pack_columns got mismatched domain count")
-    if len(columns) == 1:
-        return columns[0]
-    codec = KeyCodec(domains) if domains is not None else KeyCodec.observed(columns)
-    if not codec.packable:
-        return None
-    if domains is not None:
-        return codec.pack(columns)
-    return _tag_local(codec.encode(columns))
+    codec = KeyCodec(domains)
+    return codec.pack(columns) if codec.packable else None
 
 
 class KeyCodec:
@@ -214,86 +157,27 @@ class KeyCodec:
         return key
 
 
-class RowDictionary:
-    """Incremental row → dense-code dictionary (persistent factorization).
+def row_records(rows: np.ndarray) -> np.ndarray:
+    """The rows of an ``(n, w)`` int64 matrix as ``n`` records.
 
-    The stateful replacement for re-running ``np.unique`` over
-    ``vstack(full, delta)`` every iteration: rows seen before keep their
-    code; only unseen Δ rows are assigned fresh codes. Rows are compared
-    via a structured int64 view (lexicographic field order), so lookups
-    are one ``searchsorted`` against the sorted known rows.
+    A structured view (one int64 field per column, no copy when ``rows``
+    is contiguous) that sorts, searches and compares equal row by row in
+    lexicographic signed order: the key of a row too wide to pack in an
+    index kept across calls. NumPy has no ordering or ``out=`` comparison
+    loop for records, so only ``np.sort``/``argsort``, ``searchsorted``,
+    ``np.insert`` and ``==`` may see them.
     """
-
-    def __init__(self, width: int) -> None:
-        if width < 1:
-            raise ValueError("RowDictionary requires width >= 1")
-        self.width = int(width)
-        self._dtype = np.dtype([(f"f{i}", np.int64) for i in range(self.width)])
-        self._sorted_rows = np.empty(0, dtype=self._dtype)
-        self._sorted_codes = np.empty(0, dtype=np.int64)
-        self._next_code = 0
-
-    def __len__(self) -> int:
-        return int(self._sorted_rows.shape[0])
-
-    def memory_bytes(self) -> int:
-        return int(self._sorted_rows.nbytes + self._sorted_codes.nbytes)
-
-    def _as_records(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.width:
-            raise ValueError(
-                f"RowDictionary of width {self.width} cannot encode shape {rows.shape}"
-            )
-        return rows.view(self._dtype).ravel()
-
-    def encode(self, rows: np.ndarray, extend: bool = False) -> np.ndarray:
-        """Codes for ``rows``; known rows always get their stored code.
-
-        With ``extend=True`` unseen rows receive fresh persistent codes
-        (the dictionary grows). Without it they receive transient codes
-        ``>= next_code`` — distinct from every stored code, so equality
-        semantics against dictionary-encoded data still hold.
-        """
-        records = self._as_records(rows)
-        n = records.shape[0]
-        codes = np.empty(n, dtype=np.int64)
-        if self._sorted_rows.size:
-            positions = np.searchsorted(self._sorted_rows, records)
-            clipped = np.minimum(positions, self._sorted_rows.size - 1)
-            found = self._sorted_rows[clipped] == records
-            codes[found] = self._sorted_codes[clipped[found]]
-        else:
-            found = np.zeros(n, dtype=bool)
-        unseen = ~found
-        if unseen.any():
-            unique, inverse = np.unique(records[unseen], return_inverse=True)
-            codes[unseen] = self._next_code + inverse
-            if extend:
-                fresh = self._next_code + np.arange(unique.size, dtype=np.int64)
-                insert_at = np.searchsorted(self._sorted_rows, unique)
-                self._sorted_rows = np.insert(self._sorted_rows, insert_at, unique)
-                self._sorted_codes = np.insert(self._sorted_codes, insert_at, fresh)
-                self._next_code += int(unique.size)
-        return codes
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    fields = np.dtype([(f"f{i}", np.int64) for i in range(rows.shape[1])])
+    return rows.view(fields).reshape(-1)
 
 
-def factorize_rows(
-    left: np.ndarray, right: np.ndarray, dictionary: RowDictionary | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def factorize_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map the rows of two equal-arity matrices to a shared integer code.
 
-    Fallback for keys too wide to pack. Without a ``dictionary`` it
-    sorts the union and assigns dense codes — O((|left|+|right|)·log)
-    every call. With one, previously seen rows reuse their cached code
-    and only unseen ``right`` rows are assigned (and persisted) fresh
-    codes, so repeated calls over a growing ``right`` pay for the new
-    rows only.
+    Fallback for per-call keys too wide to pack: sorts the union and
+    assigns dense codes, O((|left|+|right|)·log) per call.
     """
-    if dictionary is not None:
-        right_codes = dictionary.encode(right, extend=True)
-        left_codes = dictionary.encode(left, extend=False)
-        return left_codes, right_codes
     combined = np.vstack([left, right])
     _, inverse = np.unique(combined, axis=0, return_inverse=True)
     return inverse[: left.shape[0]], inverse[left.shape[0]:]
@@ -327,7 +211,6 @@ def make_join_keys(
 
 def equi_join_count(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
     """Exact output cardinality of the equi-join, without materializing it."""
-    _check_comparable(left_keys, right_keys)
     if left_keys.size == 0 or right_keys.size == 0:
         return 0
     starts, ends = sorted_probe_range(left_keys, np.sort(right_keys))
@@ -353,7 +236,6 @@ def equi_join_indices(
     Sort-probe implementation with the same asymptotics as a hash join;
     the cost model, not this kernel, decides which side is "built".
     """
-    _check_comparable(left_keys, right_keys)
     sorted_right, order = sort_index(right_keys)
     starts, ends = sorted_probe_range(left_keys, sorted_right)
     return sorted_join_indices(starts, ends, order)
@@ -491,7 +373,6 @@ def semi_join_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     and probed in ascending left order — never ``np.isin``'s default,
     which hash-uniques the larger side.
     """
-    _check_comparable(left_keys, right_keys)
     left, right = np.asarray(left_keys), np.asarray(right_keys)
     if left.size == 0 or right.size == 0:
         return np.zeros(left.size, dtype=bool)
@@ -625,8 +506,9 @@ def group_aggregate(
         ]
 
     key_matrix = np.column_stack(group_columns)
-    packed = pack_columns(group_columns)
-    if packed is not None:
+    codec = KeyCodec.observed(group_columns)
+    if codec.packable:
+        packed = codec.encode(group_columns)
         order = np.argsort(packed, kind="stable")
         sorted_keys = packed[order]
         boundary = np.empty(n, dtype=bool)

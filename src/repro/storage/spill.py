@@ -200,10 +200,7 @@ class SpillManager:
         segments = self._segments.get(table.name)
         if not segments:
             return 0
-        prefix = np.empty((table.spilled_rows, table.arity), dtype=np.int64)
-        for segment in segments:
-            rows = self.read_segment(table, segment)
-            prefix[segment.start_row : segment.start_row + segment.num_rows] = rows
+        prefix = self.snapshot_prefix(table)
         table.absorb_spilled_prefix(prefix)
         self._note_spilled(-sum(segment.logical_bytes for segment in segments))
         self._remove_files(segments)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import KeyPackingError
 from repro.engine import kernels
-from repro.storage.stats import ColumnDomain
+from repro.storage.stats import ColumnDomain, observed_domain
 
 rows_strategy = st.lists(
     st.tuples(st.integers(0, 50), st.integers(0, 50)), min_size=0, max_size=60
@@ -21,31 +21,35 @@ def as_matrix(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64)
 
 
+def observed(columns: list[np.ndarray]) -> list[ColumnDomain]:
+    return [observed_domain(column) for column in columns]
+
+
 class TestPackColumns:
     def test_single_column_identity(self):
         col = np.array([3, 1, 2], dtype=np.int64)
-        assert kernels.pack_columns([col]) is col
+        assert kernels.pack_columns([col], observed([col])) is col
 
     def test_pack_two_columns_injective(self):
         a = np.array([0, 1, 0, 1], dtype=np.int64)
         b = np.array([0, 0, 1, 1], dtype=np.int64)
-        packed = kernels.pack_columns([a, b])
+        packed = kernels.pack_columns([a, b], observed([a, b]))
         assert len(np.unique(packed)) == 4
 
     def test_pack_handles_negative_offsets(self):
         a = np.array([-5, -4], dtype=np.int64)
         b = np.array([7, 8], dtype=np.int64)
-        packed = kernels.pack_columns([a, b])
+        packed = kernels.pack_columns([a, b], observed([a, b]))
         assert packed is not None
         assert len(np.unique(packed)) == 2
 
     def test_pack_too_wide_returns_none(self):
         wide = np.array([0, 1 << 40], dtype=np.int64)
-        assert kernels.pack_columns([wide, wide]) is None
+        assert kernels.pack_columns([wide, wide], observed([wide, wide])) is None
 
     def test_pack_empty_columns(self):
         empty = np.empty(0, dtype=np.int64)
-        packed = kernels.pack_columns([empty, empty])
+        packed = kernels.pack_columns([empty, empty], observed([empty, empty]))
         assert packed is not None and packed.shape == (0,)
 
     @given(rows_strategy)
@@ -54,7 +58,8 @@ class TestPackColumns:
         matrix = as_matrix(pairs)
         if matrix.shape[0] == 0:
             return
-        packed = kernels.pack_columns([matrix[:, 0], matrix[:, 1]])
+        columns = [matrix[:, 0], matrix[:, 1]]
+        packed = kernels.pack_columns(columns, observed(columns))
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[0]):
                 same_row = bool((matrix[i] == matrix[j]).all())
@@ -62,50 +67,22 @@ class TestPackColumns:
 
 
 class TestCrossCallPacking:
-    """Root cause of the join-state bug: legacy ``pack_columns`` derives
-    offsets from each call's observed min/max, so codes from different
-    calls live in unrelated coordinate systems. Reusing them must raise
-    instead of silently producing garbage matches."""
+    """An observed codec derives offsets from one call's min/max, so its
+    codes compare only within that call; an index kept across calls
+    needs the domain-stable codec of the next class."""
 
     def test_same_tuple_packs_differently_across_calls(self):
-        # The buggy premise, demonstrated: (5, 5) gets a different code
-        # depending on which other values shared the call.
-        first = kernels.pack_columns(
-            [np.array([5, 9], dtype=np.int64), np.array([5, 9], dtype=np.int64)]
-        )
-        second = kernels.pack_columns(
-            [np.array([5, 0], dtype=np.int64), np.array([5, 0], dtype=np.int64)]
-        )
-        assert first[0] != second[0]  # same tuple (5, 5), different codes
-
-    def test_equi_join_rejects_cross_call_keys(self):
-        left = kernels.pack_columns(
-            [np.array([1, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64)]
-        )
-        right = kernels.pack_columns(
-            [np.array([1, 8], dtype=np.int64), np.array([3, 9], dtype=np.int64)]
-        )
-        with pytest.raises(KeyPackingError):
-            kernels.equi_join_count(left, right)
-        with pytest.raises(KeyPackingError):
-            kernels.equi_join_indices(left, right)
-        with pytest.raises(KeyPackingError):
-            kernels.semi_join_mask(left, right)
-
-    def test_token_survives_slicing(self):
-        key = kernels.pack_columns(
-            [np.array([1, 2, 3], dtype=np.int64), np.array([4, 5, 6], dtype=np.int64)]
-        )
-        other = kernels.pack_columns(
-            [np.array([9, 9], dtype=np.int64), np.array([9, 8], dtype=np.int64)]
-        )
-        with pytest.raises(KeyPackingError):
-            kernels.semi_join_mask(key[1:], other)
+        # (5, 5) gets a different code depending on which other values
+        # shared the call.
+        first = [np.array([5, 9], dtype=np.int64)] * 2
+        second = [np.array([5, 0], dtype=np.int64)] * 2
+        first_key = kernels.KeyCodec.observed(first).encode(first)
+        second_key = kernels.KeyCodec.observed(second).encode(second)
+        assert first_key[0] != second_key[0]  # same tuple (5, 5), different codes
 
     def test_same_call_keys_stay_comparable(self):
-        key = kernels.pack_columns(
-            [np.array([1, 2, 1], dtype=np.int64), np.array([3, 4, 3], dtype=np.int64)]
-        )
+        columns = [np.array([1, 2, 1], dtype=np.int64), np.array([3, 4, 3], dtype=np.int64)]
+        key = kernels.KeyCodec.observed(columns).encode(columns)
         assert kernels.equi_join_count(key[:1], key[1:]) == 1
 
     def test_make_join_keys_is_the_sanctioned_path(self):
@@ -178,48 +155,6 @@ class TestDomainStablePacking:
         assert codec.pack([col]) is col
 
 
-class TestRowDictionary:
-    def test_codes_stable_across_calls(self):
-        d = kernels.RowDictionary(2)
-        rows = np.array([[1, 2], [3, 4]], dtype=np.int64)
-        first = d.encode(rows, extend=True)
-        second = d.encode(rows, extend=True)
-        assert first.tolist() == second.tolist()
-        assert len(d) == 2
-
-    def test_unseen_rows_without_extend_are_transient(self):
-        d = kernels.RowDictionary(2)
-        d.encode(np.array([[1, 2]], dtype=np.int64), extend=True)
-        probe = d.encode(np.array([[9, 9]], dtype=np.int64), extend=False)
-        assert probe[0] >= len(d)  # never collides with a stored code
-        assert len(d) == 1  # and nothing was persisted
-
-    def test_extend_only_pays_for_new_rows(self):
-        d = kernels.RowDictionary(2)
-        base = np.array([[i, i + 1] for i in range(50)], dtype=np.int64)
-        codes = d.encode(base, extend=True)
-        delta = np.array([[100, 101]], dtype=np.int64)
-        d.encode(delta, extend=True)
-        assert len(d) == 51
-        # Old rows keep their original codes after the extension.
-        assert d.encode(base, extend=False).tolist() == codes.tolist()
-
-    def test_factorize_rows_with_dictionary_matches_stateless(self):
-        left = np.array([[1, 2], [9, 9]], dtype=np.int64)
-        right = np.array([[1, 2], [3, 4]], dtype=np.int64)
-        stateless_l, stateless_r = kernels.factorize_rows(left, right)
-        d = kernels.RowDictionary(2)
-        stateful_l, stateful_r = kernels.factorize_rows(left, right, dictionary=d)
-        # Same equality structure, possibly different code values.
-        assert (stateless_l[0] == stateless_r[0]) and (stateful_l[0] == stateful_r[0])
-        assert stateful_l[1] not in set(stateful_r.tolist())
-
-    def test_width_mismatch_rejected(self):
-        d = kernels.RowDictionary(2)
-        with pytest.raises(ValueError):
-            d.encode(np.array([[1, 2, 3]], dtype=np.int64))
-
-
 class TestSortedIndexKernels:
     @staticmethod
     def _classic(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,6 +212,41 @@ class TestSortedIndexKernels:
         assert sorted(zip(got_probe.tolist(), got_table.tolist())) == sorted(
             zip(li.tolist(), ri.tolist())
         )
+
+
+class TestRowRecords:
+    """Rows too wide to pack are keyed by their records in persistent
+    indexes; the sorted-index kernels must treat them as rows."""
+
+    @given(st.integers(2, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_records_sort_merge_and_probe_as_rows(self, width, data):
+        values = st.sampled_from([-(1 << 42), -1, 0, 5, 1 << 42])
+        base, delta, probe = (
+            data.draw(st.lists(st.tuples(*[values] * width), max_size=30)) for _ in range(3)
+        )
+
+        def matrix(rows):
+            return np.asarray(rows, dtype=np.int64).reshape(-1, width)
+
+        base_rows, delta_rows, probe_rows = matrix(base), matrix(delta), matrix(probe)
+        base_keys = kernels.row_records(base_rows)
+        sorted_keys, positions = kernels.sort_index(base_keys)
+        assert sorted_keys.tolist() == sorted(map(tuple, base))
+        merged, merged_positions = kernels.merge_sorted_index(
+            sorted_keys,
+            positions,
+            kernels.row_records(delta_rows),
+            np.arange(len(base), len(base) + len(delta), dtype=np.int64),
+        )
+        # The incremental index equals one stable argsort of all rows.
+        whole = np.vstack([base_rows, delta_rows])
+        expected = np.lexsort(tuple(whole[:, i] for i in reversed(range(width))))
+        assert merged_positions.tolist() == expected.tolist()
+        assert np.array_equal(merged, kernels.row_records(whole[expected]))
+        present = set(map(tuple, base + delta))
+        hits = kernels.isin_sorted(kernels.row_records(probe_rows), merged)
+        assert hits.tolist() == [row in present for row in probe]
 
 
 class TestEquiJoin:
@@ -352,19 +322,15 @@ class TestSemiAntiJoin:
     @given(rows_strategy, st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
     def test_local_packed_keys_of_one_call(self, pairs, split):
-        # Both sides sliced from one pack_columns call: comparable, and
-        # the mask is what np.isin says about the untagged codes.
+        # Both sides sliced from one observed codec's key: comparable, and
+        # the mask is what np.isin says about the codes.
         rows = as_matrix(pairs + [(0, 0), (50, 50)])
-        key = kernels.pack_columns([rows[:, 0], rows[:, 1]])
+        columns = [rows[:, 0], rows[:, 1]]
+        key = kernels.KeyCodec.observed(columns).encode(columns)
         left, right = key[:split], key[split:]
         mask = kernels.semi_join_mask(left, right)
         assert type(mask) is np.ndarray
-        assert np.array_equal(mask, np.isin(np.asarray(left), np.asarray(right)))
-        other = kernels.pack_columns([rows[:, 1], rows[:, 0]])
-        with pytest.raises(KeyPackingError):
-            kernels.semi_join_mask(left, other)
-        with pytest.raises(KeyPackingError):
-            kernels.semi_join_mask(other[:0], right)
+        assert np.array_equal(mask, np.isin(left, right))
 
 
 class TestUniqueRows:

@@ -221,9 +221,8 @@ class TestModuleSeam:
 
         allowed = {
             "isin": {"semi_join_mask"},  # the kind="table" pass
-            "insert": {"merge_sorted_index", "RowDictionary.encode"},
+            "insert": {"merge_sorted_index"},
             "unique": {
-                "RowDictionary.encode",
                 "factorize_rows",
                 "unique_rows",
                 "_distinct_left_keys",  # wide-row fallbacks
