@@ -64,9 +64,6 @@ BASE_SEED = 20260808
 #: The dataset seed of ``benchmarks/perf``'s cells.
 PERF_SEED = 7
 
-#: Inputs that are not registry datasets.
-EXTRA_DATASETS = {"ivm-pin": lambda seed: {"arc": gnp_graph(150, 0.02, seed=seed)}}
-
 
 class Entry(NamedTuple):
     name: str
@@ -177,8 +174,8 @@ ENTRIES: list[Entry] = [
 
 
 def _edb(entry: Entry) -> dict[str, np.ndarray]:
-    if entry.dataset in EXTRA_DATASETS:
-        return EXTRA_DATASETS[entry.dataset](entry.seed)
+    if entry.dataset == "ivm-pin":  # not a registry dataset
+        return {"arc": gnp_graph(150, 0.02, seed=entry.seed)}
     return prepare_edb(get_program(entry.program), entry.dataset, seed=entry.seed)
 
 
@@ -223,7 +220,7 @@ def trace_digest(sim_seconds, peak, cpu, memory, counters: dict) -> str:
 
 
 def _evaluation(result) -> dict:
-    counters = dict(result.profile.counters) if result.profile is not None else {}
+    counters = dict(result.profile.counters)
     return {
         "status": result.status,
         "sim_seconds": result.sim_seconds,
@@ -335,7 +332,6 @@ def _serve(entry: Entry) -> dict:
         "now": snapshot["now"],
         "histograms": snapshot["histograms"],
         "queue_timeline": snapshot["queue_timeline"],
-        "session_counts": snapshot["session_counts"],
         "states": [service.status(session)["state"] for session in sessions],
     }
 
@@ -343,8 +339,6 @@ def _serve(entry: Entry) -> dict:
 def _plain(value):
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
     raise TypeError(f"not JSON-serializable: {value!r}")
 
 
@@ -372,10 +366,6 @@ def load_ledger() -> dict:
     return json.loads(LEDGER_PATH.read_text())
 
 
-def dump_ledger(records: dict) -> str:
-    return json.dumps(records, indent=1, sort_keys=True) + "\n"
-
-
 def _flatten(value, prefix: str = ""):
     if isinstance(value, dict):
         for key in sorted(value):
@@ -390,13 +380,12 @@ def _flatten(value, prefix: str = ""):
 def field_diff(old: dict, new: dict) -> list[str]:
     """One ``entry.field: old -> new`` line per changed leaf."""
     before, after = dict(_flatten(old)), dict(_flatten(new))
-    missing = object()
-    return [
-        f"{path}: {before.get(path, missing)!r} -> {after.get(path, missing)!r}"
-        .replace(repr(missing), "<absent>")
-        for path in sorted(before.keys() | after.keys())
-        if before.get(path, missing) != after.get(path, missing)
-    ]
+    lines = []
+    for path in sorted(before.keys() | after.keys()):
+        was, now = before.get(path, "<absent>"), after.get(path, "<absent>")
+        if was != now:
+            lines.append(f"{path}: {was!r} -> {now!r}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -409,13 +398,12 @@ def main(argv: list[str] | None = None) -> int:
     for entry in ENTRIES:
         records[entry.name] = measure(entry)
         print(f"measured {entry.name}", flush=True)
-    committed = load_ledger() if LEDGER_PATH.exists() else {}
-    lines = field_diff(committed, records)
+    lines = field_diff(load_ledger() if LEDGER_PATH.exists() else {}, records)
     print("\n".join(lines) if lines else "no field moved")
     if args.write:
-        LEDGER_PATH.write_text(dump_ledger(records))
+        LEDGER_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
         print(f"wrote {LEDGER_PATH}")
-    return 0
+    return int(bool(lines) and not args.write)
 
 
 if __name__ == "__main__":

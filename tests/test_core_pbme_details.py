@@ -19,7 +19,6 @@ from repro.core.bitmatrix import (
 )
 from repro.datalog.analyzer import analyze_program
 from repro.datalog.parser import parse_program
-from repro.datasets import load_dataset
 from repro.engine.database import Database
 from repro.programs import get_program
 from tests.conftest import reference_same_generation
@@ -322,49 +321,3 @@ class TestPbmeComposesWithSqlStrata:
         nodes = {int(v) for edge in dense for v in edge}
         expected = {(a, b) for a in nodes for b in nodes if (a, b) not in closure}
         assert result.tuples["ntc"] == expected
-
-
-#: (program, dataset, config) -> (sim_seconds, iterations,
-#: peak_memory_bytes, pbme_bit_ops, tuples), recorded at 37ac5a6 — the last
-#: commit whose ``_run_sg`` sorted the materialized (q, p) expansion.
-PBME_SIM_CLOCK_PINS = [
-    ("SG", "G500", dict(threads=20), (0.01966677333333333, 4, 1996528, 6474670, 247009)),
-    ("SG", "G500", dict(threads=7), (0.03481954833333333, 4, 1996528, 6474670, 247009)),
-    ("SG", "G500", dict(threads=20, sg_coordination=True), (0.030403075964912277, 4, 1996528, 6474670, 247009)),
-    ("SG", "G500", dict(threads=7, sg_coordination=True), (0.03842463799498747, 4, 1996528, 6474670, 247009)),
-    ("SG", "G700", dict(threads=20), (0.049602360000000005, 4, 3959832, 24825911, 490000)),
-    ("SG", "G700", dict(threads=7), (0.10777146000000003, 4, 3959832, 24825911, 490000)),
-    ("SG", "G700", dict(threads=20, sg_coordination=True), (0.07598553236842107, 4, 3959832, 24825911, 490000)),
-    ("SG", "G700", dict(threads=7, sg_coordination=True), (0.11585035248120301, 4, 3959832, 24825911, 490000)),
-    ("TC", "G500", dict(threads=20), (0.16873039999999992, 8, 2004480, 126977536, 248003)),
-    ("TC", "G500", dict(threads=7), (0.46772560000000063, 8, 2004480, 126977536, 248003)),
-    ("TC", "G1K", dict(threads=20), (1.2947540866666667, 5, 8080904, 1024000000, 1000000)),
-]
-
-
-class TestPbmeSimClockPin:
-    """The owner tie-break, chunk order and per-thread cost attribution
-    all feed the sim clock; a host-side rewrite must not move any of it."""
-
-    @pytest.mark.parametrize(
-        "program,dataset,config,expected",
-        PBME_SIM_CLOCK_PINS,
-        ids=[
-            f"{p}-{d}-{'-'.join(f'{k}={v}' for k, v in c.items())}"
-            for p, d, c, _ in PBME_SIM_CLOCK_PINS
-        ],
-    )
-    def test_modeled_numbers_match_recorded(self, program, dataset, config, expected):
-        # fault_seed=None: a chaos run (REPRO_CHAOS_SEED) pays retries on
-        # the sim clock; the pin is of the undisturbed model.
-        result = RecStep(
-            RecStepConfig(pbme=PbmeMode.ON, profile=True, fault_seed=None, **config)
-        ).evaluate(get_program(program), load_dataset(dataset), dataset=dataset)
-        assert result.status == "ok"
-        assert (
-            result.sim_seconds,
-            result.iterations,
-            result.peak_memory_bytes,
-            result.profile.counters["pbme_bit_ops"],
-            len(result.tuples[program.lower()]),
-        ) == expected

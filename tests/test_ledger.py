@@ -25,8 +25,9 @@ def test_ledger(entry):
     assert measured == recorded, "\n".join(field_diff(recorded, measured))
     if entry.kind == "evaluate":
         assert measured["status"] == ("oom" if entry.name == CONSTRAINED_NO_SPILL else "ok")
-        partitioned = entry.name.removesuffix("/unpartitioned")
-        assert measured["fixpoint_hash"] == LEDGER[partitioned]["fixpoint_hash"]
+        if entry.name.endswith("/unpartitioned"):
+            partitioned = LEDGER[entry.name.removesuffix("/unpartitioned")]
+            assert measured["fixpoint_hash"] == partitioned["fixpoint_hash"]
     elif entry.kind == "maintain":
         batches, recompute = measured["batches"], measured["recompute"]
         assert {batch["status"] for batch in batches} == {"ok"}

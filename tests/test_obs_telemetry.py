@@ -1,6 +1,6 @@
 """Histograms, resource timelines, and the service telemetry surface.
 
-The contracts the trajectory harness and the regression gate stand on:
+The contracts the model ledger's ``serve`` entry stands on:
 
 * percentiles are deterministic — same observations, same p50/p95/p99,
   regardless of insertion order, including under an armed chaos seed;

@@ -674,7 +674,7 @@ def _ladder_config(name: str, tmp_path):
         config = dict(**RELATIONAL, memory_budget=220_000, spill_dir=spill)
         return get_program("AA"), aa_chain(400, 60), config
     if name == "B":
-        # The tight row of SIM_CLOCK_PINS.
+        # The ledger's AA/andersen-5/tight entry (tests/ledger.py).
         spec = get_program("AA")
         return spec, prepare_edb(spec, "andersen-5"), dict(memory_budget=4_200_000)
     # The long-chain benchmark's spill cell.
