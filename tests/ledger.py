@@ -58,7 +58,7 @@ from repro.server import QueryRequest, QueryService, ServerConfig
 
 LEDGER_PATH = Path(__file__).with_name("ledger.json")
 
-#: The seed of the former trajectory gate's smoke rungs.
+#: Seed of the scale-ladder, update, point and serve entries.
 BASE_SEED = 20260808
 #: The dataset seed of ``benchmarks/perf``'s cells.
 PERF_SEED = 7
@@ -333,12 +333,6 @@ def _serve(entry: Entry) -> dict:
     }
 
 
-def _plain(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"not JSON-serializable: {value!r}")
-
-
 def measure(entry: Entry) -> dict:
     """Run one entry; the record in its JSON form (tuples become lists)."""
     with tempfile.TemporaryDirectory(prefix="ledger-spill-") as spill_root:
@@ -356,7 +350,7 @@ def measure(entry: Entry) -> dict:
             record = _serve(entry)
         else:
             raise ValueError(f"unknown ledger kind {entry.kind!r}")
-    return json.loads(json.dumps(record, default=_plain))
+    return json.loads(json.dumps(record))
 
 
 def load_ledger() -> dict:
