@@ -5,7 +5,8 @@ Acceptance criteria covered here:
 * partition on/off × cache on/off reach byte-identical fixpoints on
   TC, SG, and Andersen, including a checkpoint-resume run;
 * the scatter is count-only (the host runs one shared kernel); the sim
-  clock it feeds is pinned by the model ledger (``tests/ledger.py``);
+  clock it feeds is pinned by the model ledger (``tests/ledger.py``),
+  and three relational rows here rerun their configs against it;
 * partitioned dedup beats the shared GSCHT at high thread counts on a
   large delta, and is never chosen at one thread or on tiny inputs;
 * partition scratch is charged to the transient ledger and released
@@ -13,9 +14,12 @@ Acceptance criteria covered here:
   shed-partitioning rung shunts operators back to the shared path.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
+from repro.analysis.harness import prepare_edb
 from repro.core import PbmeMode, RecStep, RecStepConfig
 from repro.engine import kernels
 from repro.engine.database import Database
@@ -27,6 +31,7 @@ from repro.engine.executor import (
 )
 from repro.programs import get_program
 from repro.resilience import DegradationController, ResilienceContext
+from tests.ledger import load_ledger, trace_digest
 
 RELATIONAL = dict(pbme=PbmeMode.OFF)
 
@@ -95,6 +100,84 @@ class TestRadixKernels:
         assert ids[0] == ids[5]  # equal keys land in the same bucket
         counts = kernels.radix_partition(keys, 8)
         assert counts.sum() == keys.size and counts.min() >= 0
+
+
+# --------------------------------------------------------------------------
+# Sim clock: configs rerun against their model-ledger records
+# --------------------------------------------------------------------------
+
+LEDGER = load_ledger()
+TIGHT_SPILL = dict(memory_budget=550_000, degradation=True, spill_dir=True)
+
+#: ``(program, dataset, config, ledger entry)``; the entry and its
+#: ``/unpartitioned`` twin hold the numbers.
+SIM_CLOCK_ROWS = [
+    ("AA", "andersen-3", dict(threads=20), "AA/andersen-3/threads=20"),
+    ("TC", "cycle-300", dict(pbme=PbmeMode.OFF), "TC/cycle-300/relational"),
+    ("TC", "cycle-300", TIGHT_SPILL, "TC/cycle-300/tight+spill"),
+]  # fmt: skip
+#: The AA row runs the default config, whose 20 threads the entry names.
+TRACE_ROWS = [
+    ("TC", "cycle-300", dict(pbme=PbmeMode.OFF), "TC/cycle-300/relational"),
+    ("TC", "cycle-300", TIGHT_SPILL, "TC/cycle-300/tight+spill"),
+    ("AA", "andersen-3", dict(), "AA/andersen-3/threads=20"),
+]  # fmt: skip
+
+
+def _pin_id(program, dataset, config):
+    values = (f"{k}={v}" if isinstance(v, bool) else str(v) for k, v in config.items())
+    return "-".join((program, dataset, "-".join(values)))
+
+
+def _evaluate(program, dataset, config, spill_root):
+    if config.get("spill_dir"):
+        config = dict(config, spill_dir=tempfile.mkdtemp(dir=spill_root))
+    spec = get_program(program)
+    # fault_seed=None: a chaos run (REPRO_CHAOS_SEED) pays retries on the
+    # sim clock; the ledger is of the undisturbed model.
+    result = RecStep(RecStepConfig(profile=True, fault_seed=None, **config)).evaluate(
+        spec, prepare_edb(spec, dataset), dataset=dataset
+    )
+    assert result.status == "ok"
+    return result
+
+
+class TestSimClockPin:
+    @pytest.mark.parametrize(
+        "program,dataset,config,name",
+        SIM_CLOCK_ROWS,
+        ids=[_pin_id(p, d, c) for p, d, c, _ in SIM_CLOCK_ROWS],
+    )
+    def test_modeled_numbers_match_recorded(self, program, dataset, config, name, tmp_path):
+        sizes = []
+        for partitioned, entry in ((True, name), (False, f"{name}/unpartitioned")):
+            result = _evaluate(
+                program, dataset, dict(config, partitioned_exec=partitioned), tmp_path
+            )
+            recorded = LEDGER[entry]
+            assert result.sim_seconds == recorded["sim_seconds"]
+            assert result.peak_memory_bytes == recorded["peak_memory_bytes"]
+            assert result.iterations == recorded["iterations"]
+            assert dict(result.profile.counters) == recorded["counters"]
+            taken = (result.resilience or {}).get("degradations_taken", [])
+            assert list(taken) == recorded["degradations_taken"]
+            sizes.append(result.sizes())
+        # Partitioning is modeled: on and off reach the same fixpoint.
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize(
+        "program,dataset,config,name",
+        TRACE_ROWS,
+        ids=[_pin_id(p, d, c) for p, d, c, _ in TRACE_ROWS],
+    )
+    def test_traces_match_recorded_digest(self, program, dataset, config, name, tmp_path):
+        """Not one CPU or memory sample moved, nor any profile counter."""
+        result = _evaluate(program, dataset, config, tmp_path)
+        digest = trace_digest(
+            result.sim_seconds, result.peak_memory_bytes,
+            result.cpu_trace, result.memory_trace, dict(result.profile.counters),
+        )  # fmt: skip
+        assert digest == LEDGER[name]["trace_digest"]
 
 
 # --------------------------------------------------------------------------
