@@ -77,10 +77,10 @@ class Relation(Set):
     def sorted_rows(self) -> np.ndarray:
         """The rows in lexicographic order (computed once)."""
         if self._sorted is None:
-            rows = self.rows
-            if rows.shape[1]:
-                rows = rows[np.lexsort(rows.T[::-1])]
-            self._sorted = rows
+            # repro.engine imports this module through its database.
+            from repro.engine.kernels import unique_rows
+
+            self._sorted = unique_rows(self.rows)
         return self._sorted
 
 

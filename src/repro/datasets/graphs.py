@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.kernels import unique_rows
+
 
 def clean_edges(edges: np.ndarray, allow_self_loops: bool = False) -> np.ndarray:
     """Deduplicate an edge list and (by default) drop self-loops."""
     if edges.shape[0] == 0:
         return edges.astype(np.int64).reshape(0, 2)
-    edges = np.unique(np.asarray(edges, dtype=np.int64), axis=0)
+    edges = unique_rows(np.asarray(edges, dtype=np.int64))
     if not allow_self_loops:
         edges = edges[edges[:, 0] != edges[:, 1]]
     return edges

@@ -11,9 +11,11 @@ explicit :class:`~repro.storage.stats.ColumnDomain` values it gives the
 same tuple the same code in every call, which is what the
 iteration-persistent join-state cache relies on; built from one call's
 observed min/max (:meth:`KeyCodec.observed`) its codes only compare
-within that call. A row too wide to pack is either factorized per call
-(:func:`factorize_rows`: joins, semi-joins, set operations) or, in an
-index kept across calls, keyed by the row itself (:func:`row_records`).
+within that call. :func:`row_keys` orders every multi-column row per
+call (joins, semi-joins, set operations, distinct, group-by): by its
+observed CCK code, or by its dense rank when the row is too wide to
+pack. An index kept across calls keys a wide row by the row itself
+(:func:`row_records`).
 """
 
 from __future__ import annotations
@@ -172,15 +174,28 @@ def row_records(rows: np.ndarray) -> np.ndarray:
     return rows.view(fields).reshape(-1)
 
 
-def factorize_rows(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map the rows of two equal-arity matrices to a shared integer code.
+def row_keys(*column_sets: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One int64 key per row of equal-width column sets, in one shared space.
 
-    Fallback for per-call keys too wide to pack: sorts the union and
-    assigns dense codes, O((|left|+|right|)·log) per call.
+    Keys are equal exactly when rows are and sort in lexicographic
+    (signed) row order: a single column is its own key, rows whose
+    observed CCK packs get their codes, and wider rows their dense rank
+    in the union. The rank is folded column by column; a dense rank
+    times a distinct count stays below n², so every step packs. The
+    ranks are ``np.unique(rows, axis=0, return_inverse=True)``'s, which
+    the model's radix counts read.
     """
-    combined = np.vstack([left, right])
-    _, inverse = np.unique(combined, axis=0, return_inverse=True)
-    return inverse[: left.shape[0]], inverse[left.shape[0]:]
+    if len(column_sets[0]) == 1:
+        return tuple(columns[0] for columns in column_sets)
+    codec = KeyCodec.observed(*column_sets)
+    if codec.packable:
+        return tuple(codec.encode(columns) for columns in column_sets)
+    union = [np.concatenate(position) for position in zip(*column_sets)]
+    _, key = np.unique(union[0], return_inverse=True)
+    for column in union[1:]:
+        values, rank = np.unique(column, return_inverse=True)
+        _, key = np.unique(key * values.size + rank, return_inverse=True)
+    return tuple(np.split(key, np.cumsum([columns[0].size for columns in column_sets[:-1]])))
 
 
 def make_join_keys(
@@ -193,15 +208,7 @@ def make_join_keys(
     """
     if len(left_columns) != len(right_columns):
         raise ValueError("join key column counts differ")
-    if len(left_columns) == 1:
-        return left_columns[0], right_columns[0]
-    if left_columns:
-        codec = KeyCodec.observed(left_columns, right_columns)
-        if codec.packable:
-            return codec.encode(left_columns), codec.encode(right_columns)
-    left_matrix = np.column_stack(left_columns) if left_columns else np.empty((0, 0), np.int64)
-    right_matrix = np.column_stack(right_columns) if right_columns else np.empty((0, 0), np.int64)
-    return factorize_rows(left_matrix, right_matrix)
+    return row_keys(left_columns, right_columns)
 
 
 # --------------------------------------------------------------------------
@@ -398,18 +405,22 @@ def anti_join_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-level dedup preserving no particular order (set semantics).
+    """The distinct rows, in lexicographic order.
 
     Packable rows never leave the compact key: one domain scan, one
-    pack, sort, drop adjacent duplicates, decode. Never aliases ``rows``.
+    pack, sort, drop adjacent duplicates, decode. Wider rows land at
+    their dense :func:`row_keys` rank. Never aliases ``rows``.
     """
     if rows.shape[0] == 0:
         return rows.copy()
     columns = [rows[:, i] for i in range(rows.shape[1])]
     codec = KeyCodec.observed(columns)
-    if not codec.packable:
-        return np.unique(rows, axis=0)
-    return codec.decode(sorted_distinct(codec.encode(columns)))
+    if codec.packable:
+        return codec.decode(sorted_distinct(codec.encode(columns)))
+    (ranks,) = row_keys(columns)
+    distinct = np.empty((int(ranks.max()) + 1, rows.shape[1]), dtype=rows.dtype)
+    distinct[ranks] = rows
+    return distinct
 
 
 def sorted_distinct(key: np.ndarray) -> np.ndarray:
@@ -426,7 +437,7 @@ def _distinct_left_keys(left: np.ndarray, right: np.ndarray):
 
     One domain scan and one encode per side; ``rows_of(mask)`` decodes
     the selected left keys back to rows, in row order. Rows too wide to
-    pack are compared whole (``np.unique`` + factorization).
+    pack are keyed by their :func:`row_keys` ranks.
     """
     left_cols = [left[:, i] for i in range(left.shape[1])]
     right_cols = [right[:, i] for i in range(right.shape[1])]
@@ -434,8 +445,8 @@ def _distinct_left_keys(left: np.ndarray, right: np.ndarray):
     if codec.packable:
         left_keys = sorted_distinct(codec.encode(left_cols))
         return left_keys, codec.encode(right_cols), lambda mask: codec.decode(left_keys[mask])
-    distinct = np.unique(left, axis=0)
-    left_keys, right_keys = factorize_rows(distinct, right)
+    distinct = unique_rows(left)
+    left_keys, right_keys = row_keys(list(distinct.T), right_cols)
     return left_keys, right_keys, lambda mask: distinct[mask]
 
 
@@ -506,21 +517,10 @@ def group_aggregate(
         ]
 
     key_matrix = np.column_stack(group_columns)
-    codec = KeyCodec.observed(group_columns)
-    if codec.packable:
-        packed = codec.encode(group_columns)
-        order = np.argsort(packed, kind="stable")
-        sorted_keys = packed[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    else:
-        order = np.lexsort(tuple(key_matrix[:, i] for i in reversed(range(key_matrix.shape[1]))))
-        sorted_matrix = key_matrix[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (sorted_matrix[1:] != sorted_matrix[:-1]).any(axis=1)
-    group_starts = np.flatnonzero(boundary)
+    (keys,) = row_keys(group_columns)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    group_starts = np.flatnonzero(np.append(True, sorted_keys[1:] != sorted_keys[:-1]))
     group_keys = key_matrix[order][group_starts]
     counts = np.diff(np.append(group_starts, n))
 

@@ -440,8 +440,6 @@ def _apply_anti_join_inner(
             correlated.append((outer_expr, inner_expr))
         else:
             raise PlanError(f"unsupported correlated predicate {predicate}")
-    if not correlated:
-        raise PlanError("NOT EXISTS subquery must correlate with the outer query")
 
     inner_select = ast.Select(
         items=tuple(
@@ -452,9 +450,15 @@ def _apply_anti_join_inner(
     )
     inner_frame = _build_join_frame(inner_select, ctx)
 
-    outer_keys = [evaluate(outer_expr, frame) for outer_expr, _ in correlated]
-    inner_keys = [evaluate(inner_expr, inner_frame) for _, inner_expr in correlated]
-    left_key, right_key = kernels.make_join_keys(outer_keys, inner_keys)
+    if correlated:
+        outer_keys = [evaluate(outer_expr, frame) for outer_expr, _ in correlated]
+        inner_keys = [evaluate(inner_expr, inner_frame) for _, inner_expr in correlated]
+        left_key, right_key = kernels.make_join_keys(outer_keys, inner_keys)
+    else:
+        # Uncorrelated (a ground negated atom): every row has the same
+        # empty key, so one inner row removes the whole frame.
+        left_key = np.zeros(len(frame), dtype=np.int64)
+        right_key = np.zeros(len(inner_frame), dtype=np.int64)
 
     with ctx.model.anti_join(right_key, left_key):
         ctx.profiler.counters.inc("hash_tables_built")

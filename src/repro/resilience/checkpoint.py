@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.common.errors import RecStepError
+from repro.engine.kernels import row_keys
 from repro.obs.counters import NULL_COUNTERS
 from repro.obs.profiler import NULL_PROFILER
 
@@ -78,7 +79,7 @@ def edb_fingerprint(
         rows = np.asarray(edb_data[name], dtype=np.int64)
         if arities is not None:
             rows = rows.reshape(-1, arities[name])
-        tables[name] = rows[np.lexsort(rows.T[::-1])] if rows.shape[0] > 1 else rows
+        tables[name] = rows[np.argsort(row_keys(list(rows.T))[0])] if rows.shape[0] > 1 else rows
     return f"{_payload_checksum(tables):08x}"
 
 

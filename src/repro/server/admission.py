@@ -154,7 +154,7 @@ class Overloaded:
     """A structured rejection: the service cannot take this query now.
 
     ``reason`` is one of ``queue-full``, ``memory-pressure``,
-    ``breaker-open``, ``draining``, or ``no-such-view``;
+    ``draining``, ``breaker-open``, ``no-such-view``, or ``bad-goal``;
     ``retry_after_seconds`` is the
     service's estimate of when capacity frees up (simulated seconds).
     """

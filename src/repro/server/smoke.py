@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import RecStep, RecStepConfig
+from repro.engine.kernels import unique_rows
 from repro.programs import get_program
 from repro.server import QueryRequest, QueryService, ServerConfig
 
@@ -42,7 +43,7 @@ def _edb(kind: str, seed: int) -> dict[str, np.ndarray]:
         return {"arc": rng.integers(0, 80, size=(240, 2)).astype(np.int64)}
     # Andersen points-to: four small relations.
     def rel(count: int) -> np.ndarray:
-        return np.unique(rng.integers(0, 25, size=(count, 2)), axis=0)
+        return unique_rows(rng.integers(0, 25, size=(count, 2)))
 
     return {
         "addressOf": rel(18),

@@ -74,6 +74,19 @@ class TestDatalogFile:
         assert "status:       ok" in output
         assert "|tc| = 6" in output
 
+    def test_ground_negation_runs_to_its_outputs(self, tmp_path, capsys):
+        save_relation(tmp_path / "a.tsv", np.array([[1], [2]]))
+        save_relation(tmp_path / "b.tsv", np.array([[5]]))
+        program = tmp_path / "p.datalog"
+        program.write_text(
+            ".input a a.tsv\n.input b b.tsv\n.output p p.tsv\n.output q q.tsv\n"
+            "p(x) :- a(x), !b(5).\nq(x) :- a(x), !b(7).\n"
+        )
+        assert main([str(program)]) == 0
+        assert "|p| = 0" in capsys.readouterr().out
+        assert (tmp_path / "p.tsv").read_text() == ""
+        assert load_relation(tmp_path / "q.tsv", arity=1).tolist() == [[1], [2]]
+
 
 class TestExplain:
     @pytest.fixture

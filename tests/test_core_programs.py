@@ -206,6 +206,25 @@ class TestNegationAndAggregation:
         counts = Counter(a for a, _ in closure)
         assert result.tuples["gtc"] == set(counts.items())
 
+    @pytest.mark.parametrize("constant, expected", [(5, set()), (7, {(1,), (2,)})])
+    def test_ground_negated_atom_filters_the_whole_body(self, constant, expected):
+        from repro.baselines import NaiveEngine
+        from repro.programs.library import ProgramSpec
+
+        spec = ProgramSpec(
+            name="GN",
+            title="ground negation",
+            domain="graph",
+            source=f"p(x) :- a(x), !b({constant}).",
+            outputs=("p",),
+        )
+        edb = {"a": np.array([[1], [2]]), "b": np.array([[5]])}
+        config = RecStepConfig(enforce_budgets=False, pbme=PbmeMode.OFF)
+        result = RecStep(config).evaluate(spec, edb, dataset="test")
+        oracle = NaiveEngine(enforce_budgets=False).evaluate(spec, edb, "test")
+        assert result.status == oracle.status == "ok"
+        assert result.tuples["p"] == oracle.tuples["p"] == expected
+
 
 class TestConfigurationsAgree:
     """Every optimization configuration must compute the same fixpoint."""

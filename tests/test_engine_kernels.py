@@ -549,3 +549,163 @@ class TestGroupAggregate:
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError):
             kernels.group_aggregate([], [("MIN", empty)])
+
+
+# --------------------------------------------------------------------------
+# One row order: row_keys against the whole-row sorts it replaced
+# --------------------------------------------------------------------------
+
+#: Near 0 (packs), near ±2^62 and ids << 40 (two columns no longer pack).
+_ROW_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**62), -(2**62) + 3),
+    st.integers(2**62 - 3, 2**62),
+    st.integers(0, 5).map(lambda v: v << 40),
+)
+
+
+@st.composite
+def _row_matrices(draw):
+    """1–3 matrices of one width (1–4), possibly empty, whose rows come
+    from one small pool: duplicates within and across matrices."""
+    width = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[_ROW_VALUES] * width), min_size=1, max_size=10))
+    return [
+        np.asarray(draw(st.lists(st.sampled_from(pool), max_size=20)), dtype=np.int64).reshape(
+            -1, width
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+def _columns(matrix):
+    return [matrix[:, i] for i in range(matrix.shape[1])]
+
+
+def _whole_row_ranks(*matrices):
+    """Dense lexicographic rank of every row in the union, per matrix."""
+    _, inverse = np.unique(np.vstack(matrices), axis=0, return_inverse=True)
+    return np.split(inverse.reshape(-1), np.cumsum([m.shape[0] for m in matrices[:-1]]))
+
+
+def _lexsorted(rows):
+    return rows[np.lexsort(rows.T[::-1])] if rows.shape[0] > 1 else rows
+
+
+# The functions below are the whole-row-sorting versions row_keys replaced.
+
+
+def _whole_row_unique(rows):
+    if rows.shape[0] == 0:
+        return rows.copy()
+    codec = kernels.KeyCodec.observed(_columns(rows))
+    if not codec.packable:
+        return np.unique(rows, axis=0)
+    return codec.decode(kernels.sorted_distinct(codec.encode(_columns(rows))))
+
+
+def _whole_row_distinct_left_keys(left, right):
+    codec = kernels.KeyCodec.observed(_columns(left), _columns(right))
+    if codec.packable:
+        left_keys = kernels.sorted_distinct(codec.encode(_columns(left)))
+        return left_keys, codec.encode(_columns(right)), lambda m: codec.decode(left_keys[m])
+    distinct = np.unique(left, axis=0)
+    left_keys, right_keys = _whole_row_ranks(distinct, right)
+    return left_keys, right_keys, lambda mask: distinct[mask]
+
+
+def _whole_row_difference(new_rows, existing_rows):
+    new_keys, existing_keys, rows_of = _whole_row_distinct_left_keys(new_rows, existing_rows)
+    return rows_of(kernels.anti_join_mask(new_keys, existing_keys))
+
+
+def _whole_row_intersection(left, right):
+    left_keys, right_keys, rows_of = _whole_row_distinct_left_keys(left, right)
+    hit = kernels.semi_join_mask(left_keys, right_keys)
+    return rows_of(hit), kernels.semi_join_mask(right_keys, left_keys[hit])
+
+
+def _whole_row_group_order(key_matrix):
+    codec = kernels.KeyCodec.observed(_columns(key_matrix))
+    if codec.packable:
+        packed = codec.encode(_columns(key_matrix))
+        order = np.argsort(packed, kind="stable")
+        boundary = packed[order][1:] != packed[order][:-1]
+    else:
+        order = np.lexsort(key_matrix.T[::-1])
+        boundary = (key_matrix[order][1:] != key_matrix[order][:-1]).any(axis=1)
+    return order, np.flatnonzero(np.concatenate([[True], boundary]))
+
+
+def _whole_row_fingerprint(edb):
+    from repro.resilience.checkpoint import _payload_checksum
+
+    return f"{_payload_checksum({name: _lexsorted(rows) for name, rows in edb.items()}):08x}"
+
+
+def _whole_row_clean_edges(edges, allow_self_loops):
+    edges = np.unique(edges, axis=0)
+    return edges if allow_self_loops else edges[edges[:, 0] != edges[:, 1]]
+
+
+class TestRowKeys:
+    @given(_row_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_codes_are_the_cck_or_the_whole_row_rank(self, matrices):
+        keys = kernels.row_keys(*map(_columns, matrices))
+        codec = kernels.KeyCodec.observed(*map(_columns, matrices))
+        if codec.packable:
+            expected = [codec.encode(_columns(m)) for m in matrices]
+        else:
+            expected = _whole_row_ranks(*matrices)
+        assert len(keys) == len(matrices)
+        for got, want in zip(keys, expected):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_wide_rows_get_dense_lexicographic_ranks(self):
+        wide = np.array([[1 << 40, 3, 1], [0, 1 << 41, 0], [1 << 40, 3, 0]], dtype=np.int64)
+        left, right = kernels.row_keys(_columns(wide), _columns(wide[:1]))
+        assert left.tolist() == [2, 0, 1] and right.tolist() == [2]
+
+    @given(_row_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_consumers_match_their_whole_row_versions(self, matrices):
+        from repro.common.records import Relation
+        from repro.datasets.graphs import clean_edges
+        from repro.resilience.checkpoint import edb_fingerprint
+
+        left, right = matrices[0], matrices[-1]
+        assert np.array_equal(kernels.unique_rows(left), _whole_row_unique(left))
+        assert np.array_equal(
+            kernels.rows_difference(left, right), _whole_row_difference(left, right)
+        )
+        got = kernels.rows_intersection(left, right, mark_right=True)
+        for array, expected in zip(got, _whole_row_intersection(left, right)):
+            assert np.array_equal(array, expected)
+
+        values = np.arange(left.shape[0], dtype=np.int64)
+        specs = [("MIN", values), ("MAX", values), ("SUM", values), ("COUNT", values)]
+        group_keys, outputs = kernels.group_aggregate(_columns(left), specs)
+        if left.shape[0]:
+            order, starts = _whole_row_group_order(left)
+            assert np.array_equal(group_keys, left[order][starts])
+            for (func, column), output in zip(specs, outputs):
+                if func == "COUNT":
+                    expected = np.diff(np.append(starts, left.shape[0]))
+                else:
+                    expected = kernels._REDUCERS[func].reduceat(column[order], starts)
+                assert np.array_equal(output, expected)
+
+        distinct = np.unique(left, axis=0)
+        shuffled = distinct[np.random.default_rng(len(distinct)).permutation(len(distinct))]
+        assert np.array_equal(Relation(shuffled).sorted_rows(), _lexsorted(shuffled))
+
+        edb = {f"r{i}": matrix for i, matrix in enumerate(matrices)}
+        assert edb_fingerprint(edb) == _whole_row_fingerprint(edb)
+
+        for loops in (True, False) if left.shape[1] >= 2 else (True,):
+            if left.shape[0]:
+                assert np.array_equal(
+                    clean_edges(left, allow_self_loops=loops),
+                    _whole_row_clean_edges(left, loops),
+                )

@@ -222,11 +222,7 @@ class TestModuleSeam:
         allowed = {
             "isin": {"semi_join_mask"},  # the kind="table" pass
             "insert": {"merge_sorted_index"},
-            "unique": {
-                "factorize_rows",
-                "unique_rows",
-                "_distinct_left_keys",  # wide-row fallbacks
-            },
+            "unique": {"row_keys"},  # per-column ranks of rows too wide to pack
         }
         found = {name: [] for name in allowed}
 
@@ -250,6 +246,24 @@ class TestModuleSeam:
             assert {scope for scope, _ in sites} <= allowed[name], (name, sites)
         ((_, isin),) = found["isin"]
         assert [(kw.arg, kw.value.value) for kw in isin.keywords] == [("kind", "table")]
+
+    def test_rows_are_ordered_by_one_kernel(self):
+        # A multi-column row is ordered by its row_keys code, never sorted
+        # as a whole-row record per call (np.lexsort, np.unique(axis=)).
+        from repro.engine import kernels
+
+        sites = []
+        source = Path(kernels.__file__).parent.parent
+        for path in sorted(source.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                if node.func.attr == "lexsort" or (
+                    node.func.attr == "unique" and any(kw.arg == "axis" for kw in node.keywords)
+                ):
+                    sites.append((path.relative_to(source).as_posix(), node.lineno))
+        assert not sites
+        assert not hasattr(kernels, "factorize_rows")
 
     def test_deletes_go_through_one_rank_restricted_loop(self):
         from repro.core import ivm
