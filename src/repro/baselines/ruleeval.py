@@ -184,8 +184,10 @@ def _join_atom(
         probe = max(len(frame), rows.shape[0])
         counters.tuples_built += build
         counters.tuples_probed += probe
-        _check_row_limit(kernels.equi_join_count(left, right), counters)
-        li, ri = kernels.equi_join_indices(left, right)
+        sorted_right, order = kernels.sort_index(right, left)
+        starts, ends = kernels.sorted_probe_range(left, sorted_right)
+        _check_row_limit(int((ends - starts).sum()), counters)
+        li, ri = kernels.sorted_join_indices(starts, ends, order)
     else:
         n, m = len(frame), rows.shape[0]
         _check_row_limit(n * m, counters)

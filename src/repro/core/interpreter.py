@@ -94,9 +94,16 @@ class SemiNaiveInterpreter:
             raise DatalogError(f"missing EDB relations: {sorted(missing)}")
         arities = {name: self._analyzed.arities[name] for name in self._analyzed.edb}
         for name, arity in sorted(arities.items()):
-            columns = self._edb_schemas.get(name, compiler.columns_for(arity))
+            schema = self._edb_schemas.get(name)
+            if schema is not None and len(schema) != arity:
+                raise DatalogError(
+                    f"EDB relation {name!r} has a {len(schema)}-column schema "
+                    f"but arity {arity} in the program"
+                )
+            # The compiler reads every table by position (c0, c1, ...):
+            # the schema's names document the relation, they do not name columns.
             rows = np.asarray(edb_data[name], dtype=np.int64).reshape(-1, arity)
-            self._db.load_table(name, columns, rows)
+            self._db.load_table(name, compiler.columns_for(arity), rows)
         if self._checkpoints is not None:
             self._edb_fingerprint = edb_fingerprint(edb_data, arities)
 

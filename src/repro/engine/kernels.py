@@ -216,34 +216,34 @@ def make_join_keys(
 # --------------------------------------------------------------------------
 
 
-def equi_join_count(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Exact output cardinality of the equi-join, without materializing it."""
-    if left_keys.size == 0 or right_keys.size == 0:
-        return 0
-    starts, ends = sorted_probe_range(left_keys, np.sort(right_keys))
-    return int((ends - starts).sum())
+def sort_index(
+    keys: np.ndarray, probe_keys: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted_keys, sorted_positions)`` of a build side, by one stable
+    argsort: what :func:`sorted_probe_range` and :func:`sorted_join_indices` read.
 
-
-def sort_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted_keys, sorted_positions)`` of a build side, by one stable argsort.
-
-    The pair is what :func:`sorted_probe_range` and
-    :func:`sorted_join_indices` consume, so a caller that needs the match
-    count before the matches (the operators' OOM guard) sorts once.
+    Given fewer ``probe_keys``, only keys whose multiplicative-hash slot a
+    probe key sets (16 to 32 slots per probe key, at most one per key) are
+    sorted: a superset of the matches in their relative order, so probing
+    the index yields exactly the unfiltered pairs.
     """
+    positions = None
+    if probe_keys is not None and probe_keys.size < keys.size:
+        slots = 1 << min((16 * probe_keys.size).bit_length(), keys.size.bit_length() - 1)
+        marked = np.zeros(slots, dtype=bool)
+        marked[radix_partition_ids(probe_keys, slots)] = True
+        positions = np.flatnonzero(marked[radix_partition_ids(keys, slots)])
+        keys = keys[positions]
     order = np.argsort(keys, kind="stable")
-    return keys[order], order
+    return keys[order], (order if positions is None else positions[order])
 
 
 def equi_join_indices(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return aligned (left_index, right_index) arrays of all key matches.
-
-    Sort-probe implementation with the same asymptotics as a hash join;
-    the cost model, not this kernel, decides which side is "built".
-    """
-    sorted_right, order = sort_index(right_keys)
+    """Aligned (left_index, right_index) arrays of all key matches, by sort-probe;
+    the cost model, not this kernel, decides which side is "built"."""
+    sorted_right, order = sort_index(right_keys, left_keys)
     starts, ends = sorted_probe_range(left_keys, sorted_right)
     return sorted_join_indices(starts, ends, order)
 
@@ -289,8 +289,6 @@ def sorted_join_indices(
     keeping the index alive between iterations.
     """
     probe_index, run_positions = _expand_match_runs(starts, ends)
-    if probe_index.size == 0:
-        return probe_index, run_positions
     return probe_index, sorted_positions[run_positions]
 
 

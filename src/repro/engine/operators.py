@@ -239,9 +239,9 @@ def _join_frame_with_alias_inner(
             transient_bytes=work.transient_bytes,
             partitioned=work.partitioned,
         )
-        # One sort of the table side serves both the guard's count and the
-        # expansion.
-        sorted_right, right_order = kernels.sort_index(right_key)
+        # One sort serves both the guard's count and the expansion; it
+        # covers only the table rows whose key hash a frame key shares.
+        sorted_right, right_order = kernels.sort_index(right_key, left_key)
         return _probe_sorted_index(
             frame, alias, new_frame, left_key, sorted_right, right_order, ctx
         )

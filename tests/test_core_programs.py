@@ -226,6 +226,42 @@ class TestNegationAndAggregation:
         assert result.tuples["p"] == oracle.tuples["p"] == expected
 
 
+class TestEdbSchemaNames:
+    """An EDB schema names a relation's columns for its readers; the
+    compiler reads every table by position, whatever the names."""
+
+    @staticmethod
+    def spec(source, schemas):
+        from repro.programs.library import ProgramSpec
+
+        return ProgramSpec(
+            name="NAMED", title="named EDB columns", domain="graph",
+            source=source, edb_schemas=schemas, outputs=("p",),
+        )
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [("b(5)", {(1,), (2,)}), ("!b(x)", {(1,)}), ("!b(5)", set())],
+    )
+    def test_named_columns_evaluate_like_the_oracle(self, body, expected):
+        from repro.baselines import NaiveEngine
+
+        spec = self.spec(f"p(x) :- a(x), {body}.", {"a": ("x",), "b": ("x",)})
+        edb = {"a": np.array([[1], [2]]), "b": np.array([[2], [5]])}
+        config = RecStepConfig(enforce_budgets=False, pbme=PbmeMode.OFF)
+        result = RecStep(config).evaluate(spec, edb, dataset="test")
+        oracle = NaiveEngine(enforce_budgets=False).evaluate(spec, edb, "test")
+        assert result.status == oracle.status == "ok"
+        assert result.tuples["p"] == oracle.tuples["p"] == expected
+
+    def test_schema_of_another_arity_is_rejected(self):
+        from repro.common.errors import DatalogError
+
+        spec = self.spec("p(x) :- a(x).", {"a": ("x", "y")})
+        with pytest.raises(DatalogError, match="arity 1"):
+            RecStep(RecStepConfig(pbme=PbmeMode.OFF)).evaluate(spec, {"a": np.array([[1]])})
+
+
 class TestConfigurationsAgree:
     """Every optimization configuration must compute the same fixpoint."""
 

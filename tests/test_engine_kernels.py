@@ -83,7 +83,9 @@ class TestCrossCallPacking:
     def test_same_call_keys_stay_comparable(self):
         columns = [np.array([1, 2, 1], dtype=np.int64), np.array([3, 4, 3], dtype=np.int64)]
         key = kernels.KeyCodec.observed(columns).encode(columns)
-        assert kernels.equi_join_count(key[:1], key[1:]) == 1
+        sorted_keys, _ = kernels.sort_index(key[1:], key[:1])
+        starts, ends = kernels.sorted_probe_range(key[:1], sorted_keys)
+        assert int((ends - starts).sum()) == 1
 
     def test_make_join_keys_is_the_sanctioned_path(self):
         left = [np.array([1, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64)]
@@ -212,6 +214,66 @@ class TestSortedIndexKernels:
         assert sorted(zip(got_probe.tolist(), got_table.tolist())) == sorted(
             zip(li.tolist(), ri.tolist())
         )
+
+
+join_key_values = st.one_of(
+    st.integers(-6, 6),
+    st.integers(0, 300).map(lambda v: v << 40),
+    st.integers(-3, 3).map(lambda d: (1 << 62) + d),
+    st.integers(-3, 3).map(lambda d: -(1 << 62) + d),
+    st.sampled_from([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+)
+
+
+class TestProbeFilteredSortIndex:
+    """``sort_index(keys, probe_keys)`` sorts only the keys a probe can
+    match; probing it must give the unfiltered index's pairs, in order.
+    ``TestSortedIndexKernels._classic`` is the unfiltered index."""
+
+    unfiltered = staticmethod(TestSortedIndexKernels._classic)
+
+    @staticmethod
+    def _probe(probe, sorted_keys, positions):
+        starts, ends = kernels.sorted_probe_range(probe, sorted_keys)
+        return kernels.sorted_join_indices(starts, ends, positions)
+
+    @given(st.data(), st.lists(join_key_values, max_size=120), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_filter_keeps_every_match_and_the_pair_order(self, data, table_list, strided):
+        # Probe keys mostly repeat table keys, so most draws have matches.
+        probe_values = join_key_values
+        if table_list:
+            probe_values = st.sampled_from(table_list) | probe_values
+        probe_size = data.draw(st.sampled_from([3, 40, 160]))
+        probe_list = data.draw(st.lists(probe_values, max_size=probe_size))
+        table = np.asarray(table_list, dtype=np.int64)
+        probe = np.asarray(probe_list, dtype=np.int64)
+        if strided:  # 1-D views with a stride of two elements
+            table, probe = np.repeat(table, 2)[::2], np.repeat(probe, 2)[::2]
+        sorted_keys, positions = kernels.sort_index(table, probe)
+
+        probed = set(probe_list)
+        matches = {i for i, value in enumerate(table_list) if value in probed}
+        assert matches <= set(positions.tolist())
+        assert np.array_equal(sorted_keys, table[positions])
+        assert np.all(sorted_keys[:-1] <= sorted_keys[1:])
+        if probe.size >= table.size:
+            assert np.array_equal(positions, self.unfiltered(table)[1])
+
+        want = self._probe(probe, *self.unfiltered(table))
+        got = self._probe(probe, sorted_keys, positions)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        li, ri = kernels.equi_join_indices(probe, table)
+        assert np.array_equal(li, want[0]) and np.array_equal(ri, want[1])
+
+    def test_sorts_only_rows_a_probe_can_reach(self):
+        table = np.arange(100_000, dtype=np.int64) << 40
+        probe = table[[5, 70_000, 70_000]]
+        sorted_keys, positions = kernels.sort_index(table, probe)
+        assert {5, 70_000} <= set(positions.tolist())
+        # Three probe keys get 64 slots, two of them set: about 1/32 of the keys survive.
+        assert positions.size < table.size // 16
+        assert self._probe(probe, sorted_keys, positions)[1].tolist() == [5, 70_000, 70_000]
 
 
 class TestRowRecords:
