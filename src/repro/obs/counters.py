@@ -110,13 +110,12 @@ KNOWN_COUNTERS = {
     "server.rejected_memory": "rejections because reserved memory was above the high watermark",
     "server.rejected_draining": "rejections because the service was draining",
     "server.rejected_breaker": "rejections because the class circuit breaker was open",
-    "server.shed": "accepted sessions dropped before completion (drain/breaker)",
+    "server.shed": "accepted sessions dropped before they ran (drain/cancel)",
     "server.breaker_open": "circuit-breaker trips to the open state",
     "server.breaker_half_open": "circuit-breaker transitions to half-open probing",
     "server.breaker_closed": "circuit-breaker recoveries to the closed state",
     "server.checkpointed_on_drain": "in-flight sessions checkpointed during drain",
-    "server.spill_released_bytes": "reservation bytes returned early because sessions spilled to disk",
-    "server.spill_dirs_cleaned": "per-session spill directories removed at finalize/drain",
+    "server.spill_dirs_cleaned": "per-session spill directories removed at release/drain",
     "server.rejected_no_view": "update submissions rejected for a missing/dead target view",
     "server.rejected_bad_goal": "point submissions rejected for an unparseable or ill-typed goal",
     "server.point_queries": "point-query sessions executed (cache hits included)",

@@ -27,7 +27,6 @@ a subsequent resume.
 from __future__ import annotations
 
 import json
-import os
 import re
 import zipfile
 import zlib
@@ -36,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.common.atomic import publish
 from repro.common.errors import RecStepError
 from repro.engine.kernels import row_keys
 from repro.obs.counters import NULL_COUNTERS
@@ -178,17 +178,8 @@ class CheckpointManager:
             iteration=state.iteration,
             bytes=state.nbytes(),
         ):
-            # Crash-safe commit: write a sibling temp file (never matched
-            # by the checkpoint glob), fsync it, then atomically rename.
-            # A crash before the replace leaves the previous checkpoint
-            # under this name untouched; a crash after leaves the new one
-            # complete. There is no window with a torn file in place.
-            tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "wb") as handle:
-                np.savez(handle, **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            # The ``.tmp`` sibling is never matched by the checkpoint glob.
+            publish(path, lambda handle: np.savez(handle, **arrays))
             if self.metrics is not None:
                 self.metrics.advance(
                     state.nbytes() * CHECKPOINT_SECONDS_PER_BYTE, utilization=0.02

@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.common.atomic import publish
 from repro.common.errors import (
     FaultRetriesExhausted,
     RecStepError,
@@ -397,13 +398,8 @@ class WriteAheadLog:
     @classmethod
     def _publish_header(cls, path: Path, payload: bytes) -> None:
         """Atomically replace ``path`` with a log holding only this header."""
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(_PROLOGUE.pack(WAL_MAGIC, WAL_VERSION))
-            handle.write(cls._frame(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        prologue = _PROLOGUE.pack(WAL_MAGIC, WAL_VERSION)
+        publish(path, lambda handle: handle.writelines((prologue, cls._frame(payload))))
 
     @staticmethod
     def _frame(payload: bytes) -> bytes:
@@ -482,13 +478,8 @@ class ViewDurability:
 
     @staticmethod
     def _write_manifest(path: Path, manifest: dict) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        publish(path, lambda handle: handle.write(text.encode("utf-8")))
 
     @staticmethod
     def read_manifest(directory: str | Path) -> dict:

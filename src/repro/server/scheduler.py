@@ -30,6 +30,7 @@ The stability disciplines, in the order a submission meets them:
 
 from __future__ import annotations
 
+import re
 import shutil
 from collections import deque
 from dataclasses import dataclass
@@ -82,6 +83,23 @@ class ServerConfig:
     wal_compact_records: int = 64
 
 
+def _last_id_on_disk(config: ServerConfig) -> int:
+    """The highest session number naming a directory under the roots.
+
+    Session ids name ``<spill_root>/<id>`` and ``<wal_root>/<id>``. A
+    service over roots an earlier process used numbers its sessions
+    past those, so no session writes into another's durable view.
+    """
+    numbers = [0]
+    for root in (config.spill_root, config.wal_root):
+        if root is not None and Path(root).is_dir():
+            for child in Path(root).iterdir():
+                match = re.match(r"q-(\d+)", child.name)
+                if match:
+                    numbers.append(int(match.group(1)))
+    return max(numbers)
+
+
 class Scheduler:
     """Admits, schedules, isolates and settles sessions of any kind."""
 
@@ -89,7 +107,7 @@ class Scheduler:
         self.config = config
         self.clock = SimClock()
         self.counters = CounterRegistry()
-        self.sessions = SessionManager()
+        self.sessions = SessionManager(last_id=_last_id_on_disk(config))
         self.admission = AdmissionController(
             queue_limit=config.queue_limit,
             memory_budget=config.memory_budget,
@@ -278,15 +296,10 @@ class Scheduler:
         released = False
         for finish, session, status in self._active:
             if finish <= now:
-                holds_no_pool_bytes = (
-                    session.id in self._views  # warm view stays resident
-                    or session.request.kind == "update"
-                )
-                if not holds_no_pool_bytes:
-                    # The spilled slice (if any) was already released early.
-                    self.admission.release(
-                        session.reserved_bytes - session.spill_released_bytes
-                    )
+                # A live view keeps its Database until release_view; an
+                # update runs inside its view's and holds none of its own.
+                if session.id not in self._views and session.request.kind != "update":
+                    self._release(session)
                 self._finalize(session, status, finish)
                 released = True
             else:
@@ -298,12 +311,9 @@ class Scheduler:
     # -- isolated execution ------------------------------------------------------
 
     def _begin(self, session: Session) -> None:
-        """QUEUED -> ADMITTED -> RUNNING at the current instant."""
-        now = self.clock.now()
-        self.sessions.transition(session, SessionState.ADMITTED)
-        session.admitted_at = now
+        """QUEUED -> RUNNING at the current instant."""
         self.sessions.transition(session, SessionState.RUNNING)
-        session.started_at = now
+        session.started_at = self.clock.now()
 
     def _execute(self, session: Session) -> None:
         """Run one admitted session; its slot stays taken until it finishes."""
@@ -311,7 +321,10 @@ class Scheduler:
         start, duration, status = self._isolated(
             session, self._handlers[session.request.kind]
         )
-        self._note_spill(session)
+        recap = getattr(session.result, "resilience", None) or {}
+        session.spilled_bytes = int(
+            (recap.get("spill") or {}).get("peak_spilled_bytes", 0)
+        )
         self._active.append((start + duration, session, status))
 
     def _isolated(self, session: Session, handler, **extra) -> tuple[float, float, str]:
@@ -328,26 +341,6 @@ class Scheduler:
             status, session.failure, _ = classify_failure(error)
             return session.started_at, 0.0, status
 
-    def _note_spill(self, session: Session) -> None:
-        """Account a finished evaluation's spill tier against admission.
-
-        Bytes the evaluation degraded to disk were never resident at
-        peak: that slice of the session's reservation is returned to the
-        admission pool immediately (the slot itself stays occupied until
-        the finish time), so spilling frees headroom for queued work
-        instead of holding phantom memory.
-        """
-        recap = getattr(session.result, "resilience", None) or {}
-        spilled = int((recap.get("spill") or {}).get("peak_spilled_bytes", 0))
-        if spilled <= 0:
-            return
-        session.spilled_bytes = spilled
-        released = min(session.reserved_bytes, spilled)
-        if released:
-            session.spill_released_bytes = released
-            self.admission.release(released)
-            self.counters.inc("server.spill_released_bytes", released)
-
     def _settle(self, session: Session, state: SessionState, finish: float) -> None:
         session.finished_at = finish
         self.sessions.transition(session, state)
@@ -360,16 +353,20 @@ class Scheduler:
         recap = getattr(session.result, "resilience", None) or {}
         if session.checkpoint_dir is not None and recap.get("checkpoints_written"):
             self.counters.inc("server.checkpointed_on_drain")
-        self._cleanup_spill_dir(session)
 
-    def _cleanup_spill_dir(self, session: Session) -> None:
-        """Remove a finished session's spill directory, if one remains.
+    def _release(self, session: Session) -> None:
+        """Return what a session's Database held: its pool reservation
+        and its ``<spill_root>/<session-id>`` directory, together.
 
-        The evaluation's own ``release_spill`` already deletes live
-        segments; what can survive it are quarantined torn files and the
-        directory itself — service-level state that must not outlive the
-        session.
+        Runs once per Database, when it is released: at the finish
+        instant of a query or point session (or a materialize that left
+        no view), and at ``release_view`` or drain for a view. Until
+        then the reservation bounds what the Database may hold, spilled
+        segments included: bytes on disk can be faulted back in. The
+        engine's own cleanup deletes live segments; what can survive it
+        (quarantined torn files, the directory) goes here.
         """
+        self.admission.release(session.reserved_bytes)
         if self.config.spill_root is None:
             return
         path = Path(self.config.spill_root) / session.id
@@ -540,10 +537,8 @@ class Scheduler:
         if not any(s is session for _, s, _ in self._active):
             # Still-active view sessions keep their slot until the clock
             # passes their finish; _release_due no longer sees the view
-            # and releases the reservation then.
-            self.admission.release(
-                session.reserved_bytes - session.spill_released_bytes
-            )
+            # and releases it then.
+            self._release(session)
         self.counters.inc("server.views_released")
         self._sample_queue()
         return session.to_dict()

@@ -520,7 +520,7 @@ class QueryService(Scheduler):
         )
         view = self._views.get(session.id)
         if view is None:
-            self.admission.release(quota)
+            self._release(session)
             self._settle(session, terminal_state(status), now)
             if session.state is SessionState.CANCELLED:
                 # A cancelled rebuild (a deadline fired) is
@@ -556,7 +556,7 @@ class QueryService(Scheduler):
             elif view.status != "ready":
                 del self._views[session.id], self._view_busy_until[session.id]
                 view.release()
-                self.admission.release(quota)
+                self._release(session)
                 session.failure = result.failure
                 self._settle(session, SessionState.FAILED, now)
                 return self._quarantine_view(

@@ -3,18 +3,18 @@
 Every query the service accepts becomes a :class:`Session` with a
 monotonically assigned id and a state machine::
 
-    QUEUED --> ADMITTED --> RUNNING --> DONE
-       |           |            |-----> FAILED
-       |           |            |-----> CANCELLED
-       |           '----------------- > SHED
-       '------------------------------> SHED
+    QUEUED --> RUNNING --> DONE
+       |          |------> FAILED
+       |          '------> CANCELLED
+       '-----------------> SHED
 
 ``DONE`` is a clean fixpoint; ``FAILED`` is a structured backend failure
 (OOM, timeout, exhausted retries, divergence guard); ``CANCELLED`` is a
 cooperative stop (client deadline, drain grace) that may leave
 a resumable checkpoint behind; ``SHED`` is load shedding — the session
 was accepted but dropped before its evaluation ran (drain without a
-checkpoint directory, or a circuit breaker opening while it queued).
+checkpoint directory, or a client's cancel while it queued). A circuit
+breaker rejects at submission and never sheds a queued session.
 
 Sessions are isolated failure domains: each runs on its own
 :class:`~repro.engine.database.Database` with its own memory quota, and
@@ -39,7 +39,6 @@ class SessionState(enum.Enum):
     """Lifecycle states of a query session."""
 
     QUEUED = "queued"
-    ADMITTED = "admitted"
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
@@ -60,8 +59,7 @@ _TERMINAL = {
 
 #: Allowed lifecycle transitions (anything else is a bug in the service).
 _TRANSITIONS: dict[SessionState, set[SessionState]] = {
-    SessionState.QUEUED: {SessionState.ADMITTED, SessionState.SHED},
-    SessionState.ADMITTED: {SessionState.RUNNING, SessionState.SHED},
+    SessionState.QUEUED: {SessionState.RUNNING, SessionState.SHED},
     SessionState.RUNNING: {
         SessionState.DONE,
         SessionState.FAILED,
@@ -83,7 +81,6 @@ class Session:
     state: SessionState = SessionState.QUEUED
     #: Simulated service-clock timestamps of the lifecycle edges.
     submitted_at: float = 0.0
-    admitted_at: float | None = None
     started_at: float | None = None
     finished_at: float | None = None
     #: Memory reserved against the service budget while active (bytes).
@@ -96,9 +93,6 @@ class Session:
     #: Peak modeled bytes this session's evaluation held on the spill
     #: tier (0 when the spill rung never engaged).
     spilled_bytes: int = 0
-    #: Reservation headroom returned to admission early because the
-    #: session degraded part of its footprint to disk.
-    spill_released_bytes: int = 0
     #: The evaluation outcome (an EvaluationResult), set on completion.
     result: object | None = None
     #: Structured failure document for FAILED/CANCELLED/SHED sessions.
@@ -124,13 +118,12 @@ class Session:
             "submitted_at": round(self.submitted_at, 6),
             "reserved_bytes": self.reserved_bytes,
         }
-        for key in ("admitted_at", "started_at", "finished_at"):
+        for key in ("started_at", "finished_at"):
             value = getattr(self, key)
             if value is not None:
                 doc[key] = round(value, 6)
         if self.spilled_bytes:
             doc["spilled_bytes"] = self.spilled_bytes
-            doc["spill_released_bytes"] = self.spill_released_bytes
         if self.result is not None:
             doc["status"] = self.result.status
             doc["iterations"] = self.result.iterations
@@ -150,9 +143,9 @@ class Session:
 class SessionManager:
     """Creates sessions, enforces the lifecycle, and answers lookups."""
 
-    def __init__(self) -> None:
+    def __init__(self, last_id: int = 0) -> None:
         self._sessions: dict[str, Session] = {}
-        self._next_id = 0
+        self._next_id = last_id
 
     def create(self, request, now: float) -> Session:
         self._next_id += 1

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.common.atomic import publish
 from repro.common.errors import SpillError
 from repro.obs.counters import NULL_COUNTERS
 from repro.storage.block import BLOCK_ROWS, BlockResidency
@@ -278,14 +279,7 @@ class SpillManager:
     def _write_segment(self, segment: SpillSegment, arity: int, payload: bytes) -> None:
         header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, arity, segment.num_rows)
         footer = _FOOTER.pack(zlib.crc32(header + payload))
-        tmp = segment.path.with_suffix(".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
-            handle.write(footer)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, segment.path)
+        publish(segment.path, lambda handle: handle.writelines((header, payload, footer)))
 
     def _read_validated(self, table: Table, segment: SpillSegment) -> np.ndarray:
         try:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import PbmeMode, RecStep, RecStepConfig
+
+#: The service state machine's larger example budget, for the
+#: serve-chaos CI job (``--hypothesis-profile=serve-chaos``); tier-1
+#: runs it with a small budget of its own.
+settings.register_profile("serve-chaos", max_examples=200, stateful_step_count=40)
 
 
 @pytest.fixture

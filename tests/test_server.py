@@ -57,6 +57,11 @@ def _tc_request(seed: int = 42, **kwargs) -> QueryRequest:
     )
 
 
+def _cycle(nodes: int) -> np.ndarray:
+    src = np.arange(nodes, dtype=np.int64)
+    return np.stack([src, (src + 1) % nodes], axis=1)
+
+
 def _service(**overrides) -> QueryService:
     # The relational path: iteration-structured evaluation, so memory
     # quotas, deadlines, and checkpoints all have boundaries to bite at.
@@ -82,7 +87,7 @@ class TestSessionLifecycle:
     def test_legal_path_to_done(self):
         manager = SessionManager()
         session = manager.create(_tc_request(), now=0.0)
-        for state in (SessionState.ADMITTED, SessionState.RUNNING, SessionState.DONE):
+        for state in (SessionState.RUNNING, SessionState.DONE):
             manager.transition(session, state)
         assert session.state.terminal
 
@@ -97,7 +102,7 @@ class TestSessionLifecycle:
         session = manager.create(_tc_request(), now=0.0)
         manager.transition(session, SessionState.SHED)
         with pytest.raises(SessionError):
-            manager.transition(session, SessionState.ADMITTED)
+            manager.transition(session, SessionState.RUNNING)
 
     def test_unknown_session_raises(self):
         with pytest.raises(SessionError, match="unknown session"):
@@ -621,13 +626,11 @@ class TestServiceSpill:
     BUDGET = 550_000
 
     @staticmethod
-    def _cycle_request(**kwargs) -> QueryRequest:
-        src = np.arange(300, dtype=np.int64)
-        arc = np.stack([src, (src + 1) % 300], axis=1)
+    def _cycle_request(nodes: int = 300, **kwargs) -> QueryRequest:
         kwargs.setdefault("memory_quota", TestServiceSpill.BUDGET)
         return QueryRequest(
             program=get_program("TC"),
-            edb_data={"arc": arc},
+            edb_data={"arc": _cycle(nodes)},
             dataset="tc-cycle",
             **kwargs,
         )
@@ -650,19 +653,80 @@ class TestServiceSpill:
         service.flush()
         doc = service.status(response["session_id"])
         assert doc["state"] == "done"
-        # The spilled slice was never resident at peak: that part of the
-        # reservation went back to the admission pool early.
         assert doc["spilled_bytes"] > 0
-        assert doc["spill_released_bytes"] > 0
-        snap = service.counters.snapshot()
-        assert snap["server.spill_released_bytes"] == doc["spill_released_bytes"]
-        # The per-session spill directory died with the session (the
-        # engine's own cleanup; the service sweep is a crash backstop).
+        # The whole reservation, spilled slice included, went back to the
+        # pool at the finish instant, together with the spill directory.
+        assert service.admission.reserved_bytes == 0
         assert not (tmp_path / "spill" / response["session_id"]).exists()
         # Telemetry: the spill shows up in histograms and the report.
         metrics = service.metrics_snapshot()
         assert metrics["histograms"]["spill_bytes.TC"]["count"] == 1
         assert service.report()["spilled_bytes_total"] == doc["spilled_bytes"]
+
+    def test_spilling_sessions_never_overcommit(self, tmp_path):
+        # Each quota is over half the watermark. A spilled byte can be
+        # faulted back in, so a quota stays held until its session
+        # finishes: the second and third submissions wait their turn.
+        service = self._service(
+            tmp_path, max_concurrent=3, queue_limit=3, memory_budget=2 * self.BUDGET
+        )
+        watermark = int(
+            service.admission.memory_budget * service.admission.high_watermark
+        )
+        assert watermark < 2 * self.BUDGET
+        ids = []
+        for _ in range(3):
+            response = service.submit(self._cycle_request())
+            while not response["accepted"]:
+                assert response["reason"] == "memory-pressure"
+                service.flush()
+                response = service.submit(self._cycle_request())
+            ids.append(response["session_id"])
+            service.pump()
+        service.flush()
+        sessions = [service.sessions.get(session_id) for session_id in ids]
+        assert all(s.state is SessionState.DONE and s.spilled_bytes for s in sessions)
+        for session in sessions:
+            held = sum(
+                other.reserved_bytes
+                for other in sessions
+                if other.started_at <= session.started_at < other.finished_at
+            )
+            assert held <= watermark, (session.id, held)
+
+    def test_spilled_view_serves_updates(self, tmp_path):
+        # A view's spilled segments are live state: its session's finish
+        # leaves them on disk, and only release_view removes them. (A
+        # one-arc *delete* faults the whole spilled relation back in and
+        # runs out of this quota, so the update here is an insert.)
+        service = self._service(tmp_path)
+        view = service.submit(
+            self._cycle_request(100, memory_quota=100_000, materialize=True)
+        )
+        service.flush()
+        view_id = view["session_id"]
+        directory = tmp_path / "spill" / view_id
+        assert service.status(view_id)["spilled_bytes"] > 0
+        assert list(directory.glob("*.spill"))
+        arc = np.array([[0, 100]], dtype=np.int64)
+        update = service.submit(
+            QueryRequest(
+                program=get_program("TC"),
+                edb_data={},
+                kind="update",
+                target_session=view_id,
+                inserts={"arc": arc},
+            )
+        )
+        service.flush()
+        assert service.status(update["session_id"])["state"] == "done"
+        reference = RecStep(RecStepConfig(**RELATIONAL)).evaluate(
+            get_program("TC"), {"arc": np.vstack([_cycle(100), arc])}
+        )
+        assert service._views[view_id].fixpoint() == reference.tuples
+        service.release_view(view_id)
+        assert not directory.exists()
+        assert service.admission.reserved_bytes == 0
 
     def test_drain_cancels_spilled_session_resume_identical(self, tmp_path, monkeypatch):
         # Drain grace lands mid-fixpoint, *after* blocks went to disk:
